@@ -46,6 +46,7 @@ from .components import (
     barcode_rows,
     component_size_distribution,
     cumulative_residual_entropy,
+    edges_within,
     iet_ccdf,
     motif_counts,
     motif_distribution,
@@ -106,6 +107,7 @@ __all__ = [
     "barcode_rows",
     "component_size_distribution",
     "cumulative_residual_entropy",
+    "edges_within",
     "iet_ccdf",
     "motif_counts",
     "motif_distribution",

@@ -31,6 +31,7 @@ from .components import (
     aggregate_network,
     barcode_rows,
     cumulative_residual_entropy,
+    edges_within,
     iet_ccdf,
     motif_counts,
     motif_distribution,
@@ -329,8 +330,9 @@ def _cmd_iets(args, argv):
         curves = [(args.motif, iet_ccdf(teg, Motif(args.motif)))]
     else:
         curves = [("all", iet_ccdf(teg))]
+        counts = motif_counts(teg)
         for m in MOTIFS:
-            if any(e.motif is m for e in teg.edges):
+            if counts[m]:
                 curves.append((m.value, iet_ccdf(teg, m)))
     lines = ["scope,iet,tail"]
     for label, ccdf in curves:
@@ -351,22 +353,13 @@ def _cmd_entropy(args, argv):
     lines = ["scope,edges,motif_entropy_bits,iet_cre"]
 
     def row(scope, scope_events):
-        counts = motif_counts(teg, scope_events)
-        total = sum(counts.values())
+        inside = slice(None) if scope_events is None else edges_within(teg, scope_events)
+        codes = teg.codes[inside]
+        total = len(codes)
         if total == 0:
             return None
-        masses = [counts[m] / total for m in MOTIFS]
-        if scope_events is None:
-            taus = [e.iet for e in teg.edges]
-        else:
-            members = set(scope_events)
-            taus = [
-                e.iet
-                for v in members
-                for e in teg.out_edges[v]
-                if e.to_vertex in members
-            ]
-        cre = cumulative_residual_entropy(EmpiricalCcdf.from_samples(taus))
+        masses = (np.bincount(codes, minlength=len(MOTIFS)) / total).tolist()
+        cre = cumulative_residual_entropy(EmpiricalCcdf.from_samples(teg.iets[inside]))
         return f"{scope},{total},{_f(shannon_entropy(masses))},{_f(cre)}"
 
     whole = row("all", None)

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from math import inf, log2
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .events import TemporalNetwork
 from .motifs import MOTIFS, Motif
-from .teg import Teg, build_teg
+from .teg import Teg, build_teg, check_window
 from .unionfind import UnionFind
 
 
@@ -48,8 +50,8 @@ class ComponentSet:
     def __init__(self, teg: Teg):
         events = teg.network.events
         uf = UnionFind(len(events))
-        for e in teg.edges:
-            uf.union(e.from_vertex, e.to_vertex)
+        for a, b in zip(teg.heads.tolist(), teg.tails.tolist()):
+            uf.union(a, b)
         comps = []
         for members in uf.groups().values():
             nodes = frozenset(n for v in members for n in events[v].nodes)
@@ -91,6 +93,10 @@ def weakly_connected_components(teg: Teg) -> ComponentSet:
     return ComponentSet(teg)
 
 
+def _component_set(teg: Teg | ComponentSet) -> ComponentSet:
+    return teg if isinstance(teg, ComponentSet) else ComponentSet(teg)
+
+
 def sweep_largest_component(
     net: TemporalNetwork, delta_ts: Sequence[float]
 ) -> list[tuple[float, float]]:
@@ -104,25 +110,28 @@ def sweep_largest_component(
     """
     if not delta_ts:
         raise ValueError("delta_ts must be non-empty")
-    if any(dt <= 0 for dt in delta_ts):
-        raise ValueError("waiting windows must be positive")
+    for dt in delta_ts:
+        check_window(dt)
     if any(b <= a for a, b in zip(delta_ts, delta_ts[1:])):
         raise ValueError("delta_ts must be strictly ascending")
     m = len(net)
     if m == 0:
         raise ValueError("network is empty")
     full = build_teg(net, inf)
-    order = sorted(full.edges, key=lambda e: e.iet)
+    order = np.argsort(full.iets)
+    # edges[:stops[k]] of the sorted list are those with a gap below delta_ts[k]
+    stops = np.searchsorted(full.iets[order], delta_ts).tolist()
+    heads = full.heads[order].tolist()
+    tails = full.tails[order].tolist()
     uf = UnionFind(m)
     largest = 1
     out = []
     k = 0
-    for dt in delta_ts:
-        while k < len(order) and order[k].iet < dt:
-            e = order[k]
-            uf.union(e.from_vertex, e.to_vertex)
-            largest = max(largest, uf.set_size(e.from_vertex))
-            k += 1
+    for dt, stop in zip(delta_ts, stops):
+        for a, b in zip(heads[k:stop], tails[k:stop]):
+            if uf.union(a, b):
+                largest = max(largest, uf.set_size(a))
+        k = stop
         out.append((dt, largest / m))
     return out
 
@@ -156,19 +165,27 @@ class DiscreteDistribution:
         return cls(support, tuple(c / total for c in counts))
 
 
+def edges_within(teg: Teg, events: Iterable[int]) -> np.ndarray:
+    """Positions, ascending, of the edges with both ends in ``events``.
+
+    Index the edge columns with the result, as in ``teg.codes[inside]``.
+    The cost grows with the events and their out-edges, not with the whole
+    graph, so it can be called once per component.
+    """
+    members = np.array(sorted(set(events)), dtype=np.int64)
+    # heads are sorted, so each member's out-edges are one run of positions
+    lo = teg.heads.searchsorted(members)
+    runs = teg.heads.searchsorted(members, "right") - lo
+    positions = np.arange(runs.sum()) + np.repeat(lo - runs.cumsum() + runs, runs)
+    tails = teg.tails[positions]
+    found = members.searchsorted(tails).clip(max=len(members) - 1)
+    return positions[members[found] == tails]
+
+
 def motif_counts(teg: Teg, component: Iterable[int] | None = None) -> dict[Motif, int]:
     """Edge counts per motif class, optionally restricted to event indices."""
-    counts = {m: 0 for m in MOTIFS}
-    if component is None:
-        for e in teg.edges:
-            counts[e.motif] += 1
-    else:
-        members = set(component)
-        for v in members:
-            for e in teg.out_edges[v]:
-                if e.to_vertex in members:
-                    counts[e.motif] += 1
-    return counts
+    codes = teg.codes if component is None else teg.codes[edges_within(teg, component)]
+    return dict(zip(MOTIFS, np.bincount(codes, minlength=len(MOTIFS)).tolist()))
 
 
 def motif_distribution(teg: Teg, component: Iterable[int] | None = None) -> DiscreteDistribution:
@@ -183,7 +200,7 @@ def motif_distribution(teg: Teg, component: Iterable[int] | None = None) -> Disc
 
 def component_size_distribution(teg: Teg | ComponentSet) -> DiscreteDistribution:
     """Fraction of components at each size."""
-    cs = teg if isinstance(teg, ComponentSet) else ComponentSet(teg)
+    cs = _component_set(teg)
     if not cs.components:
         raise ValueError("no components: distribution undefined")
     sizes: dict[int, int] = {}
@@ -208,20 +225,13 @@ class EmpiricalCcdf:
 
     @classmethod
     def from_samples(cls, samples: Iterable[float]) -> "EmpiricalCcdf":
-        data = sorted(samples)
+        data = np.fromiter(samples, np.float64)
         n = len(data)
         if n == 0:
             raise ValueError("empty sample")
-        values = []
-        tail = []
-        k = 0
-        while k < n:
-            v = data[k]
-            while k < n and data[k] == v:
-                k += 1
-            values.append(v)
-            tail.append((n - k) / n)
-        return cls(tuple(values), tuple(tail), n)
+        values, counts = np.unique(data, return_counts=True)
+        tail = (n - np.cumsum(counts)) / n
+        return cls(tuple(values.tolist()), tuple(tail.tolist()), n)
 
     def evaluate(self, x: float) -> float:
         """P(X > x); 1 left of the support, 0 from the maximum on."""
@@ -232,10 +242,10 @@ class EmpiricalCcdf:
 def iet_ccdf(teg: Teg, motif: Motif | None = None) -> EmpiricalCcdf:
     """CCDF of edge inter-event times, optionally for one motif class."""
     if motif is None:
-        taus = [e.iet for e in teg.edges]
+        taus = teg.iets
     else:
-        taus = [e.iet for e in teg.edges if e.motif is motif]
-    if not taus:
+        taus = teg.iets[teg.codes == MOTIFS.index(motif)]
+    if not len(taus):
         scope = "any motif" if motif is None else str(motif)
         raise ValueError(f"no edges in scope ({scope}): CCDF undefined")
     return EmpiricalCcdf.from_samples(taus)
@@ -262,11 +272,11 @@ def cumulative_residual_entropy(ccdf: EmpiricalCcdf) -> float:
     return total
 
 
-def barcode_rows(teg: Teg, top: int | None = None) -> list[tuple[float, ...]]:
+def barcode_rows(teg: Teg | ComponentSet, top: int | None = None) -> list[tuple[float, ...]]:
     """Event times per component, largest component first."""
-    cs = ComponentSet(teg)
+    cs = _component_set(teg)
     comps = cs.components[: top if top is not None else len(cs.components)]
-    events = teg.network.events
+    events = cs.teg.network.events
     return [tuple(events[v].time for v in comp.events) for comp in comps]
 
 
@@ -314,11 +324,11 @@ def aggregate_network(net: TemporalNetwork) -> AggregateGraph:
     return AggregateGraph(net.nodes, frozenset((e.source, e.target) for e in net))
 
 
-def aggregate_component(teg: Teg, rank: int) -> AggregateGraph:
+def aggregate_component(teg: Teg | ComponentSet, rank: int) -> AggregateGraph:
     """Aggregate of the events inside one component (by rank)."""
-    cs = ComponentSet(teg)
+    cs = _component_set(teg)
     comp = cs[rank]
-    events = teg.network.events
+    events = cs.teg.network.events
     return AggregateGraph(
         comp.nodes, frozenset((events[v].source, events[v].target) for v in comp.events)
     )

@@ -34,7 +34,7 @@ from math import isfinite
 from typing import Mapping, TextIO
 
 from .events import Event, TemporalNetwork
-from .motifs import Motif, classify_pair, prescribed_nodes
+from .motifs import MOTIFS, Motif, classify_pair, prescribed_nodes
 from .teg import Teg
 from .unionfind import UnionFind
 
@@ -150,12 +150,9 @@ def strip_events(teg: Teg, keep_anchors: bool = False) -> EdgeLabelledTeg:
     With ``keep_anchors`` every vertex is pinned to its absolute event
     time, so reconstruction recovers absolute times in every component.
     """
-    tau = {}
-    mu = {}
-    for e in teg.edges:
-        key = (e.from_vertex, e.to_vertex)
-        tau[key] = e.iet
-        mu[key] = e.motif
+    keys = list(zip(teg.heads.tolist(), teg.tails.tolist()))
+    tau = dict(zip(keys, teg.iets.tolist()))
+    mu = dict(zip(keys, [MOTIFS[c] for c in teg.codes.tolist()]))
     anchors = None
     if keep_anchors:
         anchors = {v: teg.network.events[v].time for v in range(teg.vertex_count)}

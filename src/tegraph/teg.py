@@ -10,6 +10,10 @@ The construction gives every vertex at most two in- and two out-edges and,
 because edges always point from an earlier to a later event, the graph is
 a DAG (under equal timestamps, order is the network's stable resolution
 and edges still point forward because a zero gap never creates an edge).
+
+The graph is stored as four numpy columns, one entry per edge, sorted by
+(from, to); the ``TegEdge`` views of the edge list and of per-vertex
+adjacency are built from the columns on first access.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import inf, isnan
-from typing import Iterable, TextIO
+from typing import TextIO
+
+import numpy as np
 
 from .events import Event, TemporalNetwork
-from .motifs import Motif, classify_pair
+from .motifs import MOTIFS, Motif
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,29 +39,43 @@ class TegEdge:
     motif: Motif
 
 
+def check_window(delta_t: float) -> None:
+    """Raise ValueError unless ``delta_t`` is a positive waiting window."""
+    if isnan(delta_t) or delta_t <= 0:
+        raise ValueError(f"delta_t must be positive (math.inf allowed), got {delta_t}")
+
+
+def _readonly(values, dtype) -> np.ndarray:
+    column = np.asarray(values, dtype=dtype).view()
+    column.flags.writeable = False
+    return column
+
+
 class Teg:
     """Event graph of ``network`` at waiting window ``delta_t``.
 
-    Vertices are event indices 0..M-1 in the network's order. ``edges`` is
-    sorted by (from_vertex, to_vertex); per-vertex adjacency is exposed via
-    ``out_edges`` / ``in_edges``.
+    Vertices are event indices 0..M-1 in the network's order. Edge k runs
+    from event ``heads[k]`` to the later event ``tails[k]``, with
+    inter-event time ``iets[k]`` and motif ``MOTIFS[codes[k]]``; the
+    columns must be sorted by (head, tail) and are stored read-only.
+    ``edges``, ``out_edges`` and ``in_edges`` give the same edges as
+    ``TegEdge`` objects.
     """
 
-    __slots__ = ("network", "delta_t", "edges", "out_edges", "in_edges")
+    __slots__ = ("network", "delta_t", "heads", "tails", "iets", "codes", "_edges", "_adjacency")
 
-    def __init__(self, network: TemporalNetwork, delta_t: float, edges: Iterable[TegEdge]):
-        if isnan(delta_t) or delta_t <= 0:
-            raise ValueError(f"delta_t must be positive (math.inf allowed), got {delta_t}")
+    def __init__(self, network: TemporalNetwork, delta_t: float, heads, tails, iets, codes):
+        check_window(delta_t)
         self.network = network
         self.delta_t = delta_t
-        self.edges = tuple(sorted(edges, key=lambda e: (e.from_vertex, e.to_vertex)))
-        out: list[list[TegEdge]] = [[] for _ in range(len(network))]
-        incoming: list[list[TegEdge]] = [[] for _ in range(len(network))]
-        for e in self.edges:
-            out[e.from_vertex].append(e)
-            incoming[e.to_vertex].append(e)
-        self.out_edges = tuple(tuple(lst) for lst in out)
-        self.in_edges = tuple(tuple(lst) for lst in incoming)
+        self.heads = _readonly(heads, np.int64)
+        self.tails = _readonly(tails, np.int64)
+        self.iets = _readonly(iets, np.float64)
+        self.codes = _readonly(codes, np.uint8)
+        if not len(self.heads) == len(self.tails) == len(self.iets) == len(self.codes):
+            raise ValueError("edge columns must have equal lengths")
+        self._edges = None
+        self._adjacency = None
 
     @property
     def vertex_count(self) -> int:
@@ -63,7 +83,40 @@ class Teg:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.heads)
+
+    @property
+    def edges(self) -> tuple[TegEdge, ...]:
+        """All edges as ``TegEdge`` objects, sorted by (from_vertex, to_vertex)."""
+        if self._edges is None:
+            motifs = [MOTIFS[c] for c in self.codes.tolist()]
+            self._edges = tuple(
+                map(TegEdge, self.heads.tolist(), self.tails.tolist(), self.iets.tolist(), motifs)
+            )
+        return self._edges
+
+    @property
+    def out_edges(self) -> tuple[tuple[TegEdge, ...], ...]:
+        """Out-edges of every vertex, by vertex index."""
+        return self._views()[0]
+
+    @property
+    def in_edges(self) -> tuple[tuple[TegEdge, ...], ...]:
+        """In-edges of every vertex, by vertex index."""
+        return self._views()[1]
+
+    def _views(self):
+        if self._adjacency is None:
+            out: list[list[TegEdge]] = [[] for _ in range(self.vertex_count)]
+            incoming: list[list[TegEdge]] = [[] for _ in range(self.vertex_count)]
+            for e in self.edges:
+                out[e.from_vertex].append(e)
+                incoming[e.to_vertex].append(e)
+            self._adjacency = (
+                tuple(tuple(lst) for lst in out),
+                tuple(tuple(lst) for lst in incoming),
+            )
+        return self._adjacency
 
     def out_degree(self, v: int) -> int:
         return len(self.out_edges[v])
@@ -84,32 +137,66 @@ def is_dt_adjacent(first: Event, second: Event, delta_t: float) -> bool:
     return 0 < gap < delta_t
 
 
-def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
-    """Build the event graph of ``net`` in a single O(M) scan.
+def _node_columns(net: TemporalNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target of every event as int64 columns.
 
-    For every node the scan keeps the latest event seen; when a later event
-    j arrives on node w held by event i, the gap is tested against the
-    window and an edge i -> j is added. "Next event of a node" follows the
-    network's event order, so under stable-order ties it means the next
-    event in that resolved order (a zero gap never yields an edge, and with
-    distinct timestamps this is exactly the next event in time).
+    Node ids past the int64 range are replaced by their rank among the
+    network's nodes, which keeps node equality, all the builder needs.
     """
-    events = net.events
-    last: dict[int, int] = {}
-    edges: list[TegEdge] = []
-    for j, ev in enumerate(events):
-        sources: list[int] = []
-        for w in ev.nodes:
-            i = last.get(w)
-            if i is not None and i not in sources:
-                gap = ev.time - events[i].time
-                if 0 < gap < delta_t:
-                    sources.append(i)
-                    prev = events[i]
-                    motif = classify_pair(prev.source, prev.target, ev.source, ev.target)
-                    edges.append(TegEdge(i, j, gap, motif))
-            last[w] = j
-    return Teg(net, delta_t, edges)
+    events, m = net.events, len(net)
+    try:
+        sources = np.fromiter((e.source for e in events), np.int64, m)
+        targets = np.fromiter((e.target for e in events), np.int64, m)
+    except OverflowError:
+        rank = {node: k for k, node in enumerate(sorted(net.nodes))}
+        sources = np.fromiter((rank[e.source] for e in events), np.int64, m)
+        targets = np.fromiter((rank[e.target] for e in events), np.int64, m)
+    return sources, targets
+
+
+def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
+    """Build the event graph of ``net`` by sorting node incidences, O(M log M).
+
+    Every event contributes two (node, event) incidences. A stable sort by
+    node lists each node's events in the network's order, so consecutive
+    incidences of one node are the candidate pairs (i, j) with j the next
+    event of that node; under stable-order ties that is the next event in
+    the resolved order (a zero gap never yields an edge, and with distinct
+    timestamps this is exactly the next event in time). Candidates with a
+    gap outside (0, delta_t) are dropped, a pair reached over both nodes is
+    kept once, and each pair's motif is read off its four endpoints.
+    """
+    check_window(delta_t)
+    m = len(net)
+    sources, targets = _node_columns(net)
+    times = np.fromiter((e.time for e in net.events), np.float64, m)
+    # incidence 2e is (sources[e], e) and 2e + 1 is (targets[e], e)
+    nodes = np.empty(2 * m, dtype=np.int64)
+    nodes[0::2] = sources
+    nodes[1::2] = targets
+    order = np.argsort(nodes, kind="stable")
+    grouped = nodes[order]
+    follows = grouped[1:] == grouped[:-1]
+    first = order[:-1][follows] >> 1
+    second = order[1:][follows] >> 1
+    gaps = times[second] - times[first]
+    inside = (gaps > 0) & (gaps < delta_t)
+    pairs = np.unique(first[inside] * m + second[inside])
+    heads, tails = np.divmod(pairs, m)
+    u_i, v_i, u_j, v_j = sources[heads], targets[heads], sources[tails], targets[tails]
+    # first match wins, in MOTIFS order: ABAB, ABBA, ABAC, ABCA, ABBC, ABCB
+    codes = np.select(
+        [
+            (u_j == u_i) & (v_j == v_i),
+            (u_j == v_i) & (v_j == u_i),
+            u_j == u_i,
+            v_j == u_i,
+            u_j == v_i,
+            v_j == v_i,
+        ],
+        range(len(MOTIFS)),
+    )
+    return Teg(net, delta_t, heads, tails, times[tails] - times[heads], codes)
 
 
 def _dt_to_json(delta_t: float):
@@ -124,7 +211,13 @@ def _dt_from_json(value) -> float:
 
 def write_teg_json(teg: Teg, stream: TextIO) -> None:
     """Dump the edge list with its header; inter-event times are lossless."""
-    records = [[e.from_vertex, e.to_vertex, e.iet, e.motif.value] for e in teg.edges]
+    names = [m.value for m in MOTIFS]
+    records = [
+        [i, j, iet, names[c]]
+        for i, j, iet, c in zip(
+            teg.heads.tolist(), teg.tails.tolist(), teg.iets.tolist(), teg.codes.tolist()
+        )
+    ]
     doc = {
         "delta_t": _dt_to_json(teg.delta_t),
         "event_count": teg.vertex_count,

@@ -2,16 +2,20 @@
 
 import io
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from _oracles import brute_force_teg, teg_edge_tuples
 from tegraph import (
+    MOTIFS,
     Event,
     Motif,
     TemporalNetwork,
     build_teg,
     classify_motif,
+    classify_pair,
     is_dt_adjacent,
     read_teg_json,
     write_teg_json,
@@ -52,6 +56,50 @@ def test_matches_literal_definition(seed, sampler):
     for dt in _windows(net):
         teg = build_teg(net, dt)
         assert teg_edge_tuples(teg) == brute_force_teg(net, dt)
+
+
+def _tied_network(rng, m):
+    """m events on 2-5 nodes at small integer times: many ties, repeated pairs."""
+    n = int(rng.integers(2, 6))
+    events = []
+    for _ in range(m):
+        u, v = rng.choice(n, size=2, replace=False)
+        events.append(Event(int(u), int(v), float(rng.integers(0, m // 2 + 2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return TemporalNetwork(events)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ties_and_repeated_pairs_match_literal_definition(seed):
+    rng = np.random.default_rng(seed)
+    for m in list(range(16)) * 2:
+        net = _tied_network(rng, m)
+        for dt in (0.5, 1.0, 2.0, 3.5, math.inf):
+            teg = build_teg(net, dt)
+            assert teg_edge_tuples(teg) == brute_force_teg(net, dt)
+            pairs = list(zip(teg.heads.tolist(), teg.tails.tolist()))
+            assert pairs == sorted(set(pairs))  # sorted, each pair once
+            columns = list(
+                zip(teg.heads.tolist(), teg.tails.tolist(), teg.iets.tolist(), teg.codes.tolist())
+            )
+            views = [(e.from_vertex, e.to_vertex, e.iet, MOTIFS.index(e.motif)) for e in teg.edges]
+            assert columns == views
+            assert [e for out in teg.out_edges for e in out] == list(teg.edges)
+            assert sorted(
+                (e for into in teg.in_edges for e in into),
+                key=lambda e: (e.from_vertex, e.to_vertex),
+            ) == list(teg.edges)
+            for i, j, _, code in columns:
+                first, second = net.events[i], net.events[j]
+                motif = classify_pair(first.source, first.target, second.source, second.target)
+                assert MOTIFS[code] is motif
+
+
+def test_node_ids_past_int64_range():
+    big = 2**70
+    net = TemporalNetwork([Event(big, 1, 0.0), Event(1, big + 1, 1.0), Event(big + 1, big, 2.0)])
+    assert teg_edge_tuples(build_teg(net, math.inf)) == brute_force_teg(net, math.inf)
 
 
 @pytest.mark.parametrize("seed", range(4))

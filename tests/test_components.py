@@ -19,6 +19,7 @@ from tegraph import (
     build_teg,
     component_size_distribution,
     cumulative_residual_entropy,
+    edges_within,
     iet_ccdf,
     motif_counts,
     motif_distribution,
@@ -135,6 +136,8 @@ def test_sweep_below_smallest_gap_gives_singletons():
         ([0.0, 1.0], "positive"),
         ([2.0, 1.0], "ascending"),
         ([1.0, 1.0], "ascending"),
+        ([math.nan], "positive"),
+        ([1.0, math.nan], "positive"),
     ],
 )
 def test_sweep_rejects_bad_grids(grid, match):
@@ -160,6 +163,22 @@ def test_motif_counts_sum_over_components():
         for m, c in motif_counts(teg, comp.events).items():
             merged[m] += c
     assert merged == whole
+
+
+def test_edges_within_matches_literal_filter():
+    net = _random_net(6, n=9, m=120)
+    teg = build_teg(net, 1.0)
+    rng = np.random.default_rng(0)
+    for size in (0, 1, 5, 40, 200):
+        # any order, repeats allowed
+        events = rng.integers(0, len(net), size).tolist()
+        members = set(events)
+        expected = [
+            k
+            for k, e in enumerate(teg.edges)
+            if e.from_vertex in members and e.to_vertex in members
+        ]
+        assert edges_within(teg, events).tolist() == expected
 
 
 def test_motif_distribution_support_and_masses():
@@ -262,6 +281,7 @@ def test_barcode_rows_order_and_truncation():
     rows = barcode_rows(teg)
     assert rows == [(0.0, 1.0, 2.0), (0.5,)]
     assert barcode_rows(teg, top=1) == [(0.0, 1.0, 2.0)]
+    assert barcode_rows(ComponentSet(teg)) == rows
 
 
 def test_aggregate_graph_metrics():
@@ -297,6 +317,7 @@ def test_aggregate_of_one_component():
     assert agg.node_count == 2
     assert agg.edge_count == 1
     assert aggregate_component(teg, 1).nodes == frozenset({7, 8})
+    assert aggregate_component(ComponentSet(teg), 1) == aggregate_component(teg, 1)
 
 
 def test_growth_curve_spread_for_heavy_tails():
