@@ -465,9 +465,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("reconstruct", help="events back from an edge-labelled graph")
     p.add_argument("--input", required=True, help="edge-labelled graph JSON")
-    check = p.add_mutually_exclusive_group()
-    check.add_argument("--check", action="store_true", help="validate first (the default)")
-    check.add_argument("--no-validate", action="store_true", help="skip validation")
+    p.add_argument("--no-validate", action="store_true", help="skip validation")
     p.add_argument("--rel-tol", type=float, default=1e-12)
     p.add_argument(
         "--layout",

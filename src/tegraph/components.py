@@ -325,8 +325,13 @@ def aggregate_network(net: TemporalNetwork) -> AggregateGraph:
 
 
 def aggregate_component(teg: Teg | ComponentSet, rank: int) -> AggregateGraph:
-    """Aggregate of the events inside one component (by rank)."""
+    """Aggregate of the events inside one component (by rank).
+
+    Raises ValueError unless ``0 <= rank`` < the component count.
+    """
     cs = _component_set(teg)
+    if not 0 <= rank < len(cs):
+        raise ValueError(f"component {rank} out of range: the graph has {len(cs)} components")
     comp = cs[rank]
     events = cs.teg.network.events
     return AggregateGraph(

@@ -13,11 +13,12 @@ sequence:
 * C3: the in-edges of a vertex have pairwise distinct destination labels
   (no node position is prescribed twice).
 * C4: labels must agree with the node structure the rest of the graph
-  implies. Checked two ways: resolving node identities from the labels and
-  re-deriving every edge's motif (a direct edge beside a longer path must
-  be the two-node motif whose orientation parity is the product of role
-  switches along the path), and requiring the corroborating sibling path
-  that a two-node label next to a second in- or out-edge implies.
+  implies. Node identities are resolved from the labels, and the event
+  graph of the resolved events is rebuilt, with the vertex index as time
+  and no waiting window: every edge it has and the input lacks, every
+  input edge it lacks, and every label it gives differently is a
+  violation. An event graph is a lossless representation, so a graph that
+  survives this rebuild is the event graph of its resolved events.
 
 ``check_consistency`` reports every violation; ``reconstruct`` inverts a
 consistent graph into a temporal network, exactly one network per weakly
@@ -30,17 +31,17 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Mapping, TextIO
 
+import numpy as np
+
 from .events import Event, TemporalNetwork
-from .motifs import MOTIFS, Motif, classify_pair, prescribed_nodes
-from .teg import Teg
+from .motifs import MOTIFS, Motif, prescribed_nodes
+from .teg import Teg, _incidence_edges
 from .unionfind import UnionFind
 
-_POS = 1  # parity mask bit for +1
-_NEG = 2  # parity mask bit for -1
-_BIT = {+1: _POS, -1: _NEG}
+_CODES = {m: c for c, m in enumerate(MOTIFS)}
 
 
 class InconsistentGraphError(ValueError):
@@ -194,33 +195,6 @@ def _potentials(start: int, out, incoming, tau) -> dict[int, float]:
     return pot
 
 
-def _compose(mask: int, switch: int) -> int:
-    if switch == +1 or mask == 0:
-        return mask
-    return ((mask & _POS) << 1) | ((mask & _NEG) >> 1)
-
-
-def _path_parities(out, mu, target: int, lo: int) -> dict[int, int]:
-    """Parity masks of all >=1-edge paths v -> target, for lo <= v < target.
-
-    Edges only go from lower to higher index, so a reverse index sweep is a
-    reverse topological order, and the window [lo, target) covers every
-    vertex such a path can visit.
-    """
-    masks: dict[int, int] = {}
-    for v in range(target - 1, lo - 1, -1):
-        mask = 0
-        for w, key in out.get(v, ()):
-            s = mu[key].switch
-            if w == target:
-                mask |= _BIT[s]
-            elif w < target:
-                mask |= _compose(masks.get(w, 0), s)
-        if mask:
-            masks[v] = mask
-    return masks
-
-
 def _resolve_nodes(order, incoming, mu, start_label: int):
     """Node pairs implied by the labels, processing vertices in ``order``.
 
@@ -235,48 +209,34 @@ def _resolve_nodes(order, incoming, mu, start_label: int):
     dirty: set[int] = set()
     label = start_label
     for v in order:
-        source: int | None = None
-        target: int | None = None
-        source_key = target_key = None
+        nodes: list[int | None] = [None, None]  # source, target
+        keys: list[tuple[int, int] | None] = [None, None]
         for u, key in incoming.get(v, ()):
             if u not in resolved:
                 dirty.add(v)
                 continue
-            pu, pv = prescribed_nodes(mu[key], *resolved[u])
-            if pu is not None:
-                if source is not None and source != pu:
+            prescribed = prescribed_nodes(mu[key], *resolved[u])
+            for pos, (role, node) in enumerate(zip(("source", "target"), prescribed)):
+                if node is None:
+                    continue
+                if nodes[pos] is not None and nodes[pos] != node:
                     dirty.add(v)
-                    if mu[source_key].xi_in != mu[key].xi_in:
+                    if mu[keys[pos]].xi_in != mu[key].xi_in:
                         violations.append(
                             Violation(
                                 "C4",
                                 (v,),
-                                (source_key, key),
-                                f"in-edges of vertex {v} prescribe different source nodes",
+                                (keys[pos], key),
+                                f"in-edges of vertex {v} prescribe different {role} nodes",
                             )
                         )
                 else:
-                    source, source_key = pu, key
-            if pv is not None:
-                if target is not None and target != pv:
-                    dirty.add(v)
-                    if mu[target_key].xi_in != mu[key].xi_in:
-                        violations.append(
-                            Violation(
-                                "C4",
-                                (v,),
-                                (target_key, key),
-                                f"in-edges of vertex {v} prescribe different target nodes",
-                            )
-                        )
-                else:
-                    target, target_key = pv, key
-        if source is None:
-            source = label
-            label += 1
-        if target is None:
-            target = label
-            label += 1
+                    nodes[pos], keys[pos] = node, key
+        for pos in (0, 1):
+            if nodes[pos] is None:
+                nodes[pos] = label
+                label += 1
+        source, target = nodes
         if source == target:
             dirty.add(v)
             violations.append(
@@ -293,15 +253,72 @@ def _resolve_nodes(order, incoming, mu, start_label: int):
     return resolved, violations, dirty, label
 
 
+def _c4_violations(g: EdgeLabelledTeg, comps, incoming, dirty) -> list[Violation]:
+    """C4 violations: node identities are resolved per component in index
+    order (a topological order, since edges increase the index), with labels
+    fresh across components; then every edge key where ``g`` differs from
+    the event graph of the resolved events, at time = vertex index, is
+    reported, skipping keys with an endpoint in ``dirty``, to which the
+    vertices whose resolution conflicted are added.
+    """
+    n = g.vertex_count
+    sources = np.empty(n, dtype=np.int64)
+    targets = np.empty(n, dtype=np.int64)
+    violations: list[Violation] = []
+    label = 0
+    for comp in comps:
+        resolved, vios, conflicted, label = _resolve_nodes(comp, incoming, g.mu, label)
+        sources[comp], targets[comp] = zip(*(resolved[v] for v in comp))
+        violations.extend(vios)
+        dirty |= conflicted
+    resolved = None  # free the last component's pairs before the rebuild
+    heads, tails, codes = _incidence_edges(sources, targets, np.arange(n, dtype=np.float64), inf)
+    rebuilt = heads * n + tails
+
+    def derived(query):
+        """Rebuilt motif code of every key in ``query``, -1 where no edge."""
+        pos = np.searchsorted(rebuilt, query)
+        hit = np.append(rebuilt, -1)[pos] == query
+        return np.where(hit, np.append(codes, -1)[pos], -1)
+
+    keys = np.fromiter((i * n + j for i, j in g.mu), np.int64, len(g.mu))
+    labels = np.fromiter((_CODES[m] for m in g.mu.values()), np.uint8, len(g.mu))
+    missing = np.setdiff1d(rebuilt, keys, assume_unique=True)
+    bad = np.sort(np.concatenate([keys[derived(keys) != labels], missing]))
+    is_dirty = np.zeros(n, dtype=bool)
+    is_dirty[np.fromiter(dirty, np.int64, len(dirty))] = True
+    bad = bad[~(is_dirty[bad // n] | is_dirty[bad % n])]
+
+    for k, code in zip(bad.tolist(), derived(bad).tolist()):
+        i, j = divmod(k, n)
+        if (i, j) not in g.mu:
+            detail = (
+                f"the node structure implied by the other edges requires an edge "
+                f"labelled {MOTIFS[code]}; none exists"
+            )
+        else:
+            got = "no edge" if code < 0 else MOTIFS[code].value
+            detail = (
+                f"label {g.mu[i, j]} contradicts the node structure implied "
+                f"by the other edges, which gives {got}"
+            )
+        violations.append(Violation("C4", (i, j), ((i, j),), detail))
+    return violations
+
+
 def check_consistency(g: EdgeLabelledTeg, rel_tol: float = 1e-12) -> ConsistencyReport:
     """Test conditions C1-C4 and report every violation found.
 
     C1 compares tau sums with a tolerance relative to the component's time
     span (exact inputs are checked exactly: integer or dyadic taus leave no
     rounding residue). C2/C3 compare labels. C4 resolves node identities
-    from the labels, re-derives every edge's motif, and checks the
-    corroborating-path requirement of two-node labels next to sibling
-    edges.
+    from the labels in index order, rebuilds the event graph of the
+    resolved events with the vertex index as time and no waiting window,
+    and reports every edge key where the rebuild and the input differ: a
+    label the rebuild gives differently, an input edge it does not give,
+    or an edge it gives that the input lacks. Keys with an endpoint whose
+    node resolution conflicted, or that a C2/C3 violation names, are
+    skipped; their fault is already reported.
     """
     out, incoming = _adjacency(g)
     mu = g.mu
@@ -334,6 +351,9 @@ def check_consistency(g: EdgeLabelledTeg, rel_tol: float = 1e-12) -> Consistency
                             )
                         )
 
+    # C4 skips the endpoints of every edge a C2/C3 violation names
+    dirty = {v for violation in violations for key in violation.edges for v in key}
+
     # C1: breadth-first relative times, then every edge re-checked.
     comps = _component_vertices(g)
     for comp in comps:
@@ -356,81 +376,8 @@ def check_consistency(g: EdgeLabelledTeg, rel_tol: float = 1e-12) -> Consistency
                         )
                     )
 
-    # C4, re-derivation: resolve node identities in index order (a
-    # topological order, since edges increase the index) and compare each
-    # edge's label against the motif of the resolved pairs. Vertices whose
-    # resolution conflicted are skipped here; the conflict itself was
-    # reported above (or belongs to C3).
-    label = 0
-    for comp in comps:
-        resolved, vios, dirty, label = _resolve_nodes(comp, incoming, mu, label)
-        violations.extend(vios)
-        for v in comp:
-            if v in dirty:
-                continue
-            for u, key in incoming.get(v, ()):
-                if u in dirty:
-                    continue
-                try:
-                    derived = classify_pair(*resolved[u], *resolved[v])
-                except ValueError:
-                    derived = None
-                if derived is not mu[key]:
-                    got = derived.value if derived else "a pair sharing no node"
-                    violations.append(
-                        Violation(
-                            "C4",
-                            (u, v),
-                            (key,),
-                            f"label {mu[key]} contradicts the node structure implied "
-                            f"by the other edges, which gives {got}",
-                        )
-                    )
-
-    # C4, corroborating paths: a two-node label says both nodes of the
-    # earlier event recur, so a sibling in-edge (k,j) must be the last hop
-    # of a path from i, and a sibling out-edge (i,k) the first hop of a
-    # path to j, with role-switch product matching the label's parity.
-    for j in sorted(incoming):
-        edges = incoming[j]
-        if len(edges) != 2:
-            continue
-        for (i, key_ij), (k, key_kj) in (edges, edges[::-1]):
-            m = mu[key_ij]
-            if not m.is_two_node:
-                continue
-            need = m.switch * mu[key_kj].switch
-            found = i < k and _path_parities(out, mu, k, i).get(i, 0) & _BIT[need]
-            if not found:
-                violations.append(
-                    Violation(
-                        "C4",
-                        (i, j, k),
-                        (key_ij, key_kj),
-                        f"label {m} on ({i},{j}) requires a path {i} to {k} "
-                        f"with parity {need:+d}; none exists",
-                    )
-                )
-    for i in sorted(out):
-        edges = out[i]
-        if len(edges) != 2:
-            continue
-        for (j, key_ij), (k, key_ik) in (edges, edges[::-1]):
-            m = mu[key_ij]
-            if not m.is_two_node:
-                continue
-            need = m.switch * mu[key_ik].switch
-            found = k < j and _path_parities(out, mu, j, k).get(k, 0) & _BIT[need]
-            if not found:
-                violations.append(
-                    Violation(
-                        "C4",
-                        (i, j, k),
-                        (key_ij, key_ik),
-                        f"label {m} on ({i},{j}) requires a path through ({i},{k}) "
-                        f"reaching {j} with parity {m.switch:+d}; none exists",
-                    )
-                )
+    # C4: resolve node identities, then certify by rebuilding.
+    violations.extend(_c4_violations(g, comps, incoming, dirty))
 
     return ConsistencyReport(tuple(violations))
 
@@ -440,7 +387,7 @@ def _component_times(g: EdgeLabelledTeg, comp, out, incoming, rel_tol: float):
     pot = _potentials(comp[0], out, incoming, g.tau)
     anchored = []
     if g.anchors:
-        anchored = sorted((v, t) for v, t in g.anchors.items() if v in pot)
+        anchored = [(v, g.anchors[v]) for v in comp if v in g.anchors]
     if anchored:
         v0, t0 = anchored[0]
         shift = t0 - pot[v0]

@@ -154,22 +154,13 @@ def _node_columns(net: TemporalNetwork) -> tuple[np.ndarray, np.ndarray]:
     return sources, targets
 
 
-def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
-    """Build the event graph of ``net`` by sorting node incidences, O(M log M).
+def _incidence_edges(sources, targets, times, delta_t: float):
+    """Event-graph edges of the events ``(sources[e], targets[e], times[e])``.
 
-    Every event contributes two (node, event) incidences. A stable sort by
-    node lists each node's events in the network's order, so consecutive
-    incidences of one node are the candidate pairs (i, j) with j the next
-    event of that node; under stable-order ties that is the next event in
-    the resolved order (a zero gap never yields an edge, and with distinct
-    timestamps this is exactly the next event in time). Candidates with a
-    gap outside (0, delta_t) are dropped, a pair reached over both nodes is
-    kept once, and each pair's motif is read off its four endpoints.
+    Events must be in time order and node ids int64. Returns the ``heads``,
+    ``tails`` and motif ``codes`` columns, sorted by (head, tail).
     """
-    check_window(delta_t)
-    m = len(net)
-    sources, targets = _node_columns(net)
-    times = np.fromiter((e.time for e in net.events), np.float64, m)
+    m = len(sources)
     # incidence 2e is (sources[e], e) and 2e + 1 is (targets[e], e)
     nodes = np.empty(2 * m, dtype=np.int64)
     nodes[0::2] = sources
@@ -182,7 +173,10 @@ def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
     gaps = times[second] - times[first]
     inside = (gaps > 0) & (gaps < delta_t)
     pairs = np.unique(first[inside] * m + second[inside])
+    # free the candidates before classifying: this sets the peak memory
+    del nodes, order, grouped, follows, first, second, gaps, inside
     heads, tails = np.divmod(pairs, m)
+    del pairs
     u_i, v_i, u_j, v_j = sources[heads], targets[heads], sources[tails], targets[tails]
     # first match wins, in MOTIFS order: ABAB, ABBA, ABAC, ABCA, ABBC, ABCB
     codes = np.select(
@@ -196,6 +190,25 @@ def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
         ],
         range(len(MOTIFS)),
     )
+    return heads, tails, codes
+
+
+def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
+    """Build the event graph of ``net`` by sorting node incidences, O(M log M).
+
+    Every event contributes two (node, event) incidences. A stable sort by
+    node lists each node's events in the network's order, so consecutive
+    incidences of one node are the candidate pairs (i, j) with j the next
+    event of that node; under stable-order ties that is the next event in
+    the resolved order (a zero gap never yields an edge, and with distinct
+    timestamps this is exactly the next event in time). Candidates with a
+    gap outside (0, delta_t) are dropped, a pair reached over both nodes is
+    kept once, and each pair's motif is read off its four endpoints.
+    """
+    check_window(delta_t)
+    sources, targets = _node_columns(net)
+    times = np.fromiter((e.time for e in net.events), np.float64, len(net))
+    heads, tails, codes = _incidence_edges(sources, targets, times, delta_t)
     return Teg(net, delta_t, heads, tails, times[tails] - times[heads], codes)
 
 

@@ -124,6 +124,7 @@ def test_reconstruct_end_to_end_layout(tmp_path):
         ("frobnicate",),
         ("generate", "--nodes", "5", "--output", "y"),
         ("build", "--input", "x", "--dt", "1", "--output", "y", "--bogus"),
+        ("reconstruct", "--input", "x", "--check", "--output", "y"),
     ],
 )
 def test_usage_errors_exit_1(argv):
@@ -324,6 +325,19 @@ def test_aggregate_json(tmp_path):
         "--output", scoped,
     ) == 0
     assert json.loads(scoped.read_text())["scope"] == "component:0"
+
+
+@pytest.mark.parametrize("rank", ["-1", "1"])
+def test_aggregate_component_out_of_range_exits_2(tmp_path, capsys, rank):
+    raw = tmp_path / "pair.txt"
+    raw.write_text("0 1 0\n1 0 1\n")  # one component at dt = inf
+    out = tmp_path / "agg.json"
+    assert run(
+        "aggregate", "--input", raw, "--dt", "inf", "--component", rank,
+        "--output", out,
+    ) == 2
+    assert f"component {rank} out of range: the graph has 1 components" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_manifest_sidecars(tmp_path):

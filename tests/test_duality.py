@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 import warnings
 
 import pytest
@@ -13,6 +14,7 @@ from tegraph import (
     InconsistentGraphError,
     Motif,
     TemporalNetwork,
+    Violation,
     build_teg,
     canonicalize,
     check_consistency,
@@ -20,6 +22,7 @@ from tegraph import (
     reconstruct,
     save_edge_labelled,
     strip_events,
+    weakly_connected_components,
 )
 from tegraph.generators import (
     DeterministicIets,
@@ -162,6 +165,43 @@ def test_node_collapse_is_c4():
     assert any("one" in v.detail for v in report.violations if v.condition == "C4")
 
 
+def test_label_implying_a_missing_edge_is_c4():
+    # ABAB on (0,2) hands node a of event 0 to event 2, but event 1 holds a
+    # in between (ABAC on (0,1)), so the labels imply an edge (1,2)
+    g = _graph(3, [(0, 1, 1.0, AC), (0, 2, 2.0, AB)])
+    report = check_consistency(g)
+    assert report.violations == (
+        Violation(
+            "C4",
+            (1, 2),
+            ((1, 2),),
+            "the node structure implied by the other edges requires an edge "
+            "labelled ABAC; none exists",
+        ),
+    )
+
+
+def _reply_pairs(pairs):
+    """Pair (3p, 3p+1) opens, (3p, 3p+2) follows, (3p, 3p+1) replies; all
+    openings come first, then all follow-ups, then all replies."""
+    events = [Event(3 * p, 3 * p + 1, float(p)) for p in range(pairs)]
+    events += [Event(3 * p, 3 * p + 2, float(pairs + p)) for p in range(pairs)]
+    events += [Event(3 * p, 3 * p + 1, float(2 * pairs + p)) for p in range(pairs)]
+    return strip_events(build_teg(TemporalNetwork(events), math.inf))
+
+
+def test_reply_pairs_validate_and_a_flipped_reply_is_c4():
+    pairs = 300
+    g = _reply_pairs(pairs)
+    assert check_consistency(g).ok
+    reply = (17, 2 * pairs + 17)  # opening of pair 17 to its reply
+    assert g.mu[reply] is AB
+    mu = dict(g.mu)
+    mu[reply] = BA
+    report = check_consistency(EdgeLabelledTeg(g.vertex_count, g.tau, mu))
+    assert report.conditions == {"C4"}
+
+
 def test_perturbing_any_diamond_tau_breaks_c1():
     net = TemporalNetwork(
         [Event(0, 1, 0.0), Event(0, 2, 1.0), Event(1, 3, 2.0), Event(2, 3, 3.0)]
@@ -218,6 +258,24 @@ def test_round_trip_with_anchors_restores_absolute_times():
     g = strip_events(build_teg(net, math.inf), keep_anchors=True)
     rebuilt = reconstruct(g)
     assert [e.time for e in rebuilt] == [10.0, 11.25, 13.5]
+
+
+def test_round_trip_with_anchors_restores_every_component():
+    # three node-disjoint groups interleaved in time: three components
+    rng = random.Random(5)
+    events = []
+    for k in range(60):
+        group = rng.randrange(3)
+        a, b = rng.sample(range(3 * group, 3 * group + 3), 2)
+        events.append(Event(a, b, 7.0 + 0.25 * k))
+    net = TemporalNetwork(events)
+    teg = build_teg(net, math.inf)
+    assert len(weakly_connected_components(teg)) == 3
+    g = strip_events(teg, keep_anchors=True)
+    rebuilt = reconstruct(g)
+    assert [e.time for e in rebuilt] == [e.time for e in net]
+    again = strip_events(build_teg(rebuilt, math.inf), keep_anchors=True)
+    assert (again.tau, again.mu, again.anchors) == (g.tau, g.mu, g.anchors)
 
 
 @pytest.mark.parametrize("seed", range(10))
