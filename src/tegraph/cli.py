@@ -124,6 +124,21 @@ def _grid_arg(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _count_arg(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_event_input(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="event file (source target time per line)")
     p.add_argument("--delimiter", default=None, help="column separator (default: whitespace)")
@@ -480,7 +495,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("components", help="weakly connected components")
     _add_event_input(p)
     p.add_argument("--dt", required=True, type=_duration_arg)
-    p.add_argument("--top", type=int, default=None, help="report only the K largest")
+    p.add_argument("--top", type=_count_arg(1), default=None, help="report only the K largest")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_components)
 
@@ -494,7 +509,7 @@ def _build_parser() -> _Parser:
     _add_event_input(p)
     p.add_argument("--dt", required=True, type=_duration_arg)
     p.add_argument("--per-component", action="store_true")
-    p.add_argument("--ensemble", type=int, default=0, help="time-shuffle ensemble size")
+    p.add_argument("--ensemble", type=_count_arg(0), default=0, help="time-shuffle ensemble size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--workers",
@@ -523,7 +538,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("barcode", help="component barcode SVG")
     _add_event_input(p)
     p.add_argument("--dt", required=True, type=_duration_arg)
-    p.add_argument("--top", type=int, default=None)
+    p.add_argument("--top", type=_count_arg(1), default=None)
     p.add_argument("--csv", default=None, help="also dump rows as CSV")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_barcode)

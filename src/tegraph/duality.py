@@ -13,7 +13,8 @@ sequence:
 * C3: the in-edges of a vertex have pairwise distinct destination labels
   (no node position is prescribed twice).
 * C4: labels must agree with the node structure the rest of the graph
-  implies. Node identities are resolved from the labels, and the event
+  implies. Node identities are resolved from the labels once, in vertex
+  index order (every edge's tail comes before its head), and the event
   graph of the resolved events is rebuilt, with the vertex index as time
   and no waiting window: every edge it has and the input lacks, every
   input edge it lacks, and every label it gives differently is a
@@ -21,15 +22,14 @@ sequence:
   survives this rebuild is the event graph of its resolved events.
 
 ``check_consistency`` reports every violation; ``reconstruct`` inverts a
-consistent graph into a temporal network, exactly one network per weakly
-connected component up to time translation (absolute times recoverable
-from anchors).
+consistent graph into a temporal network from the same single pass,
+exactly one network per weakly connected component up to time
+translation (anchored vertices land exactly on their anchor times).
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from math import inf, isfinite
 from typing import Mapping, TextIO
@@ -39,7 +39,6 @@ import numpy as np
 from .events import Event, TemporalNetwork
 from .motifs import MOTIFS, Motif, prescribed_nodes
 from .teg import Teg, _incidence_edges
-from .unionfind import UnionFind
 
 _CODES = {m: c for c, m in enumerate(MOTIFS)}
 
@@ -170,52 +169,52 @@ def _adjacency(g: EdgeLabelledTeg):
     return out, incoming
 
 
-def _component_vertices(g: EdgeLabelledTeg) -> list[list[int]]:
-    """Weakly connected components, each ascending, ordered by first vertex."""
-    uf = UnionFind(g.vertex_count)
-    for i, j in g.tau:
-        uf.union(i, j)
-    return sorted(uf.groups().values(), key=lambda group: group[0])
+def _components(g: EdgeLabelledTeg, out, incoming):
+    """Weakly connected components, each ascending and ordered by first
+    vertex, and every vertex's time relative to its component's first
+    vertex. Each vertex not yet reached, in ascending order, starts a
+    breadth-first search that sums tau along the edges it crosses."""
+    tau = g.tau
+    pot: list[float | None] = [None] * g.vertex_count
+    comps = []
+    for start in range(g.vertex_count):
+        if pot[start] is not None:
+            continue
+        pot[start] = 0.0
+        comp = [start]
+        for v in comp:  # grows while iterated: a FIFO queue
+            for w, key in out.get(v, ()):
+                if pot[w] is None:
+                    pot[w] = pot[v] + tau[key]
+                    comp.append(w)
+            for u, key in incoming.get(v, ()):
+                if pot[u] is None:
+                    pot[u] = pot[v] - tau[key]
+                    comp.append(u)
+        comp.sort()
+        comps.append(comp)
+    return comps, pot
 
 
-def _potentials(start: int, out, incoming, tau) -> dict[int, float]:
-    """Relative times over one component via breadth-first tau sums."""
-    pot = {start: 0.0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w, key in out.get(v, ()):
-            if w not in pot:
-                pot[w] = pot[v] + tau[key]
-                queue.append(w)
-        for u, key in incoming.get(v, ()):
-            if u not in pot:
-                pot[u] = pot[v] - tau[key]
-                queue.append(u)
-    return pot
+def _resolve_nodes(g: EdgeLabelledTeg, incoming):
+    """Node pairs implied by the labels, resolving vertices in index order:
+    edges increase the index, so every edge's tail comes before its head.
 
-
-def _resolve_nodes(order, incoming, mu, start_label: int):
-    """Node pairs implied by the labels, processing vertices in ``order``.
-
-    ``order`` must put every edge's tail before its head. Returns the pair
-    per vertex, the unresolvable-prescription violations, the set of
-    vertices whose resolution hit a conflict (their pairs are best-effort),
-    and the next fresh label. Conflicts between in-edges whose destination
+    Returns the source and target label lists, the unresolvable-prescription
+    violations, and the vertices whose resolution hit a conflict (their
+    pairs are best-effort). Conflicts between in-edges whose destination
     labels already collide are left for C3 to report.
     """
-    resolved: dict[int, tuple[int, int]] = {}
+    mu = g.mu
+    sources, targets = [0] * g.vertex_count, [0] * g.vertex_count
     violations: list[Violation] = []
     dirty: set[int] = set()
-    label = start_label
-    for v in order:
+    label = 0
+    for v in range(g.vertex_count):
         nodes: list[int | None] = [None, None]  # source, target
         keys: list[tuple[int, int] | None] = [None, None]
         for u, key in incoming.get(v, ()):
-            if u not in resolved:
-                dirty.add(v)
-                continue
-            prescribed = prescribed_nodes(mu[key], *resolved[u])
+            prescribed = prescribed_nodes(mu[key], sources[u], targets[u])
             for pos, (role, node) in enumerate(zip(("source", "target"), prescribed)):
                 if node is None:
                     continue
@@ -249,29 +248,28 @@ def _resolve_nodes(order, incoming, mu, start_label: int):
             )
             target = label
             label += 1
-        resolved[v] = (source, target)
-    return resolved, violations, dirty, label
+        sources[v], targets[v] = source, target
+    return sources, targets, violations, dirty
 
 
-def _c4_violations(g: EdgeLabelledTeg, comps, incoming, dirty) -> list[Violation]:
-    """C4 violations: node identities are resolved per component in index
-    order (a topological order, since edges increase the index), with labels
-    fresh across components; then every edge key where ``g`` differs from
-    the event graph of the resolved events, at time = vertex index, is
-    reported, skipping keys with an endpoint in ``dirty``, to which the
-    vertices whose resolution conflicted are added.
-    """
+class _Pass:
+    """One pass over a labelled graph, shared by the check and the
+    reconstruction: adjacency, components with their relative times, and
+    node resolution."""
+
+    def __init__(self, g: EdgeLabelledTeg):
+        self.out, self.incoming = _adjacency(g)
+        self.comps, self.pot = _components(g, self.out, self.incoming)
+        resolved = _resolve_nodes(g, self.incoming)
+        self.sources, self.targets, self.resolution, self.conflicted = resolved
+
+
+def _c4_violations(g: EdgeLabelledTeg, p: _Pass, dirty) -> list[Violation]:
+    """Every edge key where ``g`` differs from the event graph of the
+    resolved events at time = vertex index, skipping keys with an endpoint
+    in ``dirty``."""
     n = g.vertex_count
-    sources = np.empty(n, dtype=np.int64)
-    targets = np.empty(n, dtype=np.int64)
-    violations: list[Violation] = []
-    label = 0
-    for comp in comps:
-        resolved, vios, conflicted, label = _resolve_nodes(comp, incoming, g.mu, label)
-        sources[comp], targets[comp] = zip(*(resolved[v] for v in comp))
-        violations.extend(vios)
-        dirty |= conflicted
-    resolved = None  # free the last component's pairs before the rebuild
+    sources, targets = np.array(p.sources, np.int64), np.array(p.targets, np.int64)
     heads, tails, codes = _incidence_edges(sources, targets, np.arange(n, dtype=np.float64), inf)
     rebuilt = heads * n + tails
 
@@ -289,6 +287,7 @@ def _c4_violations(g: EdgeLabelledTeg, comps, incoming, dirty) -> list[Violation
     is_dirty[np.fromiter(dirty, np.int64, len(dirty))] = True
     bad = bad[~(is_dirty[bad // n] | is_dirty[bad % n])]
 
+    violations = []
     for k, code in zip(bad.tolist(), derived(bad).tolist()):
         i, j = divmod(k, n)
         if (i, j) not in g.mu:
@@ -306,26 +305,17 @@ def _c4_violations(g: EdgeLabelledTeg, comps, incoming, dirty) -> list[Violation
     return violations
 
 
-def check_consistency(g: EdgeLabelledTeg, rel_tol: float = 1e-12) -> ConsistencyReport:
-    """Test conditions C1-C4 and report every violation found.
+def _check_rel_tol(rel_tol: float) -> None:
+    if not rel_tol >= 0:
+        raise ValueError(f"rel_tol must be non-negative, got {rel_tol!r}")
 
-    C1 compares tau sums with a tolerance relative to the component's time
-    span (exact inputs are checked exactly: integer or dyadic taus leave no
-    rounding residue). C2/C3 compare labels. C4 resolves node identities
-    from the labels in index order, rebuilds the event graph of the
-    resolved events with the vertex index as time and no waiting window,
-    and reports every edge key where the rebuild and the input differ: a
-    label the rebuild gives differently, an input edge it does not give,
-    or an edge it gives that the input lacks. Keys with an endpoint whose
-    node resolution conflicted, or that a C2/C3 violation names, are
-    skipped; their fault is already reported.
-    """
-    out, incoming = _adjacency(g)
+
+def _report(g: EdgeLabelledTeg, p: _Pass, rel_tol: float) -> ConsistencyReport:
     mu = g.mu
     violations: list[Violation] = []
 
     # C2 / C3: label multiplicities per vertex.
-    for adj, attr, cond, side in ((out, "xi_out", "C2", "out"), (incoming, "xi_in", "C3", "in")):
+    for adj, attr, cond, side in ((p.out, "xi_out", "C2", "out"), (p.incoming, "xi_in", "C3", "in")):
         for v in sorted(adj):
             edges = adj[v]
             if len(edges) > 2:
@@ -351,19 +341,20 @@ def check_consistency(g: EdgeLabelledTeg, rel_tol: float = 1e-12) -> Consistency
                             )
                         )
 
-    # C4 skips the endpoints of every edge a C2/C3 violation names
+    # C4 skips the endpoints of every edge a C2/C3 violation names, and the
+    # vertices whose node resolution conflicted
     dirty = {v for violation in violations for key in violation.edges for v in key}
+    dirty |= p.conflicted
 
-    # C1: breadth-first relative times, then every edge re-checked.
-    comps = _component_vertices(g)
-    for comp in comps:
+    # C1: every edge re-checked against the breadth-first relative times.
+    pot = p.pot
+    for comp in p.comps:
         if len(comp) == 1:
             continue
-        pot = _potentials(comp[0], out, incoming, g.tau)
-        span = max(pot.values()) - min(pot.values())
+        span = max(pot[v] for v in comp) - min(pot[v] for v in comp)
         tol = rel_tol * max(1.0, span)
         for v in comp:
-            for w, key in out.get(v, ()):
+            for w, key in p.out.get(v, ()):
                 residue = pot[w] - pot[v] - g.tau[key]
                 if abs(residue) > tol:
                     violations.append(
@@ -376,22 +367,44 @@ def check_consistency(g: EdgeLabelledTeg, rel_tol: float = 1e-12) -> Consistency
                         )
                     )
 
-    # C4: resolve node identities, then certify by rebuilding.
-    violations.extend(_c4_violations(g, comps, incoming, dirty))
-
+    # C4: the resolution's own contradictions, then the rebuild certificate.
+    violations.extend(p.resolution)
+    violations.extend(_c4_violations(g, p, dirty))
     return ConsistencyReport(tuple(violations))
 
 
-def _component_times(g: EdgeLabelledTeg, comp, out, incoming, rel_tol: float):
-    """Absolute times for one component: base from anchors, else zero."""
-    pot = _potentials(comp[0], out, incoming, g.tau)
+def check_consistency(g: EdgeLabelledTeg, rel_tol: float = 1e-12) -> ConsistencyReport:
+    """Test conditions C1-C4 and report every violation found.
+
+    C1 compares tau sums with a tolerance relative to the component's time
+    span (exact inputs are checked exactly: integer or dyadic taus leave no
+    rounding residue); ``rel_tol`` must be non-negative. C2/C3 compare
+    labels. C4 resolves node identities from the labels once, in vertex
+    index order across the whole graph, rebuilds the event graph of the
+    resolved events with the vertex index as time and no waiting window,
+    and reports every edge key where the rebuild and the input differ: a
+    label the rebuild gives differently, an input edge it does not give,
+    or an edge it gives that the input lacks. Keys with an endpoint whose
+    node resolution conflicted, or that a C2/C3 violation names, are
+    skipped; their fault is already reported.
+    """
+    _check_rel_tol(rel_tol)
+    return _report(g, _Pass(g), rel_tol)
+
+
+def _component_times(g: EdgeLabelledTeg, comp, pot, rel_tol: float):
+    """Absolute times for one component: base from anchors, else zero.
+
+    Anchored vertices take their anchor verbatim; the others sit at their
+    potential shifted by the first anchor.
+    """
     anchored = []
     if g.anchors:
         anchored = [(v, g.anchors[v]) for v in comp if v in g.anchors]
     if anchored:
         v0, t0 = anchored[0]
         shift = t0 - pot[v0]
-        span = max(pot.values()) - min(pot.values())
+        span = max(pot[v] for v in comp) - min(pot[v] for v in comp)
         tol = rel_tol * max(1.0, span, *(abs(t) for _, t in anchored))
         for v, t in anchored[1:]:
             if abs((t - pot[v]) - shift) > tol:
@@ -400,8 +413,9 @@ def _component_times(g: EdgeLabelledTeg, comp, out, incoming, rel_tol: float):
                     f"graph's relative times by {abs((t - pot[v]) - shift)!r}"
                 )
     else:
-        shift = -min(pot.values())
-    times = {v: pot[v] + shift for v in pot}
+        shift = -min(pot[v] for v in comp)
+    times = {v: pot[v] + shift for v in comp}
+    times.update(anchored)
     low = min(times.values())
     if low < 0:
         raise AnchorError(f"anchors place the earliest event at negative time {low!r}")
@@ -417,38 +431,41 @@ def reconstruct(
 ) -> TemporalNetwork:
     """Invert an edge-labelled event graph into a temporal network.
 
-    Each weakly connected component is rebuilt independently: relative
-    times from tau sums (the earliest event pinned to its anchor time, or
-    0 without anchors), then node identities resolved in time order from
-    the motif labels, fresh labels in order of appearance. The output is
-    canonical per component; node labels never straddle components, and
-    components are laid out by (start time, first vertex index).
+    One pass over the graph, shared with ``check_consistency``, finds the
+    weakly connected components, the relative times from tau sums and the
+    node identities the motif labels imply (resolved in vertex index
+    order). Each component is then placed on its own: anchored vertices at
+    their anchor time and the rest relative to the first anchor, or the
+    earliest event at 0 without anchors. Components are laid out by
+    (start time, first vertex index), and node labels are numbered by
+    first appearance in that order, each component's events taken by
+    (time, vertex index), source before target. The output is canonical
+    per component; node labels never straddle components.
 
     ``layout="end_to_end"`` instead places the components one after
     another, ``spacing`` apart, ignoring anchors; useful for display when
     anchor-less components would otherwise pile up at time 0.
 
-    Raises InconsistentGraphError when ``validate`` finds violations (or
-    when resolution hits a contradiction with ``validate=False``), and
-    AnchorError for contradictory anchors.
+    Raises InconsistentGraphError with the full ``check_consistency``
+    report when ``validate`` finds violations, or, with ``validate=False``,
+    when node resolution conflicts; ValueError for a NaN or negative
+    ``rel_tol``; and AnchorError for contradictory anchors.
     """
+    _check_rel_tol(rel_tol)
     if layout not in ("overlay", "end_to_end"):
         raise ValueError(f"layout must be 'overlay' or 'end_to_end', got {layout!r}")
     if layout == "end_to_end" and not (isfinite(spacing) and spacing >= 0):
         raise ValueError(f"spacing must be non-negative and finite, got {spacing!r}")
-    if validate:
-        report = check_consistency(g, rel_tol=rel_tol)
+    p = _Pass(g)
+    if validate or p.conflicted:
+        report = _report(g, p, rel_tol)
         if not report.ok:
             raise InconsistentGraphError(report)
-    if g.vertex_count == 0:
-        return TemporalNetwork(())
 
-    out, incoming = _adjacency(g)
     placed = []
-    for comp in _component_vertices(g):
-        times = _component_times(g, comp, out, incoming, rel_tol)
-        base = min(times.values())
-        placed.append((base, comp[0], comp, times))
+    for comp in p.comps:
+        times = _component_times(g, comp, p.pot, rel_tol)
+        placed.append((min(times.values()), comp[0], comp, times))
     placed.sort(key=lambda item: (item[0], item[1]))
     if layout == "end_to_end":
         shifted = []
@@ -460,30 +477,12 @@ def reconstruct(
         placed = shifted
 
     events = []
-    label = 0
+    labels: dict[int, int] = {}
     for _, _, comp, times in placed:
-        order = sorted(comp, key=lambda v: (times[v], v))
-        resolved, vios, dirty, label = _resolve_nodes(order, incoming, g.mu, label)
-        if vios or dirty:
-            report = ConsistencyReport(tuple(vios))
-            if vios:
-                raise InconsistentGraphError(report)
-            raise InconsistentGraphError(
-                ConsistencyReport(
-                    (
-                        Violation(
-                            "C3",
-                            tuple(sorted(dirty)),
-                            (),
-                            "node resolution conflicted; run check_consistency for detail",
-                        ),
-                    )
-                )
-            )
-        for v in comp:
-            events.append(Event(*resolved[v], times[v]))
-
-    events.sort(key=lambda e: e.time)
+        for v in sorted(comp, key=lambda v: (times[v], v)):
+            source = labels.setdefault(p.sources[v], len(labels))
+            target = labels.setdefault(p.targets[v], len(labels))
+            events.append(Event(source, target, times[v]))
     return TemporalNetwork(events)
 
 

@@ -98,6 +98,25 @@ def test_reconstruct_rejects_inconsistent_graph(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nan_or_negative_rel_tol_exits_2(tmp_path, capsys):
+    events = _generate(tmp_path)
+    graph = tmp_path / "graph.json"
+    assert run("build", "--input", events, "--dt", "inf", "--output", graph) == 0
+    doc = json.loads(graph.read_text())
+    doc["edges"][0]["tau"] *= 3
+    graph.write_text(json.dumps(doc))
+    assert run("validate", "--input", graph) == 3
+    capsys.readouterr()
+    out = tmp_path / "back.txt"
+    for rel_tol in ("nan", "-1"):
+        assert run("validate", "--input", graph, "--rel-tol", rel_tol) == 2
+        assert "rel_tol" in capsys.readouterr().err
+        assert run(
+            "reconstruct", "--input", graph, "--rel-tol", rel_tol, "--output", out
+        ) == 2
+    assert not out.exists()
+
+
 def test_reconstruct_end_to_end_layout(tmp_path):
     raw = tmp_path / "two.txt"
     raw.write_text("0 1 0\n2 3 5\n")
@@ -125,6 +144,11 @@ def test_reconstruct_end_to_end_layout(tmp_path):
         ("generate", "--nodes", "5", "--output", "y"),
         ("build", "--input", "x", "--dt", "1", "--output", "y", "--bogus"),
         ("reconstruct", "--input", "x", "--check", "--output", "y"),
+        ("components", "--input", "x", "--dt", "1", "--top", "-1", "--output", "y"),
+        ("components", "--input", "x", "--dt", "1", "--top", "0", "--output", "y"),
+        ("barcode", "--input", "x", "--dt", "1", "--top", "0", "--output", "y"),
+        ("barcode", "--input", "x", "--dt", "1", "--top", "2.5", "--output", "y"),
+        ("motifs", "--input", "x", "--dt", "1", "--ensemble", "-2", "--output", "y"),
     ],
 )
 def test_usage_errors_exit_1(argv):

@@ -24,11 +24,13 @@ from tegraph import (
     strip_events,
     weakly_connected_components,
 )
+from tegraph import duality
 from tegraph.generators import (
     DeterministicIets,
     ExponentialIets,
     GeneratorConfig,
     generate_random,
+    parse_iet_sampler,
 )
 
 AB, BA = Motif.ABAB, Motif.ABBA
@@ -347,6 +349,60 @@ def test_reconstruct_refuses_inconsistent_input():
     # skipping validation still trips on the node-resolution contradiction
     with pytest.raises(InconsistentGraphError):
         reconstruct(FIXTURE_C4, validate=False)
+
+
+@pytest.mark.parametrize("fixture", (FIXTURE_C4, FIXTURE_C3), ids=("C4", "C3"))
+def test_reconstruct_without_validation_raises_the_full_report(fixture):
+    with pytest.raises(InconsistentGraphError) as info:
+        reconstruct(fixture, validate=False)
+    assert info.value.report == check_consistency(fixture)
+
+
+@pytest.mark.parametrize("validate", (True, False))
+def test_reconstruct_makes_one_pass(monkeypatch, validate):
+    calls = {}
+    for name in ("_adjacency", "_components", "_resolve_nodes"):
+
+        def counted(*args, _name=name, _original=getattr(duality, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(duality, name, counted)
+    net = generate_random(GeneratorConfig(9, 70, ExponentialIets(1.0), 3))
+    teg = build_teg(net, 1.0)
+    assert len(weakly_connected_components(teg)) > 1
+    g = strip_events(teg, keep_anchors=True)
+    assert [e.time for e in reconstruct(g, validate=validate)] == [e.time for e in net]
+    assert calls == {"_adjacency": 1, "_components": 1, "_resolve_nodes": 1}
+
+
+@pytest.mark.parametrize("dt", (math.inf, 1.0))
+@pytest.mark.parametrize("events", (200, 5000, 20000))
+@pytest.mark.parametrize("law", ("power_law:0.2", "exponential:1.0"))
+def test_round_trip_with_anchors_is_exact_for_real_valued_times(law, events, dt):
+    # float tau sums drift from the original times; anchors must not
+    net = generate_random(GeneratorConfig(events // 20, events, parse_iet_sampler(law), 0))
+    g = strip_events(build_teg(net, dt), keep_anchors=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a false equal-timestamp tie warns
+        rebuilt = reconstruct(g)
+    assert [e.time for e in rebuilt] == [e.time for e in net]
+    again = strip_events(build_teg(rebuilt, dt), keep_anchors=True)
+    assert (again.vertex_count, again.tau, again.mu, again.anchors) == (
+        g.vertex_count,
+        g.tau,
+        g.mu,
+        g.anchors,
+    )
+
+
+@pytest.mark.parametrize("rel_tol", (math.nan, -1e-12))
+def test_bad_rel_tol_is_rejected(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        check_consistency(CHAIN, rel_tol=rel_tol)
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="rel_tol"):
+            reconstruct(CHAIN, validate=validate, rel_tol=rel_tol)
 
 
 def test_reconstructed_times_realize_every_label():
