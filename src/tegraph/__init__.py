@@ -22,7 +22,7 @@ from .events import (
     save_events,
 )
 from .motifs import MOTIFS, Motif, classify_motif, classify_pair, prescribed_nodes
-from .teg import Teg, TegEdge, build_teg, is_dt_adjacent, read_teg_json, write_teg_json
+from .teg import Teg, build_teg, is_dt_adjacent, write_teg_json
 from .duality import (
     AnchorError,
     ConsistencyReport,
@@ -82,10 +82,8 @@ __all__ = [
     "classify_pair",
     "prescribed_nodes",
     "Teg",
-    "TegEdge",
     "build_teg",
     "is_dt_adjacent",
-    "read_teg_json",
     "write_teg_json",
     "AnchorError",
     "ConsistencyReport",

@@ -243,7 +243,6 @@ def _cmd_reconstruct(args, argv):
         g = load_edge_labelled(fh)
     net = reconstruct(
         g,
-        validate=not args.no_validate,
         rel_tol=args.rel_tol,
         layout=args.layout.replace("-", "_"),
         spacing=args.spacing,
@@ -439,7 +438,6 @@ def _cmd_aggregate(args, argv):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="teg", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"teg {__version__}")
-    default_workers = int(os.environ.get("TEG_WORKERS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="random temporal network")
@@ -480,7 +478,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("reconstruct", help="events back from an edge-labelled graph")
     p.add_argument("--input", required=True, help="edge-labelled graph JSON")
-    p.add_argument("--no-validate", action="store_true", help="skip validation")
     p.add_argument("--rel-tol", type=float, default=1e-12)
     p.add_argument(
         "--layout",
@@ -513,8 +510,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--workers",
-        type=int,
-        default=default_workers,
+        type=_count_arg(1),
+        default=os.environ.get("TEG_WORKERS", "1"),
         help="parallel shuffle workers (default: TEG_WORKERS or 1)",
     )
     p.add_argument("--output", required=True)

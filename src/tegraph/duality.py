@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from math import inf, isfinite
 from typing import Mapping, TextIO
 
@@ -41,6 +42,9 @@ from .motifs import MOTIFS, Motif, prescribed_nodes
 from .teg import Teg, _incidence_edges
 
 _CODES = {m: c for c, m in enumerate(MOTIFS)}
+# per motif code, an id of its xi_out / xi_in label: equal ids, equal labels
+_XI_OUT = np.unique([m.xi_out for m in MOTIFS], return_inverse=True)[1]
+_XI_IN = np.unique([m.xi_in for m in MOTIFS], return_inverse=True)[1]
 
 
 class InconsistentGraphError(ValueError):
@@ -264,10 +268,11 @@ class _Pass:
         self.sources, self.targets, self.resolution, self.conflicted = resolved
 
 
-def _c4_violations(g: EdgeLabelledTeg, p: _Pass, dirty) -> list[Violation]:
+def _c4_violations(g: EdgeLabelledTeg, p: _Pass, dirty, keys, labels) -> list[Violation]:
     """Every edge key where ``g`` differs from the event graph of the
     resolved events at time = vertex index, skipping keys with an endpoint
-    in ``dirty``."""
+    in ``dirty``. ``keys`` holds every edge (i, j) of ``g`` as i * n + j and
+    ``labels`` its motif code."""
     n = g.vertex_count
     sources, targets = np.array(p.sources, np.int64), np.array(p.targets, np.int64)
     heads, tails, codes = _incidence_edges(sources, targets, np.arange(n, dtype=np.float64), inf)
@@ -279,8 +284,6 @@ def _c4_violations(g: EdgeLabelledTeg, p: _Pass, dirty) -> list[Violation]:
         hit = np.append(rebuilt, -1)[pos] == query
         return np.where(hit, np.append(codes, -1)[pos], -1)
 
-    keys = np.fromiter((i * n + j for i, j in g.mu), np.int64, len(g.mu))
-    labels = np.fromiter((_CODES[m] for m in g.mu.values()), np.uint8, len(g.mu))
     missing = np.setdiff1d(rebuilt, keys, assume_unique=True)
     bad = np.sort(np.concatenate([keys[derived(keys) != labels], missing]))
     is_dirty = np.zeros(n, dtype=bool)
@@ -310,36 +313,48 @@ def _check_rel_tol(rel_tol: float) -> None:
         raise ValueError(f"rel_tol must be non-negative, got {rel_tol!r}")
 
 
+def _repeats(ends, labels, n: int) -> list[int]:
+    """Vertices, ascending, with more than two edges in ``ends`` or two of
+    one label; ``ends`` must list each vertex's edges contiguously."""
+    flagged = np.bincount(ends, minlength=n) > 2
+    repeat = (ends[1:] == ends[:-1]) & (labels[1:] == labels[:-1])
+    flagged[ends[1:][repeat]] = True
+    return np.flatnonzero(flagged).tolist()
+
+
 def _report(g: EdgeLabelledTeg, p: _Pass, rel_tol: float) -> ConsistencyReport:
-    mu = g.mu
+    mu, n = g.mu, g.vertex_count
+    keys = np.fromiter((i * n + j for i, j in mu), np.int64, len(mu))
+    codes = np.fromiter((_CODES[m] for m in mu.values()), np.uint8, len(mu))
+    order = np.argsort(keys)
+    keys, codes = keys[order], codes[order]
+    heads, tails = np.divmod(keys, n)
+    by_tail = np.argsort(tails, kind="stable")
     violations: list[Violation] = []
 
-    # C2 / C3: label multiplicities per vertex.
-    for adj, attr, cond, side in ((p.out, "xi_out", "C2", "out"), (p.incoming, "xi_in", "C3", "in")):
-        for v in sorted(adj):
+    # C2 / C3: label multiplicities per vertex, spelt out for the vertices
+    # the columns flag.
+    sides = (
+        (p.out, "xi_out", "C2", "out", _repeats(heads, _XI_OUT[codes], n)),
+        (p.incoming, "xi_in", "C3", "in", _repeats(tails[by_tail], _XI_IN[codes[by_tail]], n)),
+    )
+    for adj, attr, cond, side, flagged in sides:
+        for v in flagged:
             edges = adj[v]
             if len(edges) > 2:
                 violations.append(
                     Violation(
                         cond,
                         (v,),
-                        tuple(sorted(key for _, key in edges)),
+                        tuple(key for _, key in edges),
                         f"vertex {v} has {len(edges)} {side}-edges; events have two nodes",
                     )
                 )
-            labelled = sorted((key, getattr(mu[key], attr)) for _, key in edges)
-            for a in range(len(labelled)):
-                for b in range(a + 1, len(labelled)):
-                    (ka, la), (kb, lb) = labelled[a], labelled[b]
-                    if la == lb:
-                        violations.append(
-                            Violation(
-                                cond,
-                                (v,),
-                                (ka, kb),
-                                f"vertex {v} has two {side}-edges with label {la}",
-                            )
-                        )
+            labelled = [(key, getattr(mu[key], attr)) for _, key in edges]
+            for (ka, la), (kb, lb) in combinations(labelled, 2):
+                if la == lb:
+                    detail = f"vertex {v} has two {side}-edges with label {la}"
+                    violations.append(Violation(cond, (v,), (ka, kb), detail))
 
     # C4 skips the endpoints of every edge a C2/C3 violation names, and the
     # vertices whose node resolution conflicted
@@ -369,7 +384,7 @@ def _report(g: EdgeLabelledTeg, p: _Pass, rel_tol: float) -> ConsistencyReport:
 
     # C4: the resolution's own contradictions, then the rebuild certificate.
     violations.extend(p.resolution)
-    violations.extend(_c4_violations(g, p, dirty))
+    violations.extend(_c4_violations(g, p, dirty, keys, codes))
     return ConsistencyReport(tuple(violations))
 
 
@@ -424,7 +439,7 @@ def _component_times(g: EdgeLabelledTeg, comp, pot, rel_tol: float):
 
 def reconstruct(
     g: EdgeLabelledTeg,
-    validate: bool = True,
+    *,
     rel_tol: float = 1e-12,
     layout: str = "overlay",
     spacing: float = 1.0,
@@ -447,8 +462,7 @@ def reconstruct(
     anchor-less components would otherwise pile up at time 0.
 
     Raises InconsistentGraphError with the full ``check_consistency``
-    report when ``validate`` finds violations, or, with ``validate=False``,
-    when node resolution conflicts; ValueError for a NaN or negative
+    report when the graph has violations; ValueError for a NaN or negative
     ``rel_tol``; and AnchorError for contradictory anchors.
     """
     _check_rel_tol(rel_tol)
@@ -457,10 +471,9 @@ def reconstruct(
     if layout == "end_to_end" and not (isfinite(spacing) and spacing >= 0):
         raise ValueError(f"spacing must be non-negative and finite, got {spacing!r}")
     p = _Pass(g)
-    if validate or p.conflicted:
-        report = _report(g, p, rel_tol)
-        if not report.ok:
-            raise InconsistentGraphError(report)
+    report = _report(g, p, rel_tol)
+    if not report.ok:
+        raise InconsistentGraphError(report)
 
     placed = []
     for comp in p.comps:
@@ -501,21 +514,38 @@ def save_edge_labelled(g: EdgeLabelledTeg, stream: TextIO) -> None:
     stream.write("\n")
 
 
+_NUMBER = (int, float)  # JSON true and false load as bool, which is neither
+
+
 def load_edge_labelled(stream: TextIO) -> EdgeLabelledTeg:
+    """Read what ``save_edge_labelled`` writes; ValueError for anything else."""
     doc = json.load(stream)
     try:
-        count = int(doc["vertex_count"])
+        count = doc["vertex_count"]
+        if type(count) is not int:
+            raise ValueError(f"vertex_count must be a JSON integer, got {count!r}")
         tau = {}
         mu = {}
-        for rec in doc["edges"]:
-            key = (int(rec["i"]), int(rec["j"]))
+        for k, rec in enumerate(doc["edges"]):
+            i, j, t = rec["i"], rec["j"], rec["tau"]
+            if type(i) is not int or type(j) is not int or type(t) not in _NUMBER:
+                raise ValueError(f"edge {k} needs integer i and j and a numeric tau, got {rec!r}")
+            key = (i, j)
             if key in tau:
                 raise ValueError(f"duplicate edge {key}")
-            tau[key] = float(rec["tau"])
+            tau[key] = float(t)
             mu[key] = Motif(rec["motif"])
         anchors = None
         if "anchors" in doc:
-            anchors = {int(v): float(t) for v, t in doc["anchors"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+            if type(doc["anchors"]) is not dict:
+                raise ValueError(f"anchors must be a JSON object, got {doc['anchors']!r}")
+            anchors = {}
+            for v, t in doc["anchors"].items():
+                if str(int(v)) != v:
+                    raise ValueError(f"anchor key {v!r} is not a vertex index")
+                if type(t) not in _NUMBER:
+                    raise ValueError(f"anchor of vertex {v} must be a JSON number, got {t!r}")
+                anchors[int(v)] = float(t)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed edge-labelled graph JSON: {exc}") from None
     return EdgeLabelledTeg(count, tau, mu, anchors)

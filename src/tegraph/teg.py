@@ -12,31 +12,19 @@ a DAG (under equal timestamps, order is the network's stable resolution
 and edges still point forward because a zero gap never creates an edge).
 
 The graph is stored as four numpy columns, one entry per edge, sorted by
-(from, to); the ``TegEdge`` views of the edge list and of per-vertex
-adjacency are built from the columns on first access.
+(from, to).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import inf, isnan
 from typing import TextIO
 
 import numpy as np
 
 from .events import Event, TemporalNetwork
-from .motifs import MOTIFS, Motif
-
-
-@dataclass(frozen=True, slots=True)
-class TegEdge:
-    """Directed edge between event indices, weighted by inter-event time."""
-
-    from_vertex: int
-    to_vertex: int
-    iet: float
-    motif: Motif
+from .motifs import MOTIFS
 
 
 def check_window(delta_t: float) -> None:
@@ -58,11 +46,9 @@ class Teg:
     from event ``heads[k]`` to the later event ``tails[k]``, with
     inter-event time ``iets[k]`` and motif ``MOTIFS[codes[k]]``; the
     columns must be sorted by (head, tail) and are stored read-only.
-    ``edges``, ``out_edges`` and ``in_edges`` give the same edges as
-    ``TegEdge`` objects.
     """
 
-    __slots__ = ("network", "delta_t", "heads", "tails", "iets", "codes", "_edges", "_adjacency")
+    __slots__ = ("network", "delta_t", "heads", "tails", "iets", "codes")
 
     def __init__(self, network: TemporalNetwork, delta_t: float, heads, tails, iets, codes):
         check_window(delta_t)
@@ -74,8 +60,6 @@ class Teg:
         self.codes = _readonly(codes, np.uint8)
         if not len(self.heads) == len(self.tails) == len(self.iets) == len(self.codes):
             raise ValueError("edge columns must have equal lengths")
-        self._edges = None
-        self._adjacency = None
 
     @property
     def vertex_count(self) -> int:
@@ -84,45 +68,6 @@ class Teg:
     @property
     def edge_count(self) -> int:
         return len(self.heads)
-
-    @property
-    def edges(self) -> tuple[TegEdge, ...]:
-        """All edges as ``TegEdge`` objects, sorted by (from_vertex, to_vertex)."""
-        if self._edges is None:
-            motifs = [MOTIFS[c] for c in self.codes.tolist()]
-            self._edges = tuple(
-                map(TegEdge, self.heads.tolist(), self.tails.tolist(), self.iets.tolist(), motifs)
-            )
-        return self._edges
-
-    @property
-    def out_edges(self) -> tuple[tuple[TegEdge, ...], ...]:
-        """Out-edges of every vertex, by vertex index."""
-        return self._views()[0]
-
-    @property
-    def in_edges(self) -> tuple[tuple[TegEdge, ...], ...]:
-        """In-edges of every vertex, by vertex index."""
-        return self._views()[1]
-
-    def _views(self):
-        if self._adjacency is None:
-            out: list[list[TegEdge]] = [[] for _ in range(self.vertex_count)]
-            incoming: list[list[TegEdge]] = [[] for _ in range(self.vertex_count)]
-            for e in self.edges:
-                out[e.from_vertex].append(e)
-                incoming[e.to_vertex].append(e)
-            self._adjacency = (
-                tuple(tuple(lst) for lst in out),
-                tuple(tuple(lst) for lst in incoming),
-            )
-        return self._adjacency
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_edges[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_edges[v])
 
     def __repr__(self) -> str:
         dt = "inf" if self.delta_t == inf else repr(self.delta_t)
@@ -212,18 +157,11 @@ def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
     return Teg(net, delta_t, heads, tails, times[tails] - times[heads], codes)
 
 
-def _dt_to_json(delta_t: float):
-    return "inf" if delta_t == inf else delta_t
-
-
-def _dt_from_json(value) -> float:
-    if value == "inf":
-        return inf
-    return float(value)
-
-
 def write_teg_json(teg: Teg, stream: TextIO) -> None:
-    """Dump the edge list with its header; inter-event times are lossless."""
+    """Dump the edge list with its header; inter-event times are lossless.
+
+    The dump is for downstream tools: the package has no reader for it.
+    """
     names = [m.value for m in MOTIFS]
     records = [
         [i, j, iet, names[c]]
@@ -232,34 +170,9 @@ def write_teg_json(teg: Teg, stream: TextIO) -> None:
         )
     ]
     doc = {
-        "delta_t": _dt_to_json(teg.delta_t),
+        "delta_t": "inf" if teg.delta_t == inf else teg.delta_t,
         "event_count": teg.vertex_count,
         "edges": records,
     }
     json.dump(doc, stream, indent=1)
     stream.write("\n")
-
-
-@dataclass(frozen=True)
-class TegDump:
-    """Parsed form of a serialized event-graph edge list."""
-
-    delta_t: float
-    event_count: int
-    edges: tuple[TegEdge, ...]
-
-
-def read_teg_json(stream: TextIO) -> TegDump:
-    doc = json.load(stream)
-    try:
-        delta_t = _dt_from_json(doc["delta_t"])
-        count = int(doc["event_count"])
-        edges = tuple(
-            TegEdge(int(i), int(j), float(iet), Motif(motif)) for i, j, iet, motif in doc["edges"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed event-graph JSON: {exc}") from None
-    for e in edges:
-        if not (0 <= e.from_vertex < count and 0 <= e.to_vertex < count):
-            raise ValueError(f"edge ({e.from_vertex}, {e.to_vertex}) out of range for {count} events")
-    return TegDump(delta_t, count, edges)

@@ -5,7 +5,7 @@ node (O(M^2)) so it encodes the adjacency definition directly, with none
 of the bookkeeping the production builder uses.
 """
 
-from tegraph import classify_pair
+from tegraph import MOTIFS, classify_pair
 
 
 def brute_force_teg(net, delta_t):
@@ -32,4 +32,6 @@ def brute_force_teg(net, delta_t):
 
 
 def teg_edge_tuples(teg):
-    return {(e.from_vertex, e.to_vertex, e.iet, e.motif) for e in teg.edges}
+    """The builder's edges as (i, j, iet, motif) tuples, read off its columns."""
+    columns = (teg.heads.tolist(), teg.tails.tolist(), teg.iets.tolist(), teg.codes.tolist())
+    return {(i, j, iet, MOTIFS[code]) for i, j, iet, code in zip(*columns)}

@@ -1,6 +1,7 @@
 """Event-graph construction against the literal-definition oracle."""
 
 import io
+import json
 import math
 import warnings
 
@@ -17,7 +18,6 @@ from tegraph import (
     classify_motif,
     classify_pair,
     is_dt_adjacent,
-    read_teg_json,
     write_teg_json,
 )
 from tegraph.generators import (
@@ -83,13 +83,6 @@ def test_ties_and_repeated_pairs_match_literal_definition(seed):
             columns = list(
                 zip(teg.heads.tolist(), teg.tails.tolist(), teg.iets.tolist(), teg.codes.tolist())
             )
-            views = [(e.from_vertex, e.to_vertex, e.iet, MOTIFS.index(e.motif)) for e in teg.edges]
-            assert columns == views
-            assert [e for out in teg.out_edges for e in out] == list(teg.edges)
-            assert sorted(
-                (e for into in teg.in_edges for e in into),
-                key=lambda e: (e.from_vertex, e.to_vertex),
-            ) == list(teg.edges)
             for i, j, _, code in columns:
                 first, second = net.events[i], net.events[j]
                 motif = classify_pair(first.source, first.target, second.source, second.target)
@@ -106,11 +99,10 @@ def test_node_ids_past_int64_range():
 def test_degree_bounds_and_forward_edges(seed):
     cfg = GeneratorConfig(node_count=5, event_count=150, iets=ExponentialIets(2.0), seed=seed)
     teg = build_teg(generate_random(cfg), 1.5)
-    for v in range(teg.vertex_count):
-        assert teg.out_degree(v) <= 2
-        assert teg.in_degree(v) <= 2
+    assert np.bincount(teg.heads, minlength=teg.vertex_count).max() <= 2
+    assert np.bincount(teg.tails, minlength=teg.vertex_count).max() <= 2
     # edges point strictly forward in the event order, so the graph is acyclic
-    assert all(e.from_vertex < e.to_vertex for e in teg.edges)
+    assert (teg.heads < teg.tails).all()
 
 
 def test_edge_labels_match_event_pairs():
@@ -118,24 +110,26 @@ def test_edge_labels_match_event_pairs():
     net = generate_random(cfg)
     teg = build_teg(net, 2.0)
     assert teg.edge_count > 0
-    for e in teg.edges:
-        first, second = net.events[e.from_vertex], net.events[e.to_vertex]
-        assert e.iet == second.time - first.time
-        assert 0 < e.iet < 2.0
-        assert e.motif is classify_motif(first, second)
+    for i, j, iet, code in zip(
+        teg.heads.tolist(), teg.tails.tolist(), teg.iets.tolist(), teg.codes.tolist()
+    ):
+        first, second = net.events[i], net.events[j]
+        assert iet == second.time - first.time
+        assert 0 < iet < 2.0
+        assert MOTIFS[code] is classify_motif(first, second)
 
 
 def test_repeated_pair_collapses_to_one_edge():
     net = TemporalNetwork([Event(1, 2, 0.0), Event(1, 2, 1.0)])
     teg = build_teg(net, math.inf)
-    assert len(teg.edges) == 1
-    assert teg.edges[0].motif is Motif.ABAB
+    assert teg.edge_count == 1
+    assert MOTIFS[teg.codes[0]] is Motif.ABAB
 
 
 def test_only_next_event_of_a_node_connects():
     net = TemporalNetwork([Event(1, 2, 0.0), Event(1, 3, 1.0), Event(1, 4, 2.0)])
     teg = build_teg(net, math.inf)
-    assert {(e.from_vertex, e.to_vertex) for e in teg.edges} == {(0, 1), (1, 2)}
+    assert set(zip(teg.heads.tolist(), teg.tails.tolist())) == {(0, 1), (1, 2)}
 
 
 def test_window_cuts_but_still_consumes_the_node():
@@ -143,14 +137,14 @@ def test_window_cuts_but_still_consumes_the_node():
     # but that gap is out of the window as well, so only 1-2 survives
     net = TemporalNetwork([Event(1, 2, 0.0), Event(1, 3, 5.0), Event(3, 2, 6.0)])
     teg = build_teg(net, 5.0)
-    assert {(e.from_vertex, e.to_vertex) for e in teg.edges} == {(1, 2)}
+    assert set(zip(teg.heads.tolist(), teg.tails.tolist())) == {(1, 2)}
 
 
 def test_equal_time_events_never_connect():
     with pytest.warns(UserWarning):
         net = TemporalNetwork([Event(1, 2, 1.0), Event(2, 3, 1.0), Event(3, 4, 2.0)])
     teg = build_teg(net, math.inf)
-    assert {(e.from_vertex, e.to_vertex) for e in teg.edges} == {(1, 2)}
+    assert set(zip(teg.heads.tolist(), teg.tails.tolist())) == {(1, 2)}
 
 
 def test_trivial_networks():
@@ -169,10 +163,15 @@ def test_json_round_trip():
     teg = build_teg(generate_random(cfg), 3.0)
     buf = io.StringIO()
     write_teg_json(teg, buf)
-    dump = read_teg_json(io.StringIO(buf.getvalue()))
-    assert dump.delta_t == 3.0
-    assert dump.event_count == teg.vertex_count
-    assert dump.edges == teg.edges
+    dump = json.loads(buf.getvalue())
+    assert dump["delta_t"] == 3.0
+    assert dump["event_count"] == teg.vertex_count
+    assert dump["edges"] == [
+        [i, j, iet, MOTIFS[code].value]
+        for i, j, iet, code in zip(
+            teg.heads.tolist(), teg.tails.tolist(), teg.iets.tolist(), teg.codes.tolist()
+        )
+    ]
 
 
 def test_json_round_trip_infinite_window():
@@ -180,17 +179,3 @@ def test_json_round_trip_infinite_window():
     buf = io.StringIO()
     write_teg_json(teg, buf)
     assert '"delta_t": "inf"' in buf.getvalue()
-    assert read_teg_json(io.StringIO(buf.getvalue())).delta_t == math.inf
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        '{"event_count": 2, "edges": []}',
-        '{"delta_t": 1.0, "event_count": 2, "edges": [[0, 5, 1.0, "ABAB"]]}',
-        '{"delta_t": 1.0, "event_count": 2, "edges": [[0, 1, 1.0, "XYZW"]]}',
-    ],
-)
-def test_malformed_json_rejected(doc):
-    with pytest.raises(ValueError):
-        read_teg_json(io.StringIO(doc))

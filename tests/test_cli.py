@@ -6,11 +6,11 @@ import math
 import pytest
 
 from tegraph import (
+    MOTIFS,
     Motif,
     build_teg,
     canonicalize,
     load_events,
-    read_teg_json,
     save_edge_labelled,
 )
 from tegraph.cli import main, parse_duration, parse_grid
@@ -74,11 +74,13 @@ def test_build_edge_list_format(tmp_path):
         "build", "--input", events, "--dt", "2.5", "--format", "edges",
         "--output", dump,
     ) == 0
-    with open(dump, "r", encoding="utf-8") as fh:
-        loaded = read_teg_json(fh)
+    loaded = json.loads(dump.read_text())
     direct = build_teg(load_events(str(events)), 2.5)
-    assert loaded.delta_t == 2.5
-    assert loaded.edges == direct.edges
+    assert loaded["delta_t"] == 2.5
+    columns = (direct.heads, direct.tails, direct.iets, direct.codes)
+    assert loaded["edges"] == [
+        [i, j, iet, MOTIFS[code].value] for i, j, iet, code in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def test_validate_reports_violations_with_exit_3(tmp_path, capsys):
@@ -91,10 +93,19 @@ def test_reconstruct_rejects_inconsistent_graph(tmp_path, capsys):
     graph = _write_graph(tmp_path, BAD_TRIANGLE)
     out = tmp_path / "back.txt"
     assert run("reconstruct", "--input", graph, "--output", out) == 3
-    # skipping the validation pass still hits the node contradiction
-    assert run(
-        "reconstruct", "--input", graph, "--no-validate", "--output", out
-    ) == 3
+    assert not out.exists()
+
+
+def test_malformed_graph_json_exits_2(tmp_path, capsys):
+    out = tmp_path / "back.txt"
+    graph = tmp_path / "graph.json"
+    fractional = {"vertex_count": 3, "edges": [{"i": 0, "j": 1.9, "tau": 1.0, "motif": "ABAB"}]}
+    listed = {"vertex_count": 2, "edges": [], "anchors": [1, 2]}
+    for doc in (fractional, listed):
+        graph.write_text(json.dumps(doc))
+        assert run("reconstruct", "--input", graph, "--output", out) == 2
+        assert run("validate", "--input", graph) == 2
+        assert "malformed edge-labelled graph JSON" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -149,12 +160,31 @@ def test_reconstruct_end_to_end_layout(tmp_path):
         ("barcode", "--input", "x", "--dt", "1", "--top", "0", "--output", "y"),
         ("barcode", "--input", "x", "--dt", "1", "--top", "2.5", "--output", "y"),
         ("motifs", "--input", "x", "--dt", "1", "--ensemble", "-2", "--output", "y"),
+        ("reconstruct", "--input", "x", "--no-validate", "--output", "y"),
+        ("motifs", "--input", "x", "--dt", "1", "--workers", "0", "--output", "y"),
+        ("motifs", "--input", "x", "--dt", "1", "--workers", "-3", "--output", "y"),
     ],
 )
 def test_usage_errors_exit_1(argv):
     with pytest.raises(SystemExit) as info:
         run(*argv)
     assert info.value.code == 1
+
+
+def test_bad_teg_workers_fails_only_motifs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TEG_WORKERS", "abc")
+    with pytest.raises(SystemExit) as info:
+        run("--version")
+    assert info.value.code == 0
+    events = _generate(tmp_path)
+    out = tmp_path / "motifs.csv"
+    with pytest.raises(SystemExit) as info:
+        run("motifs", "--input", events, "--dt", "inf", "--output", out)
+    assert info.value.code == 1
+    assert "--workers" in capsys.readouterr().err
+    assert run("motifs", "--input", events, "--dt", "inf", "--workers", "2", "--output", out) == 0
+    monkeypatch.setenv("TEG_WORKERS", "2")
+    assert run("motifs", "--input", events, "--dt", "inf", "--output", out) == 0
 
 
 def test_aggregate_flag_pairing_is_usage_error(tmp_path, capsys):

@@ -43,7 +43,7 @@ def _random_net(seed, n=8, m=120):
 def _nx_partition(teg):
     g = nx.DiGraph()
     g.add_nodes_from(range(teg.vertex_count))
-    g.add_edges_from((e.from_vertex, e.to_vertex) for e in teg.edges)
+    g.add_edges_from(zip(teg.heads.tolist(), teg.tails.tolist()))
     return {frozenset(c) for c in nx.weakly_connected_components(g)}
 
 
@@ -124,7 +124,7 @@ def test_sweep_matches_per_window_rebuild():
 def test_sweep_below_smallest_gap_gives_singletons():
     net = _random_net(4, n=6, m=40)
     full = build_teg(net, math.inf)
-    smallest = min(e.iet for e in full.edges)
+    smallest = full.iets.min()
     (_, fraction), = sweep_largest_component(net, [smallest * 0.5])
     assert fraction == 1 / len(net)
 
@@ -175,8 +175,8 @@ def test_edges_within_matches_literal_filter():
         members = set(events)
         expected = [
             k
-            for k, e in enumerate(teg.edges)
-            if e.from_vertex in members and e.to_vertex in members
+            for k, (i, j) in enumerate(zip(teg.heads.tolist(), teg.tails.tolist()))
+            if i in members and j in members
         ]
         assert edges_within(teg, events).tolist() == expected
 

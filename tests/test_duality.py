@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from tegraph import (
+    MOTIFS,
     AnchorError,
     EdgeLabelledTeg,
     Event,
@@ -66,10 +67,11 @@ def test_strip_keeps_labels_and_keys():
     teg = build_teg(net, math.inf)
     g = strip_events(teg)
     assert g.vertex_count == 3
-    assert set(g.tau) == {(e.from_vertex, e.to_vertex) for e in teg.edges}
-    for e in teg.edges:
-        assert g.tau[e.from_vertex, e.to_vertex] == e.iet
-        assert g.mu[e.from_vertex, e.to_vertex] is e.motif
+    keys = list(zip(teg.heads.tolist(), teg.tails.tolist()))
+    assert set(g.tau) == set(keys)
+    for key, iet, code in zip(keys, teg.iets.tolist(), teg.codes.tolist()):
+        assert g.tau[key] == iet
+        assert g.mu[key] is MOTIFS[code]
     assert g.anchors is None
 
 
@@ -139,6 +141,24 @@ def test_more_than_two_edges_per_side_flagged():
     g = _graph(4, [(0, 1, 1.0, AC), (0, 2, 2.0, BC), (0, 3, 3.0, AC)])
     report = check_consistency(g)
     assert any(v.condition == "C2" and len(v.edges) == 3 for v in report.violations)
+
+
+def test_label_multiplicity_report_is_exact():
+    # vertex 0: three out-edges, two of them with origin label A; vertex 5:
+    # two in-edges with destination label A
+    g = _graph(
+        6, [(0, 1, 1.0, AC), (0, 2, 2.0, BC), (0, 3, 3.0, AC), (3, 5, 1.0, BC), (4, 5, 2.0, AC)]
+    )
+    assert check_consistency(g).violations == (
+        Violation(
+            "C2",
+            (0,),
+            ((0, 1), (0, 2), (0, 3)),
+            "vertex 0 has 3 out-edges; events have two nodes",
+        ),
+        Violation("C2", (0,), ((0, 1), (0, 3)), "vertex 0 has two out-edges with label A"),
+        Violation("C3", (5,), ((3, 5), (4, 5)), "vertex 5 has two in-edges with label A"),
+    )
 
 
 def test_relabelled_chain_is_a_different_valid_network():
@@ -346,20 +366,23 @@ def test_reconstruct_refuses_inconsistent_input():
     with pytest.raises(InconsistentGraphError) as info:
         reconstruct(FIXTURE_C4)
     assert info.value.report.conditions == {"C4"}
-    # skipping validation still trips on the node-resolution contradiction
-    with pytest.raises(InconsistentGraphError):
+    # there is no switch that skips the check, by keyword or by position
+    with pytest.raises(TypeError):
         reconstruct(FIXTURE_C4, validate=False)
+    with pytest.raises(TypeError):
+        reconstruct(FIXTURE_C4, False)
 
 
 @pytest.mark.parametrize("fixture", (FIXTURE_C4, FIXTURE_C3), ids=("C4", "C3"))
-def test_reconstruct_without_validation_raises_the_full_report(fixture):
+def test_reconstruct_raises_the_full_report(fixture):
     with pytest.raises(InconsistentGraphError) as info:
-        reconstruct(fixture, validate=False)
+        reconstruct(fixture)
     assert info.value.report == check_consistency(fixture)
 
 
-@pytest.mark.parametrize("validate", (True, False))
-def test_reconstruct_makes_one_pass(monkeypatch, validate):
+@pytest.mark.filterwarnings("ignore:.*equal-timestamp")  # components overlaid at t = 0
+@pytest.mark.parametrize("keep_anchors", (True, False))
+def test_reconstruct_makes_one_pass(monkeypatch, keep_anchors):
     calls = {}
     for name in ("_adjacency", "_components", "_resolve_nodes"):
 
@@ -371,8 +394,11 @@ def test_reconstruct_makes_one_pass(monkeypatch, validate):
     net = generate_random(GeneratorConfig(9, 70, ExponentialIets(1.0), 3))
     teg = build_teg(net, 1.0)
     assert len(weakly_connected_components(teg)) > 1
-    g = strip_events(teg, keep_anchors=True)
-    assert [e.time for e in reconstruct(g, validate=validate)] == [e.time for e in net]
+    g = strip_events(teg, keep_anchors=keep_anchors)
+    rebuilt = reconstruct(g)
+    assert len(rebuilt) == len(net)
+    if keep_anchors:
+        assert [e.time for e in rebuilt] == [e.time for e in net]
     assert calls == {"_adjacency": 1, "_components": 1, "_resolve_nodes": 1}
 
 
@@ -400,9 +426,8 @@ def test_round_trip_with_anchors_is_exact_for_real_valued_times(law, events, dt)
 def test_bad_rel_tol_is_rejected(rel_tol):
     with pytest.raises(ValueError, match="rel_tol"):
         check_consistency(CHAIN, rel_tol=rel_tol)
-    for validate in (True, False):
-        with pytest.raises(ValueError, match="rel_tol"):
-            reconstruct(CHAIN, validate=validate, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        reconstruct(CHAIN, rel_tol=rel_tol)
 
 
 def test_reconstructed_times_realize_every_label():
@@ -449,10 +474,21 @@ def test_json_round_trip_exact():
             '{"vertex_count": 2, "edges": [{"i": 0, "j": 1, "tau": 1.0, "motif": "ABAB"},'
             ' {"i": 0, "j": 1, "tau": 2.0, "motif": "ABAB"}]}'
         ),
+        '{"vertex_count": 2.0, "edges": []}',
+        '{"vertex_count": "2", "edges": []}',
+        '{"vertex_count": 3, "edges": [{"i": 0, "j": 1.9, "tau": 1.0, "motif": "ABAB"}]}',
+        '{"vertex_count": 3, "edges": [{"i": true, "j": 2, "tau": 1.0, "motif": "ABAB"}]}',
+        '{"vertex_count": 2, "edges": [{"i": 0, "j": 1, "tau": "1.5", "motif": "ABAB"}]}',
+        '{"vertex_count": 2, "edges": [{"i": 0, "j": 1, "tau": true, "motif": "ABAB"}]}',
+        '{"vertex_count": 2, "edges": [], "anchors": {"0": "3"}}',
+        '{"vertex_count": 2, "edges": [], "anchors": {"0": false}}',
+        '{"vertex_count": 2, "edges": [], "anchors": [1, 2]}',
+        '{"vertex_count": 11, "edges": [], "anchors": {"1_0": 3.0}}',
+        '{"vertex_count": 2, "edges": [], "anchors": {"01": 3.0}}',
     ],
 )
 def test_malformed_graph_json_rejected(doc):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="malformed edge-labelled graph JSON"):
         load_edge_labelled(io.StringIO(doc))
 
 
