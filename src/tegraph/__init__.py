@@ -46,7 +46,6 @@ from .components import (
     barcode_rows,
     component_size_distribution,
     cumulative_residual_entropy,
-    edges_within,
     iet_ccdf,
     motif_counts,
     motif_distribution,
@@ -105,7 +104,6 @@ __all__ = [
     "barcode_rows",
     "component_size_distribution",
     "cumulative_residual_entropy",
-    "edges_within",
     "iet_ccdf",
     "motif_counts",
     "motif_distribution",

@@ -19,6 +19,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 from math import inf
 
 import numpy as np
@@ -31,7 +32,6 @@ from .components import (
     aggregate_network,
     barcode_rows,
     cumulative_residual_entropy,
-    edges_within,
     iet_ccdf,
     motif_counts,
     motif_distribution,
@@ -95,10 +95,14 @@ def parse_grid(text: str) -> list[float]:
     """``log:A:B:N``, ``lin:A:B:N``, or a comma list; ascending, positive."""
     text = text.strip()
     if text.startswith(("log:", "lin:")):
+        if text.count(":") != 3:
+            raise ValueError(f"bad grid {text!r}: expected log:A:B:N or lin:A:B:N")
         kind, a, b, n = text.split(":")
         lo, hi, count = parse_duration(a), parse_duration(b), int(n)
         if count < 1:
             raise ValueError("grid needs at least one point")
+        if inf in (lo, hi):
+            raise ValueError("grid endpoints must be finite")
         if not lo < hi:
             raise ValueError("grid endpoints must be ascending")
         fn = np.geomspace if kind == "log" else np.linspace
@@ -256,7 +260,6 @@ def _cmd_components(args, argv):
     net = _read_events(args)
     dt = args.dt
     cs = ComponentSet(build_teg(net, dt))
-    comps = cs.components[: args.top] if args.top else cs.components
     doc = {
         "delta_t": _dt_json(dt),
         "event_count": len(net),
@@ -271,7 +274,7 @@ def _cmd_components(args, argv):
                 "end": c.end,
                 "first_event": c.events[0],
             }
-            for k, c in enumerate(comps)
+            for k, c in enumerate(islice(cs, args.top))
         ],
     }
     _write_text(args.output, json.dumps(doc, indent=1) + "\n")
@@ -312,17 +315,14 @@ def _cmd_motifs(args, argv):
     lines = ["scope,edges," + ",".join(m.value for m in MOTIFS)]
     lines.append(_motif_row("all", teg.edge_count, motif_distribution(teg).masses))
     if args.per_component:
+        # every edge lies inside its head's component
         cs = ComponentSet(teg)
-        for rank, comp in enumerate(cs):
-            counts = motif_counts(teg, comp.events)
-            total = sum(counts.values())
-            if total == 0:
-                continue
-            lines.append(
-                _motif_row(
-                    f"component:{rank}", total, [counts[m] / total for m in MOTIFS]
-                )
-            )
+        ranks = cs.assignment[teg.heads]
+        counts = np.bincount(ranks * len(MOTIFS) + teg.codes, minlength=len(cs) * len(MOTIFS))
+        for rank, row in enumerate(counts.reshape(-1, len(MOTIFS)).tolist()):
+            total = sum(row)
+            if total:
+                lines.append(_motif_row(f"component:{rank}", total, [c / total for c in row]))
     if args.ensemble:
         jobs = [(net, dt, s) for s in ensemble_seeds(args.seed, args.ensemble)]
         if args.workers > 1:
@@ -366,8 +366,7 @@ def _cmd_entropy(args, argv):
     teg = build_teg(net, args.dt)
     lines = ["scope,edges,motif_entropy_bits,iet_cre"]
 
-    def row(scope, scope_events):
-        inside = slice(None) if scope_events is None else edges_within(teg, scope_events)
+    def row(scope, inside):
         codes = teg.codes[inside]
         total = len(codes)
         if total == 0:
@@ -376,14 +375,17 @@ def _cmd_entropy(args, argv):
         cre = cumulative_residual_entropy(EmpiricalCcdf.from_samples(teg.iets[inside]))
         return f"{scope},{total},{_f(shannon_entropy(masses))},{_f(cre)}"
 
-    whole = row("all", None)
+    whole = row("all", slice(None))
     if whole is None:
         print("error: event graph has no edges", file=sys.stderr)
         return _INPUT_EXIT
     lines.append(whole)
     if args.per_component:
-        for rank, comp in enumerate(ComponentSet(teg)):
-            r = row(f"component:{rank}", comp.events)
+        # every edge lies inside its head's component
+        ranks = ComponentSet(teg).assignment[teg.heads]
+        order = np.argsort(ranks, kind="stable")
+        for rank, inside in enumerate(np.split(order, np.cumsum(np.bincount(ranks))[:-1])):
+            r = row(f"component:{rank}", inside)
             if r is not None:
                 lines.append(r)
     _write_text(args.output, "\n".join(lines) + "\n")

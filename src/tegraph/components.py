@@ -20,8 +20,24 @@ import numpy as np
 
 from .events import TemporalNetwork
 from .motifs import MOTIFS, Motif
-from .teg import Teg, build_teg, check_window
-from .unionfind import UnionFind
+from .teg import Teg, _readonly, build_teg, check_window
+
+
+def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest vertex id in each vertex's component, over edges ``(a[k], b[k])``.
+
+    Each round hooks every root joined by an edge to another tree onto the
+    smallest such root, then jumps pointers until every vertex points at
+    its root.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        la, lb = label[a], label[b]
+        if (la == lb).all():
+            return label
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while ((jumped := label[label]) != label).any():
+            label = jumped
 
 
 @dataclass(frozen=True)
@@ -43,50 +59,57 @@ class Component:
 
 
 class ComponentSet:
-    """All components of one event graph, largest first."""
+    """All components of one event graph, largest first, as columns.
 
-    __slots__ = ("teg", "components", "assignment")
+    ``assignment[v]`` is the rank of event v's component; ``sizes``,
+    ``starts`` and ``ends`` are indexed by rank. All are read-only int64 or
+    float64 columns. A ``Component``, with its node set, is built only for
+    the ranks a caller reads.
+    """
+
+    __slots__ = ("teg", "assignment", "sizes", "starts", "ends", "_times", "_members", "_bounds")
 
     def __init__(self, teg: Teg):
-        events = teg.network.events
-        uf = UnionFind(len(events))
-        for a, b in zip(teg.heads.tolist(), teg.tails.tolist()):
-            uf.union(a, b)
-        comps = []
-        for members in uf.groups().values():
-            nodes = frozenset(n for v in members for n in events[v].nodes)
-            comps.append(
-                Component(
-                    tuple(members),
-                    nodes,
-                    events[members[0]].time,
-                    events[members[-1]].time,
-                )
-            )
-        comps.sort(key=lambda c: (-c.size, c.start, c.events[0]))
-        assignment = [0] * len(events)
-        for rank, comp in enumerate(comps):
-            for v in comp.events:
-                assignment[v] = rank
+        m = teg.vertex_count
+        times = np.fromiter((e.time for e in teg.network.events), np.float64, m)
+        label = _labels(m, teg.heads, teg.tails)
+        firsts = np.flatnonzero(label == np.arange(m))
+        sizes = np.bincount(label, minlength=m)[firsts]
+        # components are indexed by first event, so the stable sort breaks
+        # (size, start) ties by first event
+        order = np.lexsort((times[firsts], -sizes))
+        assignment = order.argsort()[firsts.searchsorted(label)]
+        # every rank's events, ascending, one run per rank
+        members = np.argsort(assignment, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(sizes[order])))
         self.teg = teg
-        self.components = tuple(comps)
-        self.assignment = tuple(assignment)
+        self.assignment = _readonly(assignment, np.int64)
+        self.sizes = _readonly(sizes[order], np.int64)
+        self.starts = _readonly(times[firsts[order]], np.float64)
+        self.ends = _readonly(times[members[bounds[1:] - 1]], np.float64)
+        self._times, self._members, self._bounds = times, members, bounds
 
     def __len__(self) -> int:
-        return len(self.components)
+        return len(self.sizes)
 
     def __iter__(self):
-        return iter(self.components)
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, rank: int) -> Component:
-        return self.components[rank]
+        rank = range(len(self))[rank]
+        members = self._members[self._bounds[rank] : self._bounds[rank + 1]].tolist()
+        events = self.teg.network.events
+        nodes = frozenset(n for v in members for n in events[v].nodes)
+        return Component(tuple(members), nodes, float(self.starts[rank]), float(self.ends[rank]))
+
+    @property
+    def components(self) -> tuple[Component, ...]:
+        return tuple(self)
 
     @property
     def largest_fraction(self) -> float:
         """Share of events in the largest component (0 for empty graphs)."""
-        if not self.components:
-            return 0.0
-        return self.components[0].size / len(self.teg.network)
+        return int(self.sizes[0]) / len(self.teg.network) if len(self) else 0.0
 
 
 def weakly_connected_components(teg: Teg) -> ComponentSet:
@@ -104,10 +127,13 @@ def sweep_largest_component(
 
     ``delta_ts`` must be positive and ascending. A window's edge set is the
     unbounded-window edge set filtered to gaps below the window, so one
-    pass over the edges sorted by gap feeds an incremental union-find and
-    every window is read off without rebuilding. Returns (window, fraction)
-    pairs.
+    pass over the edges sorted by gap grows a forest merged by size, and
+    every window is read off without rebuilding. Each window finds the
+    roots of its new edges' endpoints and labels the trees they join, at a
+    cost of O(its new edges x log M). Returns (window, fraction) pairs of
+    floats.
     """
+    delta_ts = [float(dt) for dt in delta_ts]
     if not delta_ts:
         raise ValueError("delta_ts must be non-empty")
     for dt in delta_ts:
@@ -121,17 +147,30 @@ def sweep_largest_component(
     order = np.argsort(full.iets)
     # edges[:stops[k]] of the sorted list are those with a gap below delta_ts[k]
     stops = np.searchsorted(full.iets[order], delta_ts).tolist()
-    heads = full.heads[order].tolist()
-    tails = full.tails[order].tolist()
-    uf = UnionFind(m)
-    largest = 1
-    out = []
-    k = 0
+    edges = np.stack((full.heads[order], full.tails[order]), axis=1)
+    parent = np.arange(m, dtype=np.int64)
+    size = np.ones(m, dtype=np.int64)
+    slot = np.empty(m, dtype=np.int64)
+    largest, k, out = 1, 0, []
     for dt, stop in zip(delta_ts, stops):
-        for a, b in zip(heads[k:stop], tails[k:stop]):
-            if uf.union(a, b):
-                largest = max(largest, uf.set_size(a))
-        k = stop
+        if stop > k:
+            new, k = edges[k:stop], stop
+            ends = new
+            while ((up := parent[ends]) != ends).any():
+                ends = up
+            parent[new] = ends  # shortcut the endpoints for later windows
+            ends = ends[ends[:, 0] != ends[:, 1]]
+            if len(ends):
+                # number the roots largest first, lowest id on ties, so that
+                # the kernel hangs each joined group under its largest root
+                roots = np.unique(ends)
+                roots = roots[np.argsort(-size[roots], kind="stable")]
+                slot[roots] = np.arange(len(roots))
+                chief = _labels(len(roots), slot[ends[:, 0]], slot[ends[:, 1]])
+                moved = chief != np.arange(len(roots))
+                np.add.at(size, roots[chief[moved]], size[roots[moved]])
+                parent[roots] = roots[chief]
+                largest = max(largest, int(size[roots[chief]].max()))
         out.append((dt, largest / m))
     return out
 
@@ -165,49 +204,28 @@ class DiscreteDistribution:
         return cls(support, tuple(c / total for c in counts))
 
 
-def edges_within(teg: Teg, events: Iterable[int]) -> np.ndarray:
-    """Positions, ascending, of the edges with both ends in ``events``.
+def motif_counts(teg: Teg) -> dict[Motif, int]:
+    """Edge counts per motif class."""
+    return dict(zip(MOTIFS, np.bincount(teg.codes, minlength=len(MOTIFS)).tolist()))
 
-    Index the edge columns with the result, as in ``teg.codes[inside]``.
-    The cost grows with the events and their out-edges, not with the whole
-    graph, so it can be called once per component.
+
+def motif_distribution(teg: Teg) -> DiscreteDistribution:
+    """Relative motif frequencies over the edges.
+
+    The support is always the six classes in canonical order; a graph
+    without edges is an error (the distribution is undefined).
     """
-    members = np.array(sorted(set(events)), dtype=np.int64)
-    # heads are sorted, so each member's out-edges are one run of positions
-    lo = teg.heads.searchsorted(members)
-    runs = teg.heads.searchsorted(members, "right") - lo
-    positions = np.arange(runs.sum()) + np.repeat(lo - runs.cumsum() + runs, runs)
-    tails = teg.tails[positions]
-    found = members.searchsorted(tails).clip(max=len(members) - 1)
-    return positions[members[found] == tails]
-
-
-def motif_counts(teg: Teg, component: Iterable[int] | None = None) -> dict[Motif, int]:
-    """Edge counts per motif class, optionally restricted to event indices."""
-    codes = teg.codes if component is None else teg.codes[edges_within(teg, component)]
-    return dict(zip(MOTIFS, np.bincount(codes, minlength=len(MOTIFS)).tolist()))
-
-
-def motif_distribution(teg: Teg, component: Iterable[int] | None = None) -> DiscreteDistribution:
-    """Relative motif frequencies over the edges in scope.
-
-    The support is always the six classes in canonical order; zero-edge
-    scopes are an error (the distribution is undefined).
-    """
-    counts = motif_counts(teg, component)
+    counts = motif_counts(teg)
     return DiscreteDistribution.from_counts(MOTIFS, [counts[m] for m in MOTIFS])
 
 
 def component_size_distribution(teg: Teg | ComponentSet) -> DiscreteDistribution:
     """Fraction of components at each size."""
     cs = _component_set(teg)
-    if not cs.components:
+    if not len(cs):
         raise ValueError("no components: distribution undefined")
-    sizes: dict[int, int] = {}
-    for comp in cs:
-        sizes[comp.size] = sizes.get(comp.size, 0) + 1
-    support = tuple(sorted(sizes))
-    return DiscreteDistribution.from_counts(support, [sizes[s] for s in support])
+    support, counts = np.unique(cs.sizes, return_counts=True)
+    return DiscreteDistribution.from_counts(support.tolist(), counts.tolist())
 
 
 @dataclass(frozen=True)
@@ -273,11 +291,13 @@ def cumulative_residual_entropy(ccdf: EmpiricalCcdf) -> float:
 
 
 def barcode_rows(teg: Teg | ComponentSet, top: int | None = None) -> list[tuple[float, ...]]:
-    """Event times per component, largest component first."""
+    """Event times per component, largest component first; the ``top`` largest only."""
+    if top is not None and top < 0:
+        raise ValueError(f"top must be non-negative, got {top}")
     cs = _component_set(teg)
-    comps = cs.components[: top if top is not None else len(cs.components)]
-    events = cs.teg.network.events
-    return [tuple(events[v].time for v in comp.events) for comp in comps]
+    bounds = cs._bounds[: None if top is None else top + 1].tolist()
+    times = cs._times[cs._members[: bounds[-1]]]
+    return [tuple(times[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -313,10 +333,10 @@ class AggregateGraph:
     @property
     def weak_component_count(self) -> int:
         index = {node: k for k, node in enumerate(sorted(self.nodes))}
-        uf = UnionFind(len(index))
-        for u, v in self.edges:
-            uf.union(index[u], index[v])
-        return uf.count
+        ids = (index[n] for edge in self.edges for n in edge)
+        ends = np.fromiter(ids, np.int64, 2 * len(self.edges))
+        label = _labels(len(index), ends[0::2], ends[1::2])
+        return int(np.count_nonzero(label == np.arange(len(index))))
 
 
 def aggregate_network(net: TemporalNetwork) -> AggregateGraph:
@@ -332,8 +352,5 @@ def aggregate_component(teg: Teg | ComponentSet, rank: int) -> AggregateGraph:
     cs = _component_set(teg)
     if not 0 <= rank < len(cs):
         raise ValueError(f"component {rank} out of range: the graph has {len(cs)} components")
-    comp = cs[rank]
-    events = cs.teg.network.events
-    return AggregateGraph(
-        comp.nodes, frozenset((events[v].source, events[v].target) for v in comp.events)
-    )
+    comp, net = cs[rank], cs.teg.network
+    return AggregateGraph(comp.nodes, frozenset((net[v].source, net[v].target) for v in comp.events))

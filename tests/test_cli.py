@@ -268,6 +268,21 @@ def test_sweep_csv(tmp_path):
     assert parse_grid("0.5,1h,2h") == [0.5, 3600.0, 7200.0]
 
 
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        ("log:1:2", "expected log:A:B:N or lin:A:B:N"),
+        ("lin:1:2:3:4", "expected log:A:B:N or lin:A:B:N"),
+        ("log:1:inf:5", "endpoints must be finite"),
+    ],
+)
+def test_malformed_grid_names_the_problem(grid, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        run("sweep", "--input", "x", "--dt-grid", grid, "--output", "y")
+    assert info.value.code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_duration_suffixes():
     assert parse_duration("90s") == 90.0
     assert parse_duration("1.5m") == 90.0

@@ -1,6 +1,8 @@
 """Component structure, distributions, entropies, aggregates."""
 
+import hashlib
 import math
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from tegraph import (
+    MOTIFS,
     ComponentSet,
     EmpiricalCcdf,
     Event,
@@ -19,7 +22,6 @@ from tegraph import (
     build_teg,
     component_size_distribution,
     cumulative_residual_entropy,
-    edges_within,
     iet_ccdf,
     motif_counts,
     motif_distribution,
@@ -27,7 +29,8 @@ from tegraph import (
     sweep_largest_component,
     weakly_connected_components,
 )
-from tegraph.components import DiscreteDistribution
+from tegraph.cli import main
+from tegraph.components import DiscreteDistribution, _labels
 from tegraph.generators import (
     ExponentialIets,
     GeneratorConfig,
@@ -63,7 +66,7 @@ def test_partition_and_ranking():
     assert [c.events for c in cs] == [(0, 2, 3), (1,), (4,)]
     assert cs[0].nodes == frozenset({0, 1, 2})
     assert cs[0].start == 0.0 and cs[0].end == 3.0 and cs[0].duration == 3.0
-    assert cs.assignment == (0, 1, 0, 0, 2)
+    assert cs.assignment.tolist() == [0, 1, 0, 0, 2]
     assert cs.largest_fraction == 3 / 5
     assert len(cs) == 3
 
@@ -158,27 +161,16 @@ def test_motif_counts_sum_over_components():
     assert len(cs) > 1
     whole = motif_counts(teg)
     assert sum(whole.values()) == teg.edge_count
+    # every edge lies inside its head's component
+    assert cs.assignment[teg.heads].tolist() == cs.assignment[teg.tails].tolist()
+    edges = list(zip(teg.heads.tolist(), teg.tails.tolist(), teg.codes.tolist()))
     merged = {m: 0 for m in Motif}
     for comp in cs:
-        for m, c in motif_counts(teg, comp.events).items():
-            merged[m] += c
+        inside = set(comp.events)
+        for i, j, code in edges:
+            if i in inside and j in inside:
+                merged[MOTIFS[code]] += 1
     assert merged == whole
-
-
-def test_edges_within_matches_literal_filter():
-    net = _random_net(6, n=9, m=120)
-    teg = build_teg(net, 1.0)
-    rng = np.random.default_rng(0)
-    for size in (0, 1, 5, 40, 200):
-        # any order, repeats allowed
-        events = rng.integers(0, len(net), size).tolist()
-        members = set(events)
-        expected = [
-            k
-            for k, (i, j) in enumerate(zip(teg.heads.tolist(), teg.tails.tolist()))
-            if i in members and j in members
-        ]
-        assert edges_within(teg, events).tolist() == expected
 
 
 def test_motif_distribution_support_and_masses():
@@ -282,6 +274,10 @@ def test_barcode_rows_order_and_truncation():
     assert rows == [(0.0, 1.0, 2.0), (0.5,)]
     assert barcode_rows(teg, top=1) == [(0.0, 1.0, 2.0)]
     assert barcode_rows(ComponentSet(teg)) == rows
+    assert barcode_rows(teg, top=5) == rows
+    assert barcode_rows(teg, top=0) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        barcode_rows(teg, top=-1)
 
 
 def test_aggregate_graph_metrics():
@@ -327,3 +323,140 @@ def test_growth_curve_spread_for_heavy_tails():
     swept = sweep_largest_component(net, [5.0, 15.0])
     assert swept[0][1] < 0.2
     assert swept[1][1] > 0.8
+
+
+def _nx_labels(n, a, b):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(zip(a.tolist(), b.tolist()))
+    label = [0] * n
+    for comp in nx.connected_components(g):
+        for v in comp:
+            label[v] = min(comp)
+    return label
+
+
+def _path(order):
+    return np.asarray(order[:-1], np.int64), np.asarray(order[1:], np.int64)
+
+
+_SHAPES = {
+    "reversed_path": lambda rng: (10_000, *_path(np.arange(10_000)[::-1])),
+    "shuffled_path": lambda rng: (10_000, *_path(rng.permutation(10_000))),
+    "star_hub_highest": lambda rng: (
+        500,
+        np.full(499, 499, np.int64),
+        rng.permutation(499).astype(np.int64),
+    ),
+    "sparse_random": lambda rng: (2_000, *rng.integers(0, 2_000, (2, 900))),
+    "critical_random": lambda rng: (2_000, *rng.integers(0, 2_000, (2, 1_000))),
+    "dense_random": lambda rng: (2_000, *rng.integers(0, 2_000, (2, 6_000))),
+    "no_edges": lambda rng: (7, np.zeros(0, np.int64), np.zeros(0, np.int64)),
+    "no_vertices": lambda rng: (0, np.zeros(0, np.int64), np.zeros(0, np.int64)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_labels_match_networkx(shape):
+    n, a, b = _SHAPES[shape](np.random.default_rng(3))
+    assert _labels(n, a, b).tolist() == _nx_labels(n, a, b)
+
+
+def _tied_net(rng, m, nodes):
+    """m events at small integer times: many ties and equal component starts."""
+    src = rng.integers(0, nodes, m)
+    dst = (src + rng.integers(1, nodes, m)) % nodes
+    times = rng.integers(0, m // 4 + 1, m)
+    events = [Event(s, d, float(t)) for s, d, t in zip(src.tolist(), dst.tolist(), times.tolist())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return TemporalNetwork(events)
+
+
+def test_ranks_and_columns_match_networkx_under_ties():
+    rng = np.random.default_rng(12)
+    first_event_ties = 0
+    for _ in range(40):
+        net = _tied_net(rng, int(rng.integers(1, 80)), int(rng.integers(2, 30)))
+        for dt in (1.0, 1.5, 2.5, math.inf):
+            teg = build_teg(net, dt)
+            g = nx.DiGraph()
+            g.add_nodes_from(range(len(net)))
+            g.add_edges_from(zip(teg.heads.tolist(), teg.tails.tolist()))
+            times = [e.time for e in net]
+            expected = sorted(
+                (sorted(c) for c in nx.weakly_connected_components(g)),
+                key=lambda c: (-len(c), times[c[0]], c[0]),
+            )
+            keys = [(len(c), times[c[0]]) for c in expected]
+            first_event_ties += len(keys) - len(set(keys))
+            cs = ComponentSet(teg)
+            assert [list(c.events) for c in cs] == expected
+            assert cs.sizes.tolist() == [len(c) for c in expected]
+            assert cs.starts.tolist() == [times[c[0]] for c in expected]
+            assert cs.ends.tolist() == [times[c[-1]] for c in expected]
+            rank = {v: k for k, c in enumerate(expected) for v in c}
+            assert cs.assignment.tolist() == [rank[v] for v in range(len(net))]
+            assert cs[-1] == cs[len(cs) - 1]
+            assert cs[-len(cs)] == cs[0]
+            for bad in (len(cs), -len(cs) - 1):
+                with pytest.raises(IndexError):
+                    cs[bad]
+    assert first_event_ties > 100
+
+
+def test_sweep_matches_per_window_rebuild_under_ties():
+    rng = np.random.default_rng(8)
+    net = _tied_net(rng, 400, 40)
+    grid = [0.25 * k for k in range(1, 200)] + [math.inf]
+    for dt, fraction in sweep_largest_component(net, grid):
+        assert fraction == ComponentSet(build_teg(net, dt)).largest_fraction
+
+
+def test_sweep_accepts_numpy_grids():
+    net = _random_net(3, n=10, m=150)
+    grid = np.geomspace(0.25, 8.0, 6)
+    swept = sweep_largest_component(net, grid)
+    assert swept == sweep_largest_component(net, grid.tolist())
+    assert all(type(dt) is float and type(f) is float for dt, f in swept)
+
+
+def _tied_event_file(path, seed=7, m=600, nodes=40):
+    """Integer times on few nodes: many ties and components with equal starts."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, nodes, m)
+    dst = (src + rng.integers(1, nodes, m)) % nodes
+    times = np.sort(rng.integers(0, m // 3, m))
+    lines = zip(src.tolist(), dst.tolist(), times.tolist())
+    path.write_text("".join(f"{s} {d} {t}\n" for s, d, t in lines))
+
+
+# sha256 of each output, recorded before components became columns; integer
+# times and only + - * / keep the bytes the same on every platform
+_DIGESTS = {
+    "components": "92cb8b58f62da70caab5a989d1203cd1f9fd45da6fec3ed0e9ef92f1f0bc2603",
+    "sweep": "6f72b1543fbb7caacfcfa8d72d6dd95b763669c370c24ee99e31511c0127a6fb",
+    "motifs": "3eca949c423c827d7129a6fc02c8902349ecb714b679e1ffef5813f864cc34f4",
+    "barcode": "7d7905d67ff5ef4beb2b040d1414ef68b874aac65c0bb1834ba17517a949e942",
+    "aggregate": "aa6c5590f975df74632342c4e65e49ad98f7ec802c620e0aa4a6edbeb373ebdd",
+}
+
+
+def test_component_outputs_match_recorded_digests(tmp_path):
+    events = tmp_path / "events.txt"
+    _tied_event_file(events)
+    csv = tmp_path / "barcode.csv"
+    runs = {
+        "components": ("components", "--dt", "3"),
+        "sweep": ("sweep", "--dt-grid", "lin:0.5:12:24"),
+        "motifs": ("motifs", "--dt", "3", "--per-component"),
+        "barcode": ("barcode", "--dt", "3", "--csv", str(csv)),
+        "aggregate": ("aggregate", "--dt", "3", "--component", "0"),
+    }
+    for name, (command, *opts) in runs.items():
+        out = tmp_path / f"{name}.out"
+        argv = [command, "--input", str(events), *opts, "--output", str(out)]
+        with pytest.warns(UserWarning, match="equal-timestamp"):
+            assert main(argv) == 0
+        produced = csv if name == "barcode" else out
+        assert hashlib.sha256(produced.read_bytes()).hexdigest() == _DIGESTS[name], name
