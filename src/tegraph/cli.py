@@ -223,13 +223,11 @@ def _cmd_shuffle(args, argv):
 def _cmd_build(args, argv):
     net = _read_events(args)
     teg = build_teg(net, args.dt)
-    if args.format == "edges":
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        if args.format == "edges":
             write_teg_json(teg, fh)
-    else:
-        g = strip_events(teg, keep_anchors=not args.no_anchors)
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            save_edge_labelled(g, fh)
+        else:
+            save_edge_labelled(strip_events(teg, keep_anchors=not args.no_anchors), fh)
     _write_manifest(args, argv, [args.output])
     return 0
 
@@ -545,7 +543,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("aggregate", help="time-aggregated static graph")
     _add_event_input(p)
     p.add_argument("--dt", default=None, type=_duration_arg, help="with --component: restrict to one component")
-    p.add_argument("--component", type=int, default=None)
+    p.add_argument("--component", type=_count_arg(0), default=None)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_aggregate)
 

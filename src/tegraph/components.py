@@ -18,9 +18,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .events import TemporalNetwork
+from .events import TemporalNetwork, _readonly, _starts
 from .motifs import MOTIFS, Motif
-from .teg import Teg, _readonly, build_teg, check_window
+from .teg import Teg, build_teg, check_window
 
 
 def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,11 +67,10 @@ class ComponentSet:
     the ranks a caller reads.
     """
 
-    __slots__ = ("teg", "assignment", "sizes", "starts", "ends", "_times", "_members", "_bounds")
+    __slots__ = ("teg", "assignment", "sizes", "starts", "ends", "_members", "_bounds")
 
     def __init__(self, teg: Teg):
-        m = teg.vertex_count
-        times = np.fromiter((e.time for e in teg.network.events), np.float64, m)
+        m, times = teg.vertex_count, teg.network.times
         label = _labels(m, teg.heads, teg.tails)
         firsts = np.flatnonzero(label == np.arange(m))
         sizes = np.bincount(label, minlength=m)[firsts]
@@ -87,7 +86,7 @@ class ComponentSet:
         self.sizes = _readonly(sizes[order], np.int64)
         self.starts = _readonly(times[firsts[order]], np.float64)
         self.ends = _readonly(times[members[bounds[1:] - 1]], np.float64)
-        self._times, self._members, self._bounds = times, members, bounds
+        self._members, self._bounds = members, bounds
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -97,10 +96,10 @@ class ComponentSet:
 
     def __getitem__(self, rank: int) -> Component:
         rank = range(len(self))[rank]
-        members = self._members[self._bounds[rank] : self._bounds[rank + 1]].tolist()
-        events = self.teg.network.events
-        nodes = frozenset(n for v in members for n in events[v].nodes)
-        return Component(tuple(members), nodes, float(self.starts[rank]), float(self.ends[rank]))
+        members = self._members[self._bounds[rank] : self._bounds[rank + 1]]
+        sources, targets, _ = self.teg.network._lists(members)
+        nodes = frozenset(sources).union(targets)
+        return Component(tuple(members.tolist()), nodes, float(self.starts[rank]), float(self.ends[rank]))
 
     @property
     def components(self) -> tuple[Component, ...]:
@@ -163,7 +162,8 @@ def sweep_largest_component(
             if len(ends):
                 # number the roots largest first, lowest id on ties, so that
                 # the kernel hangs each joined group under its largest root
-                roots = np.unique(ends)
+                roots = np.sort(ends, axis=None)
+                roots = roots[_starts(roots)]
                 roots = roots[np.argsort(-size[roots], kind="stable")]
                 slot[roots] = np.arange(len(roots))
                 chief = _labels(len(roots), slot[ends[:, 0]], slot[ends[:, 1]])
@@ -296,7 +296,7 @@ def barcode_rows(teg: Teg | ComponentSet, top: int | None = None) -> list[tuple[
         raise ValueError(f"top must be non-negative, got {top}")
     cs = _component_set(teg)
     bounds = cs._bounds[: None if top is None else top + 1].tolist()
-    times = cs._times[cs._members[: bounds[-1]]]
+    times = cs.teg.network.times[cs._members[: bounds[-1]]]
     return [tuple(times[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -339,9 +339,15 @@ class AggregateGraph:
         return int(np.count_nonzero(label == np.arange(len(index))))
 
 
+def _aggregate(net: TemporalNetwork, events) -> AggregateGraph:
+    ids = net.node_ids
+    sources, targets = ids[net.sources[events]].tolist(), ids[net.targets[events]].tolist()
+    return AggregateGraph(frozenset(sources).union(targets), frozenset(zip(sources, targets)))
+
+
 def aggregate_network(net: TemporalNetwork) -> AggregateGraph:
     """Collapse time: one directed edge per interacting ordered pair."""
-    return AggregateGraph(net.nodes, frozenset((e.source, e.target) for e in net))
+    return _aggregate(net, slice(None))
 
 
 def aggregate_component(teg: Teg | ComponentSet, rank: int) -> AggregateGraph:
@@ -352,5 +358,4 @@ def aggregate_component(teg: Teg | ComponentSet, rank: int) -> AggregateGraph:
     cs = _component_set(teg)
     if not 0 <= rank < len(cs):
         raise ValueError(f"component {rank} out of range: the graph has {len(cs)} components")
-    comp, net = cs[rank], cs.teg.network
-    return AggregateGraph(comp.nodes, frozenset((net[v].source, net[v].target) for v in comp.events))
+    return _aggregate(cs.teg.network, cs._members[cs._bounds[rank] : cs._bounds[rank + 1]])

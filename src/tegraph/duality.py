@@ -37,7 +37,7 @@ from typing import Mapping, TextIO
 
 import numpy as np
 
-from .events import Event, TemporalNetwork
+from .events import TemporalNetwork, _first_seen
 from .motifs import MOTIFS, Motif, prescribed_nodes
 from .teg import Teg, _incidence_edges
 
@@ -157,9 +157,7 @@ def strip_events(teg: Teg, keep_anchors: bool = False) -> EdgeLabelledTeg:
     keys = list(zip(teg.heads.tolist(), teg.tails.tolist()))
     tau = dict(zip(keys, teg.iets.tolist()))
     mu = dict(zip(keys, [MOTIFS[c] for c in teg.codes.tolist()]))
-    anchors = None
-    if keep_anchors:
-        anchors = {v: teg.network.events[v].time for v in range(teg.vertex_count)}
+    anchors = dict(enumerate(teg.network.times.tolist())) if keep_anchors else None
     return EdgeLabelledTeg(teg.vertex_count, tau, mu, anchors)
 
 
@@ -475,28 +473,20 @@ def reconstruct(
     if not report.ok:
         raise InconsistentGraphError(report)
 
-    placed = []
-    for comp in p.comps:
-        times = _component_times(g, comp, p.pot, rel_tol)
-        placed.append((min(times.values()), comp[0], comp, times))
-    placed.sort(key=lambda item: (item[0], item[1]))
-    if layout == "end_to_end":
-        shifted = []
-        offset = 0.0
-        for base, first, comp, times in placed:
-            times = {v: t - base + offset for v, t in times.items()}
-            offset = max(times.values()) + spacing
-            shifted.append((min(times.values()), first, comp, times))
-        placed = shifted
-
-    events = []
-    labels: dict[int, int] = {}
-    for _, _, comp, times in placed:
-        for v in sorted(comp, key=lambda v: (times[v], v)):
-            source = labels.setdefault(p.sources[v], len(labels))
-            target = labels.setdefault(p.targets[v], len(labels))
-            events.append(Event(source, target, times[v]))
-    return TemporalNetwork(events)
+    placed = sorted(
+        (_component_times(g, comp, p.pot, rel_tol) for comp in p.comps),
+        key=lambda at: (min(at.values()), min(at)),
+    )
+    vertices, times, offset = [], [], 0.0
+    for at in placed:
+        if layout == "end_to_end":
+            base = min(at.values())
+            at = {v: t - base + offset for v, t in at.items()}
+            offset = max(at.values()) + spacing
+        vertices += sorted(at, key=lambda v: (at[v], v))
+        times += [at[v] for v in vertices[len(times) :]]
+    sources, targets, node_ids = _first_seen(*np.array([p.sources, p.targets], np.int64)[:, vertices])
+    return TemporalNetwork._from_columns(sources, targets, np.array(times, np.float64), node_ids)
 
 
 def save_edge_labelled(g: EdgeLabelledTeg, stream: TextIO) -> None:

@@ -1,18 +1,20 @@
-"""Temporal networks as time-ordered sequences of dyadic events.
+"""Temporal networks as time-ordered tables of dyadic events.
 
 An event is a directed interaction (source, target, time). A temporal
-network is an immutable, time-sorted tuple of events plus the node set they
-induce. Equal-time events are either rejected or kept in a stable, reading
-order, depending on the network's tie policy.
+network holds its events in four read-only numpy columns, sorted stably by
+time; ``Event`` objects are built from them only on demand. Equal-time
+events are either rejected or kept in a stable, reading order, depending
+on the tie policy the network is built under.
 """
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Iterable, Sequence, TextIO
+
+import numpy as np
 
 TIE_REJECT = "reject"
 TIE_STABLE = "stable_order"
@@ -36,7 +38,9 @@ class Event:
     time: float
 
     def __post_init__(self):
-        if not isinstance(self.source, int) or not isinstance(self.target, int):
+        if bool in (type(self.source), type(self.target)) or not (
+            isinstance(self.source, int) and isinstance(self.target, int)
+        ):
             raise ValueError(f"node ids must be integers, got ({self.source!r}, {self.target!r})")
         if self.source < 0 or self.target < 0:
             raise ValueError(f"node ids must be non-negative, got ({self.source}, {self.target})")
@@ -50,81 +54,132 @@ class Event:
         return (self.source, self.target)
 
 
-class TemporalNetwork:
-    """Immutable time-sorted event sequence.
+def _readonly(values, dtype=None) -> np.ndarray:
+    column = np.asarray(values, dtype=dtype).view()
+    column.flags.writeable = False
+    return column
 
-    Parameters
-    ----------
-    events : iterable of Event
-        Any order; sorted stably by time on construction.
-    tie_policy : str
-        ``"reject"`` raises on equal timestamps, ``"stable_order"`` (default)
-        keeps equal-time events in their given relative order and emits a
-        warning with the tie count.
+
+def _id_array(ids) -> np.ndarray:
+    """Integer node ids as an int64 column, or an object column past its range."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
+
+
+def _starts(grouped: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted column that differ from their predecessor."""
+    new = np.ones(len(grouped), dtype=bool)
+    np.not_equal(grouped[1:], grouped[:-1], out=new[1:])
+    return new
+
+
+def _first_seen(sources: np.ndarray, targets: np.ndarray):
+    """Node columns renumbered 0, 1, ... by first appearance, scanning the
+    events in order, source before target; and the new node ids."""
+    ends = np.stack((sources, targets), 1).ravel()
+    _, firsts, positions = np.unique(ends, return_index=True, return_inverse=True)
+    ends = np.argsort(np.argsort(firsts))[positions]
+    return ends[0::2], ends[1::2], np.arange(len(firsts))
+
+
+class TemporalNetwork:
+    """Immutable time-sorted event table of four read-only numpy columns.
+
+    ``sources`` and ``targets`` are int64 positions into ``node_ids``, the
+    sorted distinct node ids (int64, or object past the int64 range);
+    ``times`` is float64. The ``events`` are taken in any order and sorted
+    stably by time. Under ``tie_policy="reject"`` equal timestamps raise;
+    under ``"stable_order"`` (default) equal-time events keep their given
+    relative order, with a warning giving the tie count. ``net[i]``,
+    iteration and ``events`` build ``Event`` objects on demand.
     """
 
-    __slots__ = ("_events", "_nodes", "_tie_policy", "_tie_count")
+    __slots__ = ("sources", "targets", "times", "node_ids")
 
     def __init__(self, events: Iterable[Event], tie_policy: str = TIE_STABLE):
+        events = tuple(events)
+        ids = _id_array([node for e in events for node in (e.source, e.target)])
+        self._fill(ids[0::2], ids[1::2], np.array([e.time for e in events], np.float64), None, tie_policy)
+
+    @classmethod
+    def _from_columns(cls, sources, targets, times, node_ids=None, tie_policy=TIE_STABLE):
+        """Network of valid event columns in any order, built without ``Event``
+        objects; ``sources`` and ``targets`` are positions into the sorted
+        ``node_ids``, or node ids themselves when ``node_ids`` is None."""
+        net = cls.__new__(cls)
+        net._fill(sources, targets, times, node_ids, tie_policy)
+        return net
+
+    def _fill(self, sources, targets, times, node_ids, tie_policy):
         if tie_policy not in _TIE_POLICIES:
             raise ValueError(f"unknown tie_policy {tie_policy!r}, expected one of {_TIE_POLICIES}")
-        ordered = sorted(events, key=lambda e: e.time)
-        ties = sum(1 for a, b in zip(ordered, ordered[1:]) if a.time == b.time)
+        if node_ids is None:
+            node_ids, ends = np.unique(np.stack((sources, targets), 1).ravel(), return_inverse=True)
+            node_ids, sources, targets = _id_array(node_ids), ends[0::2], ends[1::2]
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        ties = int(np.count_nonzero(times[1:] == times[:-1]))
         if ties:
             if tie_policy == TIE_REJECT:
                 raise ValueError(f"{ties} equal-timestamp adjacencies under tie_policy='reject'")
             warnings.warn(f"{ties} equal-timestamp adjacencies resolved by stable order")
-        nodes = set()
-        for e in ordered:
-            nodes.add(e.source)
-            nodes.add(e.target)
-        self._events = tuple(ordered)
-        self._nodes = frozenset(nodes)
-        self._tie_policy = tie_policy
-        self._tie_count = ties
+        self.__setstate__((sources[order], targets[order], times, node_ids))
+
+    def __getstate__(self):
+        return self.sources, self.targets, self.times, self.node_ids
+
+    def __setstate__(self, state):
+        sources, targets, times, node_ids = state
+        self.sources, self.targets = _readonly(sources, np.int64), _readonly(targets, np.int64)
+        self.times, self.node_ids = _readonly(times, np.float64), _readonly(node_ids)
+
+    def _lists(self, index=slice(None)):
+        """Source ids, target ids and times of the events at ``index``, as lists."""
+        ids = self.node_ids
+        return ids[self.sources[index]].tolist(), ids[self.targets[index]].tolist(), self.times[index].tolist()
 
     @property
     def events(self) -> tuple[Event, ...]:
-        return self._events
+        """The events as a new tuple on each access."""
+        return tuple(self)
 
     @property
     def nodes(self) -> frozenset[int]:
-        return self._nodes
-
-    @property
-    def tie_policy(self) -> str:
-        return self._tie_policy
+        return frozenset(self.node_ids.tolist())
 
     @property
     def tie_count(self) -> int:
-        return self._tie_count
+        """Equal-timestamp adjacencies in the time order."""
+        return int(np.count_nonzero(self.times[1:] == self.times[:-1]))
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self.times)
 
     def __iter__(self):
-        return iter(self._events)
+        return map(Event, *self._lists())
 
     def __getitem__(self, index: int) -> Event:
-        return self._events[index]
+        return Event(*(column[0] for column in self._lists([index])))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TemporalNetwork):
             return NotImplemented
-        return self._events == other._events
+        return all(map(np.array_equal, self.__getstate__(), other.__getstate__()))
 
     def __hash__(self):
-        return hash(self._events)
+        return hash(tuple(zip(*self._lists())))
 
     def __repr__(self) -> str:
-        return f"TemporalNetwork({len(self._events)} events, {len(self._nodes)} nodes)"
+        return f"TemporalNetwork({len(self)} events, {len(self.node_ids)} nodes)"
 
     @property
     def duration(self) -> float:
         """Time span from first to last event (0 for <2 events)."""
-        if len(self._events) < 2:
+        if len(self) < 2:
             return 0.0
-        return self._events[-1].time - self._events[0].time
+        return float(self.times[-1] - self.times[0])
 
 
 def canonicalize(net: TemporalNetwork) -> TemporalNetwork:
@@ -137,15 +192,8 @@ def canonicalize(net: TemporalNetwork) -> TemporalNetwork:
     """
     if len(net) == 0:
         raise ValueError("cannot canonicalize an empty network")
-    t0 = net[0].time
-    labels: dict[int, int] = {}
-    out = []
-    for e in net:
-        for node in (e.source, e.target):
-            if node not in labels:
-                labels[node] = len(labels)
-        out.append(Event(labels[e.source], labels[e.target], e.time - t0))
-    return TemporalNetwork(out, tie_policy=net.tie_policy)
+    sources, targets, node_ids = _first_seen(net.sources, net.targets)
+    return TemporalNetwork._from_columns(sources, targets, net.times - net.times[0], node_ids)
 
 
 def _format_time(t: float) -> str:
@@ -154,16 +202,13 @@ def _format_time(t: float) -> str:
     return repr(t)
 
 
-def write_events(net: TemporalNetwork, stream: TextIO) -> None:
-    """Write one ``source target time`` line per event (lossless)."""
-    for e in net:
-        stream.write(f"{e.source} {e.target} {_format_time(e.time)}\n")
-
-
 def events_to_text(net: TemporalNetwork) -> str:
-    buf = io.StringIO()
-    write_events(net, buf)
-    return buf.getvalue()
+    """One ``source target time`` line per event (lossless)."""
+    return "".join(f"{s} {t} {_format_time(x)}\n" for s, t, x in zip(*net._lists()))
+
+
+def write_events(net: TemporalNetwork, stream: TextIO) -> None:
+    stream.write(events_to_text(net))
 
 
 def parse_events(
@@ -189,42 +234,42 @@ def parse_events(
         raise ValueError(f"fields must be a permutation of source/target/time, got {fields}")
     if on_self_loop not in ("error", "skip"):
         raise ValueError(f"on_self_loop must be 'error' or 'skip', got {on_self_loop!r}")
-    col = {name: i for i, name in enumerate(fields)}
-    events = []
-    seen: set[tuple[int, int, float]] = set()
-    duplicates = 0
+    i, j, k = (list(fields).index(name) for name in ("source", "target", "time"))
+    sources, targets, times = [], [], []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         parts = line.split(delimiter)
         if len(parts) < 3:
             raise ParseError(lineno, f"expected at least 3 columns, got {len(parts)}")
         try:
-            source = int(parts[col["source"]])
-            target = int(parts[col["target"]])
+            source, target = int(parts[i]), int(parts[j])
         except ValueError as exc:
             raise ParseError(lineno, f"bad node id: {exc}") from None
         try:
-            time = float(parts[col["time"]])
+            time = float(parts[k])
         except ValueError as exc:
             raise ParseError(lineno, f"bad time: {exc}") from None
         if source == target:
             if on_self_loop == "skip":
                 continue
             raise ParseError(lineno, f"self-loop at node {source}")
-        try:
-            event = Event(source, target, time)
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-        key = (source, target, time)
-        if key in seen:
-            duplicates += 1
-        seen.add(key)
-        events.append(event)
+        if source < 0 or target < 0 or not 0 <= time < inf:
+            try:  # only a rejected line becomes an Event, for its message
+                Event(source, target, time)
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
+        sources.append(source)
+        targets.append(target)
+        times.append(time)
+    sources, targets, times = _id_array(sources), _id_array(targets), np.array(times, np.float64)
+    order = np.lexsort((times, targets, sources))
+    distinct = _starts(sources[order]) | _starts(targets[order]) | _starts(times[order])
+    duplicates = len(times) - int(np.count_nonzero(distinct))
     if duplicates:
         warnings.warn(f"{duplicates} duplicate event triples kept")
-    return TemporalNetwork(events, tie_policy=tie_policy)
+    return TemporalNetwork._from_columns(sources, targets, times, None, tie_policy)
 
 
 def load_events(path: str, **kwargs) -> TemporalNetwork:

@@ -16,7 +16,7 @@ from math import isfinite
 
 import numpy as np
 
-from .events import Event, TemporalNetwork
+from .events import TemporalNetwork
 from .motifs import MOTIFS
 from .components import DiscreteDistribution
 
@@ -142,11 +142,7 @@ def generate_random(cfg: GeneratorConfig) -> TemporalNetwork:
                 times[k] = np.nextafter(times[k - 1], np.inf)
     u = rng.integers(0, n, m)
     v = rng.integers(0, n - 1, m)
-    v = v + (v >= u)
-    events = [
-        Event(int(u[k]), int(v[k]), float(times[k])) for k in range(m)
-    ]
-    return TemporalNetwork(events)
+    return TemporalNetwork._from_columns(u, v + (v >= u), times)
 
 
 def time_shuffle(net: TemporalNetwork, seed: int) -> TemporalNetwork:
@@ -156,13 +152,8 @@ def time_shuffle(net: TemporalNetwork, seed: int) -> TemporalNetwork:
     their alignment is randomised, which destroys temporal correlations but
     preserves the aggregate graph and the activity profile.
     """
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(net))
-    events = net.events
-    shuffled = [
-        Event(e.source, e.target, events[perm[k]].time) for k, e in enumerate(events)
-    ]
-    return TemporalNetwork(shuffled, tie_policy=net.tie_policy)
+    perm = np.random.default_rng(seed).permutation(len(net))
+    return TemporalNetwork._from_columns(net.sources, net.targets, net.times[perm], net.node_ids)
 
 
 def analytic_motif_probabilities(node_count: int) -> DiscreteDistribution:

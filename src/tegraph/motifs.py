@@ -62,14 +62,8 @@ _ATTRS = {
     Motif.ABCB: ("B", "B", +1),
 }
 
-MOTIFS: tuple[Motif, ...] = (
-    Motif.ABAB,
-    Motif.ABBA,
-    Motif.ABAC,
-    Motif.ABCA,
-    Motif.ABBC,
-    Motif.ABCB,
-)
+# canonical order: the order of definition
+MOTIFS: tuple[Motif, ...] = tuple(Motif)
 
 
 def classify_pair(u_i: int, v_i: int, u_j: int, v_j: int) -> Motif:

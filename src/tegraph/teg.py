@@ -23,7 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .events import Event, TemporalNetwork
+from .events import Event, TemporalNetwork, _readonly, _starts
 from .motifs import MOTIFS
 
 
@@ -31,12 +31,6 @@ def check_window(delta_t: float) -> None:
     """Raise ValueError unless ``delta_t`` is a positive waiting window."""
     if isnan(delta_t) or delta_t <= 0:
         raise ValueError(f"delta_t must be positive (math.inf allowed), got {delta_t}")
-
-
-def _readonly(values, dtype) -> np.ndarray:
-    column = np.asarray(values, dtype=dtype).view()
-    column.flags.writeable = False
-    return column
 
 
 class Teg:
@@ -82,34 +76,15 @@ def is_dt_adjacent(first: Event, second: Event, delta_t: float) -> bool:
     return 0 < gap < delta_t
 
 
-def _node_columns(net: TemporalNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Source and target of every event as int64 columns.
-
-    Node ids past the int64 range are replaced by their rank among the
-    network's nodes, which keeps node equality, all the builder needs.
-    """
-    events, m = net.events, len(net)
-    try:
-        sources = np.fromiter((e.source for e in events), np.int64, m)
-        targets = np.fromiter((e.target for e in events), np.int64, m)
-    except OverflowError:
-        rank = {node: k for k, node in enumerate(sorted(net.nodes))}
-        sources = np.fromiter((rank[e.source] for e in events), np.int64, m)
-        targets = np.fromiter((rank[e.target] for e in events), np.int64, m)
-    return sources, targets
-
-
 def _incidence_edges(sources, targets, times, delta_t: float):
     """Event-graph edges of the events ``(sources[e], targets[e], times[e])``.
 
-    Events must be in time order and node ids int64. Returns the ``heads``,
+    Events must be in time order and nodes int64. Returns the ``heads``,
     ``tails`` and motif ``codes`` columns, sorted by (head, tail).
     """
     m = len(sources)
     # incidence 2e is (sources[e], e) and 2e + 1 is (targets[e], e)
-    nodes = np.empty(2 * m, dtype=np.int64)
-    nodes[0::2] = sources
-    nodes[1::2] = targets
+    nodes = np.stack((sources, targets), 1).ravel()
     order = np.argsort(nodes, kind="stable")
     grouped = nodes[order]
     follows = grouped[1:] == grouped[:-1]
@@ -117,7 +92,8 @@ def _incidence_edges(sources, targets, times, delta_t: float):
     second = order[1:][follows] >> 1
     gaps = times[second] - times[first]
     inside = (gaps > 0) & (gaps < delta_t)
-    pairs = np.unique(first[inside] * m + second[inside])
+    pairs = np.sort(first[inside] * m + second[inside])
+    pairs = pairs[_starts(pairs)]
     # free the candidates before classifying: this sets the peak memory
     del nodes, order, grouped, follows, first, second, gaps, inside
     heads, tails = np.divmod(pairs, m)
@@ -151,9 +127,8 @@ def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
     kept once, and each pair's motif is read off its four endpoints.
     """
     check_window(delta_t)
-    sources, targets = _node_columns(net)
-    times = np.fromiter((e.time for e in net.events), np.float64, len(net))
-    heads, tails, codes = _incidence_edges(sources, targets, times, delta_t)
+    times = net.times
+    heads, tails, codes = _incidence_edges(net.sources, net.targets, times, delta_t)
     return Teg(net, delta_t, heads, tails, times[tails] - times[heads], codes)
 
 

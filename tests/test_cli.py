@@ -1,8 +1,11 @@
 """End-to-end runs of the ``teg`` command line, in process."""
 
+import hashlib
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from tegraph import (
@@ -163,6 +166,7 @@ def test_reconstruct_end_to_end_layout(tmp_path):
         ("reconstruct", "--input", "x", "--no-validate", "--output", "y"),
         ("motifs", "--input", "x", "--dt", "1", "--workers", "0", "--output", "y"),
         ("motifs", "--input", "x", "--dt", "1", "--workers", "-3", "--output", "y"),
+        ("aggregate", "--input", "x", "--dt", "1", "--component", "-1", "--output", "y"),
     ],
 )
 def test_usage_errors_exit_1(argv):
@@ -396,7 +400,7 @@ def test_aggregate_json(tmp_path):
     assert json.loads(scoped.read_text())["scope"] == "component:0"
 
 
-@pytest.mark.parametrize("rank", ["-1", "1"])
+@pytest.mark.parametrize("rank", ["1", "5"])
 def test_aggregate_component_out_of_range_exits_2(tmp_path, capsys, rank):
     raw = tmp_path / "pair.txt"
     raw.write_text("0 1 0\n1 0 1\n")  # one component at dt = inf
@@ -447,3 +451,53 @@ def test_version_flag(capsys):
         run("--version")
     assert info.value.code == 0
     assert "teg" in capsys.readouterr().out
+
+
+def _big_id_event_file(path, seed=11, m=500, nodes=30):
+    """Integer times on few nodes, so many ties; a third of the node ids
+    are small and the rest pass 2^64. A comment, a blank line and an extra
+    column ride along."""
+    rng = np.random.default_rng(seed)
+    ids = [k if k % 3 == 0 else 2**64 + 7 * k for k in range(nodes)]
+    src = rng.integers(0, nodes, m)
+    dst = (src + rng.integers(1, nodes, m)) % nodes
+    times = np.sort(rng.integers(0, m // 3, m))
+    rows = zip(src.tolist(), dst.tolist(), times.tolist())
+    lines = "".join(f"{ids[s]} {ids[d]} {t} note\n" for s, d, t in rows)
+    path.write_text("# source target time note\n\n" + lines)
+
+
+# sha256 of each output, recorded before the network became columns;
+# integer and quarter-step times keep the bytes the same on every platform
+_EVENT_TABLE_DIGESTS = {
+    "generate": "745378014b825ce1870cb6fc93a7e00e2323d202965c09d339cf751b2a49ad49",
+    "generated_build": "94d05ac2f604484380b11d7afef0be30cf24e0ccc9894d1989dccdebd657ea00",
+    "shuffle": "852643aeb53019e1d68f8b67cdf0a86fc3519141ac4ffa662ecefd3c6a2385e0",
+    "build": "c8b8ef3273bcdfd613a5ef9b9f71468477d085715693fab39885387300ed9dcf",
+    "edges": "2335999bb3c420b3bac62fd2e65a7293831f83f21f452c36449b1fe335ff48c4",
+    "reconstruct": "017be495952df83aa0f2cc32690b527e675ec36a3c30ac99d0af830daaca523a",
+    "aggregate": "8890d0a8c6372103aee414c3bfd0c02bd10e0761bde206f0fc9c8dad41993fb8",
+}
+
+
+def test_event_table_outputs_match_recorded_digests(tmp_path):
+    events = tmp_path / "events.txt"
+    _big_id_event_file(events)
+    generated = tmp_path / "generate.out"
+    runs = {
+        "generate": ("generate", "--nodes", "9", "--events", "400",
+                     "--iets", "deterministic:0.25", "--seed", "5"),
+        # a tie-heavy graph need not validate, so reconstruct a tie-free one
+        "generated_build": ("build", "--input", generated, "--dt", "1"),
+        "reconstruct": ("reconstruct", "--input", tmp_path / "generated_build.out"),
+        "shuffle": ("shuffle", "--input", events, "--seed", "3"),
+        "build": ("build", "--input", events, "--dt", "3"),
+        "edges": ("build", "--input", events, "--dt", "3", "--format", "edges"),
+        "aggregate": ("aggregate", "--input", events),
+    }
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(*argv, "--output", out) == 0, name
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _EVENT_TABLE_DIGESTS[name], name

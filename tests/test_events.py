@@ -2,10 +2,33 @@
 
 import io
 import math
+import pickle
+import warnings
 
+import numpy as np
 import pytest
 
-from tegraph import Event, ParseError, TemporalNetwork, canonicalize, parse_events
+from tegraph import (
+    ComponentSet,
+    Event,
+    GeneratorConfig,
+    ParseError,
+    PowerLawIets,
+    TemporalNetwork,
+    aggregate_component,
+    aggregate_network,
+    barcode_rows,
+    build_teg,
+    canonicalize,
+    cli,
+    generate_random,
+    motif_counts,
+    parse_events,
+    reconstruct,
+    strip_events,
+    sweep_largest_component,
+    time_shuffle,
+)
 from tegraph.events import events_to_text, load_events, save_events, write_events
 
 
@@ -16,6 +39,8 @@ from tegraph.events import events_to_text, load_events, save_events, write_event
         (-1, 2, 0.0),
         (1, -2, 0.0),
         (1.5, 2, 0.0),  # non-integer id
+        (True, 2, 1.0),  # bool is an int subclass, but not a node id
+        (1, False, 1.0),
         (1, 2, -0.5),
         (1, 2, math.inf),
         (1, 2, math.nan),
@@ -116,12 +141,32 @@ def test_parse_ignores_extra_columns_and_blanks():
         ("1 2 y", "bad time"),
         ("1 1 5", "self-loop"),
         ("1 2 -4", "non-negative"),
+        ("1 y 5", "bad node id"),
+        ("1.0 2 5", "bad node id"),
+        ("-1 2 5", "node ids must be non-negative"),
+        ("1 -2 5", "node ids must be non-negative"),
+        ("-3 -3 5", "self-loop"),
+        ("1 2 inf", "finite"),
+        ("1 2 nan", "finite"),
+        ("1 2 x extra", "bad time"),
     ],
 )
 def test_parse_error_carries_line_number(line, match):
     with pytest.raises(ParseError, match=match) as info:
         parse_events(io.StringIO("0 1 1\n" + line + "\n"))
     assert info.value.line_number == 2
+    # after comments and blank lines, and ahead of a later bad line
+    text = "# source target time\n\n0 1 1\n   \n# note\n" + line + "\n5 6 nope\n"
+    with pytest.raises(ParseError, match=match) as info:
+        parse_events(io.StringIO(text))
+    assert info.value.line_number == 6
+    # the same fields in another column order, comma separated
+    parts = line.split()
+    moved = parts[2:3] + parts[:2] + parts[3:] if len(parts) >= 3 else parts
+    text = "# time,source,target\n\n1,0,1\n" + ",".join(moved) + "\n"
+    with pytest.raises(ParseError, match=match) as info:
+        parse_events(io.StringIO(text), delimiter=",", fields=("time", "source", "target"))
+    assert info.value.line_number == 4
 
 
 def test_parse_self_loop_skip():
@@ -158,3 +203,85 @@ def test_write_events_stream():
     buf = io.StringIO()
     write_events(net, buf)
     assert buf.getvalue() == "0 1 1\n"
+
+
+def _event_lists():
+    """(name, events) cases: random, tie-heavy, signed-zero times, and node
+    ids past the int64 and uint64 ranges."""
+    rng = np.random.default_rng(5)
+
+    def events(ids, times):
+        pairs = rng.choice(len(ids), size=(len(times), 2), replace=True)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        return [Event(ids[a], ids[b], t) for (a, b), t in zip(pairs.tolist(), times)]
+
+    small = list(range(40))
+    return [
+        ("random", events(small, rng.random(400).tolist())),
+        ("tie_heavy", events(small[:6], rng.integers(0, 20, 400).astype(float).tolist())),
+        ("signed_zero", events(small[:5], [-0.0, 0.0, 1.0, -0.0, 2.0] * 40)),
+        ("past_int64", events([2**63 + k for k in range(4)] + small[:4], rng.random(200).tolist())),
+        ("past_2_64", events([2**64 + 3 * k for k in range(5)] + small[:3], [1.0, 0.5] * 100)),
+    ]
+
+
+@pytest.mark.parametrize("name,events", _event_lists(), ids=[c[0] for c in _event_lists()])
+def test_columns_and_event_lists_agree(name, events):
+    ordered = sorted(events, key=lambda e: e.time)
+    ties = sum(a.time == b.time for a, b in zip(ordered, ordered[1:]))
+    text = "".join(f"{e.source} {e.target} {e.time!r}\n" for e in events)
+    ids = lambda attr: np.array([getattr(e, attr) for e in events], dtype=object)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        built = [
+            TemporalNetwork(events),
+            TemporalNetwork._from_columns(ids("source"), ids("target"), np.array([e.time for e in events])),
+            parse_events(io.StringIO(text)),
+            pickle.loads(pickle.dumps(TemporalNetwork(events))),
+        ]
+    for net in built:
+        assert net.events == tuple(ordered)
+        assert list(net) == ordered and net[-1] == ordered[-1]
+        assert net.nodes == frozenset(n for e in events for n in e.nodes)
+        assert net.tie_count == ties
+        assert net == built[0] and hash(net) == hash(tuple(ordered))
+        assert net.node_ids.dtype == (object if max(net.nodes) >= 2**63 else np.int64)
+        assert not any(c.flags.writeable for c in (net.sources, net.targets, net.times, net.node_ids))
+
+
+def test_library_paths_build_no_events(tmp_path, monkeypatch):
+    raw = tmp_path / "events.txt"
+    lines = [f"{2**64 + (k * 7) % 5} {2**64 + (k * 3 + 1) % 5 + 5} {k // 4} x" for k in range(200)]
+    raw.write_text("# source target time note\n\n7 7 1 loop\n" + "\n".join(lines) + "\n")
+
+    def refuse(self):
+        raise AssertionError("an Event was built")
+
+    monkeypatch.setattr(Event, "__post_init__", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tied = load_events(str(raw), on_self_loop="skip")
+        plain = generate_random(GeneratorConfig(12, 300, PowerLawIets(0.5), 3))
+        for net in (tied, plain):
+            assert len(net) and net.nodes and net.duration > 0 and net.tie_count >= 0
+            assert net == pickle.loads(pickle.dumps(net))
+            hash(net)
+            canonicalize(net)
+            shuffled = time_shuffle(net, 1)
+            teg = build_teg(shuffled, 3.0)
+            cs = ComponentSet(teg)
+            assert [c.nodes for c in cs]
+            aggregate_network(net)
+            aggregate_component(cs, 0)
+            barcode_rows(cs, top=3)
+            motif_counts(teg)
+            sweep_largest_component(net, [0.5, 2.0, 8.0])
+            events_to_text(net)
+            save_events(net, str(tmp_path / "out.txt"))
+        rebuilt = reconstruct(strip_events(build_teg(plain, math.inf), keep_anchors=True))
+        assert np.array_equal(rebuilt.times, plain.times)
+        rebuilt = reconstruct(strip_events(build_teg(plain, 2.0)), layout="end_to_end")
+        write_events(rebuilt, io.StringIO())
+        ensemble = tmp_path / "motifs.csv"
+        argv = ["motifs", "--input", str(raw), "--skip-self-loops", "--dt", "inf"]
+        assert cli.main(argv + ["--ensemble", "2", "--output", str(ensemble)]) == 0
