@@ -32,19 +32,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import inf, isfinite
+from math import inf, isfinite, isqrt
 from typing import Mapping, TextIO
 
 import numpy as np
 
-from .events import TemporalNetwork, _first_seen
+from .events import TemporalNetwork, _first_seen, _id_array, _readonly
 from .motifs import MOTIFS, Motif, prescribed_nodes
-from .teg import Teg, _incidence_edges
+from .teg import Teg, _incidence_edges, _json_items, _write_json
 
-_CODES = {m: c for c, m in enumerate(MOTIFS)}
 # per motif code, an id of its xi_out / xi_in label: equal ids, equal labels
 _XI_OUT = np.unique([m.xi_out for m in MOTIFS], return_inverse=True)[1]
 _XI_IN = np.unique([m.xi_in for m in MOTIFS], return_inverse=True)[1]
+# per motif code, the later event's (source, target) as slots of the earlier
+# event: 0 its source, 1 its target, None a new node
+_SLOTS = [prescribed_nodes(m, 0, 1) for m in MOTIFS]
+_MOTIF_CODE = {m.value: c for c, m in enumerate(MOTIFS)}
+_MAX_VERTICES = isqrt(2**63 - 1)  # edge keys i * n + j are int64
+_REAL = (int, float, np.integer, np.floating)  # bool is an int, and rejected apart
 
 
 class InconsistentGraphError(ValueError):
@@ -92,15 +97,18 @@ class ConsistencyReport:
 
 
 class EdgeLabelledTeg:
-    """Event graph stripped of its events.
+    """Event graph stripped of its events, as read-only numpy columns.
 
-    ``tau`` and ``mu`` are sparse upper-triangular matrices over vertex
-    pairs (i, j) with i < j and must share the same key set; tau values are
-    positive inter-event times, mu values motif labels. ``anchors``
-    optionally pins vertices to absolute times.
+    Edge k runs from vertex ``heads[k]`` to ``tails[k] > heads[k]`` with
+    positive inter-event time ``taus[k]`` and motif ``MOTIFS[codes[k]]``;
+    edges are unique and sorted by (head, tail). ``anchor_vertices``
+    (ascending) and ``anchor_times`` optionally pin vertices to absolute
+    times. The constructor takes ``tau`` and ``mu`` over the same pairs
+    (i, j), and ``anchors``, as mappings; the properties of those names
+    build new dicts on each access.
     """
 
-    __slots__ = ("vertex_count", "tau", "mu", "anchors")
+    __slots__ = ("vertex_count", "heads", "tails", "taus", "codes", "anchor_vertices", "anchor_times")
 
     def __init__(
         self,
@@ -109,43 +117,85 @@ class EdgeLabelledTeg:
         mu: Mapping[tuple[int, int], Motif],
         anchors: Mapping[int, float] | None = None,
     ):
-        if vertex_count < 0:
-            raise ValueError(f"vertex_count must be non-negative, got {vertex_count}")
         if set(tau) != set(mu):
             extra = set(tau) ^ set(mu)
             raise ValueError(f"tau and mu must label identical edges, mismatch at {sorted(extra)}")
         for (i, j), t in tau.items():
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < vertex_count):
+            if bool in (type(i), type(j)) or not (isinstance(i, int) and isinstance(j, int)):
                 raise ValueError(f"edge key ({i},{j}) must satisfy 0 <= i < j < {vertex_count}")
-            if not (isfinite(t) and t > 0):
+            if type(t) is bool or not isinstance(t, _REAL):
                 raise ValueError(f"tau[{i},{j}] must be positive and finite, got {t}")
-        for key, m in mu.items():
-            if not isinstance(m, Motif):
-                raise ValueError(f"mu[{key}] must be a Motif, got {m!r}")
-        if anchors is not None:
-            for v, t in anchors.items():
-                if not (isinstance(v, int) and 0 <= v < vertex_count):
-                    raise ValueError(f"anchor vertex {v!r} out of range")
-                if not isfinite(t):
-                    raise ValueError(f"anchor time for vertex {v} must be finite, got {t}")
-        self.vertex_count = vertex_count
-        self.tau = dict(tau)
-        self.mu = dict(mu)
-        self.anchors = dict(anchors) if anchors else None
+            if not isinstance(mu[i, j], Motif):
+                raise ValueError(f"mu[{(i, j)}] must be a Motif, got {mu[i, j]!r}")
+        anchors = anchors or {}
+        for v, t in anchors.items():
+            if type(v) is bool or not isinstance(v, int):
+                raise ValueError(f"anchor vertex {v!r} out of range")
+            if type(t) is bool or not isinstance(t, _REAL):
+                raise ValueError(f"anchor time for vertex {v} must be finite, got {t}")
+        keys = list(tau)
+        codes = [MOTIFS.index(mu[key]) for key in keys]
+        heads, tails = [i for i, _ in keys], [j for _, j in keys]
+        self._fill(vertex_count, heads, tails, list(tau.values()), codes, list(anchors), list(anchors.values()))
+
+    @classmethod
+    def _from_columns(cls, vertex_count, heads, tails, taus, codes, anchor_vertices=(), anchor_times=()):
+        """Graph of unique edge columns in any order, checked as the constructor
+        checks its mappings; an error names the first offending edge or anchor."""
+        g = cls.__new__(cls)
+        g._fill(vertex_count, heads, tails, taus, codes, anchor_vertices, anchor_times)
+        return g
+
+    def _fill(self, n, heads, tails, taus, codes, anchor_vertices, anchor_times):
+        if type(n) is bool or not isinstance(n, int) or n > _MAX_VERTICES:
+            raise ValueError(f"vertex_count must be an integer of at most {_MAX_VERTICES}, got {n!r}")
+        if n < 0:
+            raise ValueError(f"vertex_count must be non-negative, got {n}")
+        heads, tails, taus = _id_array(heads), _id_array(tails), np.asarray(taus, np.float64)
+        bad_key = ~((0 <= heads) & (heads < tails) & (tails < n))
+        bad = np.flatnonzero(bad_key | ~((taus > 0) & (taus < inf)))
+        if len(bad):
+            i, j, k = int(heads[bad[0]]), int(tails[bad[0]]), bad[0]
+            if bad_key[k]:
+                raise ValueError(f"edge key ({i},{j}) must satisfy 0 <= i < j < {n}")
+            raise ValueError(f"tau[{i},{j}] must be positive and finite, got {float(taus[k])}")
+        vertices, times = _id_array(anchor_vertices), np.asarray(anchor_times, np.float64)
+        bad_vertex = ~((0 <= vertices) & (vertices < n))
+        bad = np.flatnonzero(bad_vertex | ~np.isfinite(times))
+        if len(bad):
+            v, k = int(vertices[bad[0]]), bad[0]
+            if bad_vertex[k]:
+                raise ValueError(f"anchor vertex {v!r} out of range")
+            raise ValueError(f"anchor time for vertex {v} must be finite, got {float(times[k])}")
+        order = np.argsort(heads * n + tails, kind="stable")  # in range, so both are int64
+        self.vertex_count = n
+        self.heads, self.tails = _readonly(heads[order]), _readonly(tails[order])
+        self.taus, self.codes = _readonly(taus[order]), _readonly(np.asarray(codes, np.uint8)[order])
+        order = np.argsort(vertices)
+        self.anchor_vertices, self.anchor_times = _readonly(vertices[order], np.int64), _readonly(times[order])
 
     @property
     def edge_count(self) -> int:
-        return len(self.tau)
+        return len(self.heads)
 
     def edge_keys(self) -> list[tuple[int, int]]:
-        return sorted(self.tau)
+        return list(zip(self.heads.tolist(), self.tails.tolist()))
+
+    @property
+    def tau(self) -> dict[tuple[int, int], float]:
+        return dict(zip(self.edge_keys(), self.taus.tolist()))
+
+    @property
+    def mu(self) -> dict[tuple[int, int], Motif]:
+        return dict(zip(self.edge_keys(), [MOTIFS[c] for c in self.codes.tolist()]))
+
+    @property
+    def anchors(self) -> dict[int, float] | None:
+        return dict(zip(self.anchor_vertices.tolist(), self.anchor_times.tolist())) or None
 
     def __repr__(self) -> str:
-        anch = len(self.anchors) if self.anchors else 0
-        return (
-            f"EdgeLabelledTeg({self.vertex_count} vertices, "
-            f"{self.edge_count} edges, {anch} anchors)"
-        )
+        anchors = len(self.anchor_vertices)
+        return f"EdgeLabelledTeg({self.vertex_count} vertices, {self.edge_count} edges, {anchors} anchors)"
 
 
 def strip_events(teg: Teg, keep_anchors: bool = False) -> EdgeLabelledTeg:
@@ -154,51 +204,41 @@ def strip_events(teg: Teg, keep_anchors: bool = False) -> EdgeLabelledTeg:
     With ``keep_anchors`` every vertex is pinned to its absolute event
     time, so reconstruction recovers absolute times in every component.
     """
-    keys = list(zip(teg.heads.tolist(), teg.tails.tolist()))
-    tau = dict(zip(keys, teg.iets.tolist()))
-    mu = dict(zip(keys, [MOTIFS[c] for c in teg.codes.tolist()]))
-    anchors = dict(enumerate(teg.network.times.tolist())) if keep_anchors else None
-    return EdgeLabelledTeg(teg.vertex_count, tau, mu, anchors)
+    anchors = (np.arange(teg.vertex_count), teg.network.times) if keep_anchors else ()
+    return EdgeLabelledTeg._from_columns(teg.vertex_count, teg.heads, teg.tails, teg.iets, teg.codes, *anchors)
 
 
-def _adjacency(g: EdgeLabelledTeg):
-    out: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    incoming: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for key in g.edge_keys():
-        i, j = key
-        out.setdefault(i, []).append((j, key))
-        incoming.setdefault(j, []).append((i, key))
-    return out, incoming
-
-
-def _components(g: EdgeLabelledTeg, out, incoming):
-    """Weakly connected components, each ascending and ordered by first
-    vertex, and every vertex's time relative to its component's first
-    vertex. Each vertex not yet reached, in ascending order, starts a
-    breadth-first search that sums tau along the edges it crosses."""
-    tau = g.tau
-    pot: list[float | None] = [None] * g.vertex_count
-    comps = []
-    for start in range(g.vertex_count):
+def _potentials(n, out_ptr, out_ends, out_taus, in_ptr, in_ends, in_taus):
+    """Every vertex's time relative to the first vertex of its weakly
+    connected component, the vertices in visiting order and where each
+    component starts in it. Each vertex not yet reached, in ascending order,
+    starts a breadth-first search that sums tau along the edges it crosses,
+    out-edges by tail before in-edges by head."""
+    pot: list[float | None] = [None] * n
+    order, starts = [], []
+    for start in range(n):
         if pot[start] is not None:
             continue
         pot[start] = 0.0
         comp = [start]
         for v in comp:  # grows while iterated: a FIFO queue
-            for w, key in out.get(v, ()):
+            here = pot[v]
+            for k in range(out_ptr[v], out_ptr[v + 1]):
+                w = out_ends[k]
                 if pot[w] is None:
-                    pot[w] = pot[v] + tau[key]
+                    pot[w] = here + out_taus[k]
                     comp.append(w)
-            for u, key in incoming.get(v, ()):
+            for k in range(in_ptr[v], in_ptr[v + 1]):
+                u = in_ends[k]
                 if pot[u] is None:
-                    pot[u] = pot[v] - tau[key]
+                    pot[u] = here - in_taus[k]
                     comp.append(u)
-        comp.sort()
-        comps.append(comp)
-    return comps, pot
+        starts.append(len(order))
+        order += comp
+    return pot, order, starts
 
 
-def _resolve_nodes(g: EdgeLabelledTeg, incoming):
+def _resolve_nodes(n, in_ptr, in_heads, in_codes):
     """Node pairs implied by the labels, resolving vertices in index order:
     edges increase the index, so every edge's tail comes before its head.
 
@@ -207,32 +247,27 @@ def _resolve_nodes(g: EdgeLabelledTeg, incoming):
     pairs are best-effort). Conflicts between in-edges whose destination
     labels already collide are left for C3 to report.
     """
-    mu = g.mu
-    sources, targets = [0] * g.vertex_count, [0] * g.vertex_count
+    sources, targets = [0] * n, [0] * n
     violations: list[Violation] = []
-    dirty: set[int] = set()
-    label = 0
-    for v in range(g.vertex_count):
+    dirty, label = set(), 0
+    for v in range(n):
         nodes: list[int | None] = [None, None]  # source, target
-        keys: list[tuple[int, int] | None] = [None, None]
-        for u, key in incoming.get(v, ()):
-            prescribed = prescribed_nodes(mu[key], sources[u], targets[u])
-            for pos, (role, node) in enumerate(zip(("source", "target"), prescribed)):
-                if node is None:
+        setters = [0, 0]  # the in-edge that prescribed each
+        edges = range(in_ptr[v], in_ptr[v + 1])
+        for k in edges:
+            u = in_heads[k]
+            ends = (sources[u], targets[u])
+            for pos, slot in enumerate(_SLOTS[in_codes[k]]):
+                if slot is None:
                     continue
-                if nodes[pos] is not None and nodes[pos] != node:
+                if nodes[pos] is not None and nodes[pos] != ends[slot]:
                     dirty.add(v)
-                    if mu[keys[pos]].xi_in != mu[key].xi_in:
-                        violations.append(
-                            Violation(
-                                "C4",
-                                (v,),
-                                (keys[pos], key),
-                                f"in-edges of vertex {v} prescribe different {role} nodes",
-                            )
-                        )
+                    first = setters[pos]
+                    if _XI_IN[in_codes[first]] != _XI_IN[in_codes[k]]:
+                        detail = f"in-edges of vertex {v} prescribe different {('source', 'target')[pos]} nodes"
+                        violations.append(Violation("C4", (v,), ((in_heads[first], v), (u, v)), detail))
                 else:
-                    nodes[pos], keys[pos] = node, key
+                    nodes[pos], setters[pos] = ends[slot], k
         for pos in (0, 1):
             if nodes[pos] is None:
                 nodes[pos] = label
@@ -240,14 +275,8 @@ def _resolve_nodes(g: EdgeLabelledTeg, incoming):
         source, target = nodes
         if source == target:
             dirty.add(v)
-            violations.append(
-                Violation(
-                    "C4",
-                    (v,),
-                    tuple(key for _, key in incoming.get(v, ())),
-                    f"in-edges of vertex {v} collapse its two nodes into one",
-                )
-            )
+            detail = f"in-edges of vertex {v} collapse its two nodes into one"
+            violations.append(Violation("C4", (v,), tuple((in_heads[k], v) for k in edges), detail))
             target = label
             label += 1
         sources[v], targets[v] = source, target
@@ -256,42 +285,59 @@ def _resolve_nodes(g: EdgeLabelledTeg, incoming):
 
 class _Pass:
     """One pass over a labelled graph, shared by the check and the
-    reconstruction: adjacency, components with their relative times, and
-    node resolution."""
+    reconstruction: compressed out- and in-adjacency over the sorted edge
+    columns, components with their relative times, and node resolution.
+    Components are numbered by first vertex."""
 
     def __init__(self, g: EdgeLabelledTeg):
-        self.out, self.incoming = _adjacency(g)
-        self.comps, self.pot = _components(g, self.out, self.incoming)
-        resolved = _resolve_nodes(g, self.incoming)
-        self.sources, self.targets, self.resolution, self.conflicted = resolved
+        n = self.n = g.vertex_count
+        self.g, self.keys = g, g.heads * n + g.tails
+        by_tail = np.argsort(g.tails, kind="stable")  # each vertex's in-edges by head
+        self.in_heads, self.in_tails, self.in_codes = g.heads[by_tail], g.tails[by_tail], g.codes[by_tail]
+        self.out_ptr = np.searchsorted(g.heads, np.arange(n + 1)).tolist()
+        self.in_ptr = np.searchsorted(self.in_tails, np.arange(n + 1)).tolist()
+        in_heads = self.in_heads.tolist()
+        pot, order, starts = _potentials(
+            n, self.out_ptr, g.tails.tolist(), g.taus.tolist(), self.in_ptr, in_heads, g.taus[by_tail].tolist()
+        )
+        self.pot = np.array(pot, np.float64)
+        self.order, self.starts = np.array(order, np.int64), np.array(starts, np.int64)
+        self.label = np.empty(n, np.int64)
+        self.label[self.order] = np.repeat(np.arange(len(starts)), np.diff(starts + [n]))
+        self.low, self.high = self.reduce(np.minimum, self.pot), self.reduce(np.maximum, self.pot)
+        resolved = _resolve_nodes(n, self.in_ptr, in_heads, self.in_codes.tolist())
+        sources, targets, self.resolution, self.conflicted = resolved
+        self.sources, self.targets = np.array(sources, np.int64), np.array(targets, np.int64)
+
+    def reduce(self, ufunc, values):
+        """``ufunc`` reduced over each component's entries of ``values``."""
+        return ufunc.reduceat(values[self.order], self.starts)
 
 
-def _c4_violations(g: EdgeLabelledTeg, p: _Pass, dirty, keys, labels) -> list[Violation]:
-    """Every edge key where ``g`` differs from the event graph of the
-    resolved events at time = vertex index, skipping keys with an endpoint
-    in ``dirty``. ``keys`` holds every edge (i, j) of ``g`` as i * n + j and
-    ``labels`` its motif code."""
-    n = g.vertex_count
-    sources, targets = np.array(p.sources, np.int64), np.array(p.targets, np.int64)
-    heads, tails, codes = _incidence_edges(sources, targets, np.arange(n, dtype=np.float64), inf)
+def _code_at(keys, codes, query):
+    """Motif code of every key in ``query`` among the sorted ``keys``, -1 where absent."""
+    pos = np.searchsorted(keys, query)
+    hit = np.append(keys, -1)[pos] == query
+    return np.where(hit, np.append(codes, -1)[pos], -1)
+
+
+def _c4_violations(p: _Pass, dirty) -> list[Violation]:
+    """Every edge key where the graph differs from the event graph of the resolved
+    events at time = vertex index, skipping keys with an endpoint in ``dirty``."""
+    n, keys, labels = p.n, p.keys, p.g.codes
+    heads, tails, codes = _incidence_edges(p.sources, p.targets, np.arange(n, dtype=np.float64), inf)
     rebuilt = heads * n + tails
-
-    def derived(query):
-        """Rebuilt motif code of every key in ``query``, -1 where no edge."""
-        pos = np.searchsorted(rebuilt, query)
-        hit = np.append(rebuilt, -1)[pos] == query
-        return np.where(hit, np.append(codes, -1)[pos], -1)
-
     missing = np.setdiff1d(rebuilt, keys, assume_unique=True)
-    bad = np.sort(np.concatenate([keys[derived(keys) != labels], missing]))
+    bad = np.sort(np.concatenate([keys[_code_at(rebuilt, codes, keys) != labels], missing]))
     is_dirty = np.zeros(n, dtype=bool)
     is_dirty[np.fromiter(dirty, np.int64, len(dirty))] = True
     bad = bad[~(is_dirty[bad // n] | is_dirty[bad % n])]
 
     violations = []
-    for k, code in zip(bad.tolist(), derived(bad).tolist()):
+    given, derived = _code_at(keys, labels, bad).tolist(), _code_at(rebuilt, codes, bad).tolist()
+    for k, label, code in zip(bad.tolist(), given, derived):
         i, j = divmod(k, n)
-        if (i, j) not in g.mu:
+        if label < 0:
             detail = (
                 f"the node structure implied by the other edges requires an edge "
                 f"labelled {MOTIFS[code]}; none exists"
@@ -299,7 +345,7 @@ def _c4_violations(g: EdgeLabelledTeg, p: _Pass, dirty, keys, labels) -> list[Vi
         else:
             got = "no edge" if code < 0 else MOTIFS[code].value
             detail = (
-                f"label {g.mu[i, j]} contradicts the node structure implied "
+                f"label {MOTIFS[label]} contradicts the node structure implied "
                 f"by the other edges, which gives {got}"
             )
         violations.append(Violation("C4", (i, j), ((i, j),), detail))
@@ -320,35 +366,26 @@ def _repeats(ends, labels, n: int) -> list[int]:
     return np.flatnonzero(flagged).tolist()
 
 
-def _report(g: EdgeLabelledTeg, p: _Pass, rel_tol: float) -> ConsistencyReport:
-    mu, n = g.mu, g.vertex_count
-    keys = np.fromiter((i * n + j for i, j in mu), np.int64, len(mu))
-    codes = np.fromiter((_CODES[m] for m in mu.values()), np.uint8, len(mu))
-    order = np.argsort(keys)
-    keys, codes = keys[order], codes[order]
-    heads, tails = np.divmod(keys, n)
-    by_tail = np.argsort(tails, kind="stable")
+def _report(p: _Pass, rel_tol: float) -> ConsistencyReport:
+    g, n = p.g, p.n
+    heads, tails, codes = g.heads, g.tails, g.codes
     violations: list[Violation] = []
 
     # C2 / C3: label multiplicities per vertex, spelt out for the vertices
     # the columns flag.
+    in_edges = (p.in_heads, p.in_tails, p.in_codes)
     sides = (
-        (p.out, "xi_out", "C2", "out", _repeats(heads, _XI_OUT[codes], n)),
-        (p.incoming, "xi_in", "C3", "in", _repeats(tails[by_tail], _XI_IN[codes[by_tail]], n)),
+        ("C2", "out", "xi_out", _repeats(heads, _XI_OUT[codes], n), p.out_ptr, (heads, tails, codes)),
+        ("C3", "in", "xi_in", _repeats(p.in_tails, _XI_IN[p.in_codes], n), p.in_ptr, in_edges),
     )
-    for adj, attr, cond, side, flagged in sides:
+    for cond, side, attr, flagged, ptr, (edge_heads, edge_tails, edge_codes) in sides:
         for v in flagged:
-            edges = adj[v]
+            at = slice(ptr[v], ptr[v + 1])
+            edges = list(zip(edge_heads[at].tolist(), edge_tails[at].tolist()))
             if len(edges) > 2:
-                violations.append(
-                    Violation(
-                        cond,
-                        (v,),
-                        tuple(key for _, key in edges),
-                        f"vertex {v} has {len(edges)} {side}-edges; events have two nodes",
-                    )
-                )
-            labelled = [(key, getattr(mu[key], attr)) for _, key in edges]
+                detail = f"vertex {v} has {len(edges)} {side}-edges; events have two nodes"
+                violations.append(Violation(cond, (v,), tuple(edges), detail))
+            labelled = [(key, getattr(MOTIFS[c], attr)) for key, c in zip(edges, edge_codes[at].tolist())]
             for (ka, la), (kb, lb) in combinations(labelled, 2):
                 if la == lb:
                     detail = f"vertex {v} has two {side}-edges with label {la}"
@@ -359,30 +396,19 @@ def _report(g: EdgeLabelledTeg, p: _Pass, rel_tol: float) -> ConsistencyReport:
     dirty = {v for violation in violations for key in violation.edges for v in key}
     dirty |= p.conflicted
 
-    # C1: every edge re-checked against the breadth-first relative times.
-    pot = p.pot
-    for comp in p.comps:
-        if len(comp) == 1:
-            continue
-        span = max(pot[v] for v in comp) - min(pot[v] for v in comp)
-        tol = rel_tol * max(1.0, span)
-        for v in comp:
-            for w, key in p.out.get(v, ()):
-                residue = pot[w] - pot[v] - g.tau[key]
-                if abs(residue) > tol:
-                    violations.append(
-                        Violation(
-                            "C1",
-                            (v, w),
-                            (key,),
-                            f"path sums disagree: relative times give {pot[w] - pot[v]!r}, "
-                            f"tau is {g.tau[key]!r}",
-                        )
-                    )
+    # C1: every edge re-checked against the breadth-first relative times,
+    # within a tolerance from its component's span, by (component, head, tail).
+    gaps, comp = p.pot[tails] - p.pot[heads], p.label[heads]
+    tol = rel_tol * np.maximum(1.0, p.high - p.low)
+    bad = np.flatnonzero(np.abs(gaps - g.taus) > tol[comp])
+    bad = bad[np.argsort(comp[bad], kind="stable")]
+    for v, w, gap, tau in zip(*(column[bad].tolist() for column in (heads, tails, gaps, g.taus))):
+        detail = f"path sums disagree: relative times give {gap!r}, tau is {tau!r}"
+        violations.append(Violation("C1", (v, w), ((v, w),), detail))
 
     # C4: the resolution's own contradictions, then the rebuild certificate.
     violations.extend(p.resolution)
-    violations.extend(_c4_violations(g, p, dirty, keys, codes))
+    violations.extend(_c4_violations(p, dirty))
     return ConsistencyReport(tuple(violations))
 
 
@@ -402,37 +428,39 @@ def check_consistency(g: EdgeLabelledTeg, rel_tol: float = 1e-12) -> Consistency
     skipped; their fault is already reported.
     """
     _check_rel_tol(rel_tol)
-    return _report(g, _Pass(g), rel_tol)
+    return _report(_Pass(g), rel_tol)
 
 
-def _component_times(g: EdgeLabelledTeg, comp, pot, rel_tol: float):
-    """Absolute times for one component: base from anchors, else zero.
+def _absolute_times(g: EdgeLabelledTeg, p: _Pass, rel_tol: float):
+    """Every vertex's absolute time and every component's earliest time.
 
-    Anchored vertices take their anchor verbatim; the others sit at their
-    potential shifted by the first anchor.
+    Anchored vertices take their anchor verbatim, the others their potential
+    shifted by their component's first anchor, or, without anchors, so that
+    the component starts at zero. The first component with a fault raises
+    AnchorError: anchors that disagree, else a negative time.
     """
-    anchored = []
-    if g.anchors:
-        anchored = [(v, g.anchors[v]) for v in comp if v in g.anchors]
-    if anchored:
-        v0, t0 = anchored[0]
-        shift = t0 - pot[v0]
-        span = max(pot[v] for v in comp) - min(pot[v] for v in comp)
-        tol = rel_tol * max(1.0, span, *(abs(t) for _, t in anchored))
-        for v, t in anchored[1:]:
-            if abs((t - pot[v]) - shift) > tol:
-                raise AnchorError(
-                    f"anchors at vertices {v0} and {v} disagree with the "
-                    f"graph's relative times by {abs((t - pot[v]) - shift)!r}"
-                )
-    else:
-        shift = -min(pot[v] for v in comp)
-    times = {v: pot[v] + shift for v in comp}
-    times.update(anchored)
-    low = min(times.values())
-    if low < 0:
-        raise AnchorError(f"anchors place the earliest event at negative time {low!r}")
-    return times
+    vertices, anchored = g.anchor_vertices, g.anchor_times
+    comp, shift = p.label[vertices], -p.low
+    found, first = np.unique(comp, return_index=True)  # anchors ascend by vertex
+    shift[found] = anchored[first] - p.pot[vertices[first]]
+    scale = np.maximum(1.0, p.high - p.low)
+    np.maximum.at(scale, comp, np.abs(anchored))
+    drift = np.abs((anchored - p.pot[vertices]) - shift[comp])
+    off = np.flatnonzero(drift > rel_tol * scale[comp])
+    times = p.pot + shift[p.label]
+    times[vertices] = anchored
+    low = p.reduce(np.minimum, times)
+    negative = np.flatnonzero(low < 0)
+    if len(negative) and negative[0] < comp[off].min(initial=len(low)):
+        raise AnchorError(f"anchors place the earliest event at negative time {float(low[negative[0]])!r}")
+    if len(off):
+        k = off[np.argmin(comp[off])]
+        v0 = vertices[np.argmax(comp == comp[k])]
+        raise AnchorError(
+            f"anchors at vertices {v0} and {vertices[k]} disagree with the "
+            f"graph's relative times by {float(drift[k])!r}"
+        )
+    return times, low
 
 
 def reconstruct(
@@ -469,42 +497,39 @@ def reconstruct(
     if layout == "end_to_end" and not (isfinite(spacing) and spacing >= 0):
         raise ValueError(f"spacing must be non-negative and finite, got {spacing!r}")
     p = _Pass(g)
-    report = _report(g, p, rel_tol)
+    report = _report(p, rel_tol)
     if not report.ok:
         raise InconsistentGraphError(report)
 
-    placed = sorted(
-        (_component_times(g, comp, p.pot, rel_tol) for comp in p.comps),
-        key=lambda at: (min(at.values()), min(at)),
-    )
-    vertices, times, offset = [], [], 0.0
-    for at in placed:
-        if layout == "end_to_end":
-            base = min(at.values())
-            at = {v: t - base + offset for v, t in at.items()}
-            offset = max(at.values()) + spacing
-        vertices += sorted(at, key=lambda v: (at[v], v))
-        times += [at[v] for v in vertices[len(times) :]]
-    sources, targets, node_ids = _first_seen(*np.array([p.sources, p.targets], np.int64)[:, vertices])
-    return TemporalNetwork._from_columns(sources, targets, np.array(times, np.float64), node_ids)
+    times, start = _absolute_times(g, p, rel_tol)
+    placed = np.lexsort((p.order[p.starts], start))  # by (start time, first vertex)
+    rank = np.argsort(placed)
+    if layout == "end_to_end":
+        widths = (p.reduce(np.maximum, times) - start).tolist()
+        offsets, offset = np.empty(len(placed)), 0.0
+        for c in placed.tolist():
+            offsets[c] = offset
+            offset = widths[c] + offset + spacing
+        times = times - start[p.label] + offsets[p.label]
+    order = np.lexsort((times, rank[p.label]))
+    sources, targets, node_ids = _first_seen(p.sources[order], p.targets[order])
+    return TemporalNetwork._from_columns(sources, targets, times[order], node_ids)
 
 
 def save_edge_labelled(g: EdgeLabelledTeg, stream: TextIO) -> None:
     """JSON dump; tau values survive a round-trip bit-exactly."""
-    doc: dict = {
-        "vertex_count": g.vertex_count,
-        "edges": [
-            {"i": i, "j": j, "tau": g.tau[i, j], "motif": g.mu[i, j].value}
-            for i, j in g.edge_keys()
-        ],
-    }
-    if g.anchors:
-        doc["anchors"] = {str(v): g.anchors[v] for v in sorted(g.anchors)}
-    json.dump(doc, stream, indent=1)
-    stream.write("\n")
+    names = [m.value for m in MOTIFS]
+    columns = (g.heads.tolist(), g.tails.tolist(), g.taus.tolist(), g.codes.tolist())
+    row = '  {\n   "i": %d,\n   "j": %d,\n   "tau": %r,\n   "motif": "%s"\n  }'
+    edges = [row % (i, j, t, names[c]) for i, j, t, c in zip(*columns)]
+    fields = {"vertex_count": str(g.vertex_count), "edges": _json_items(edges)}
+    if len(g.anchor_vertices):
+        anchors = [f'  "{v}": {t!r}' for v, t in zip(g.anchor_vertices.tolist(), g.anchor_times.tolist())]
+        fields["anchors"] = _json_items(anchors, "{}")
+    _write_json(stream, fields)
 
 
-_NUMBER = (int, float)  # JSON true and false load as bool, which is neither
+_NUMBER = {int, float}  # JSON true and false load as bool, which is neither
 
 
 def load_edge_labelled(stream: TextIO) -> EdgeLabelledTeg:
@@ -514,28 +539,33 @@ def load_edge_labelled(stream: TextIO) -> EdgeLabelledTeg:
         count = doc["vertex_count"]
         if type(count) is not int:
             raise ValueError(f"vertex_count must be a JSON integer, got {count!r}")
-        tau = {}
-        mu = {}
-        for k, rec in enumerate(doc["edges"]):
-            i, j, t = rec["i"], rec["j"], rec["tau"]
+        edges = doc["edges"]
+        heads, tails, taus, names = ([rec[field] for rec in edges] for field in ("i", "j", "tau", "motif"))
+        for k, (i, j, t) in enumerate(zip(heads, tails, taus)):
             if type(i) is not int or type(j) is not int or type(t) not in _NUMBER:
-                raise ValueError(f"edge {k} needs integer i and j and a numeric tau, got {rec!r}")
-            key = (i, j)
-            if key in tau:
-                raise ValueError(f"duplicate edge {key}")
-            tau[key] = float(t)
-            mu[key] = Motif(rec["motif"])
-        anchors = None
-        if "anchors" in doc:
-            if type(doc["anchors"]) is not dict:
-                raise ValueError(f"anchors must be a JSON object, got {doc['anchors']!r}")
-            anchors = {}
-            for v, t in doc["anchors"].items():
-                if str(int(v)) != v:
-                    raise ValueError(f"anchor key {v!r} is not a vertex index")
-                if type(t) not in _NUMBER:
-                    raise ValueError(f"anchor of vertex {v} must be a JSON number, got {t!r}")
-                anchors[int(v)] = float(t)
+                raise ValueError(f"edge {k} needs integer i and j and a numeric tau, got {edges[k]!r}")
+        try:
+            codes = [_MOTIF_CODE[name] for name in names]
+        except (KeyError, TypeError):
+            codes = [Motif(name) for name in names]  # raises for the first bad name
+        taus = np.array(taus, np.float64)
+        anchors = doc.get("anchors", {})
+        if type(anchors) is not dict:
+            raise ValueError(f"anchors must be a JSON object, got {anchors!r}")
+        vertices = list(map(int, anchors))
+        for v, key, t in zip(vertices, anchors, anchors.values()):
+            if str(v) != key:
+                raise ValueError(f"anchor key {key!r} is not a vertex index")
+            if type(t) not in _NUMBER:
+                raise ValueError(f"anchor of vertex {key} must be a JSON number, got {t!r}")
+        times = np.array(list(anchors.values()), np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed edge-labelled graph JSON: {exc}") from None
-    return EdgeLabelledTeg(count, tau, mu, anchors)
+    g = EdgeLabelledTeg._from_columns(count, heads, tails, taus, codes, vertices, times)
+    keys = g.heads * count + g.tails
+    if np.any(keys[1:] == keys[:-1]):  # name the first duplicate in file order
+        keys = np.array(heads, np.int64) * count + tails
+        order = np.argsort(keys, kind="stable")
+        k = order[1:][keys[order[1:]] == keys[order[:-1]]].min()
+        raise ValueError(f"malformed edge-labelled graph JSON: duplicate edge {(heads[k], tails[k])}")
+    return g

@@ -174,6 +174,34 @@ def test_json_round_trip():
     ]
 
 
+@pytest.mark.parametrize("dt", (3, 2.5, 1e16, math.inf))
+@pytest.mark.parametrize(
+    "events",
+    [
+        (),
+        (Event(0, 1, 0.0),),
+        (Event(0, 1, 0.0), Event(1, 2, 5e-324), Event(2, 0, 1e-7), Event(0, 1, 1e16)),
+        tuple(generate_random(GeneratorConfig(7, 60, ExponentialIets(1.0), 3))),
+    ],
+    ids=("empty", "single", "special", "random"),
+)
+def test_write_teg_json_matches_json_dump(events, dt):
+    teg = build_teg(TemporalNetwork(events), dt)
+    doc = {
+        "delta_t": "inf" if dt == math.inf else dt,
+        "event_count": teg.vertex_count,
+        "edges": [
+            [i, j, iet, MOTIFS[code].value]
+            for i, j, iet, code in zip(
+                teg.heads.tolist(), teg.tails.tolist(), teg.iets.tolist(), teg.codes.tolist()
+            )
+        ],
+    }
+    buf = io.StringIO()
+    write_teg_json(teg, buf)
+    assert buf.getvalue() == json.dumps(doc, indent=1) + "\n"
+
+
 def test_json_round_trip_infinite_window():
     teg = build_teg(TemporalNetwork([Event(0, 1, 0.0), Event(1, 2, 1.0)]), math.inf)
     buf = io.StringIO()

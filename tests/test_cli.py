@@ -112,6 +112,19 @@ def test_malformed_graph_json_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", (100000000000000000000, 4000000000))
+def test_vertex_count_past_int64_keys_exits_2(tmp_path, capsys, count):
+    # edge keys i * n + j are int64: n * n must stay below 2**63
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertex_count": count, "edges": []}))
+    out = tmp_path / "back.txt"
+    assert run("validate", "--input", graph) == 2
+    assert "vertex_count must be an integer of at most 3037000499" in capsys.readouterr().err
+    assert run("reconstruct", "--input", graph, "--output", out) == 2
+    assert "vertex_count must be an integer of at most 3037000499" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nan_or_negative_rel_tol_exits_2(tmp_path, capsys):
     events = _generate(tmp_path)
     graph = tmp_path / "graph.json"

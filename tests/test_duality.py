@@ -1,6 +1,8 @@
 """Edge-labelled graphs: consistency conditions and network reconstruction."""
 
+import hashlib
 import io
+import json
 import math
 import random
 import warnings
@@ -25,7 +27,7 @@ from tegraph import (
     strip_events,
     weakly_connected_components,
 )
-from tegraph import duality
+from tegraph import cli, duality
 from tegraph.generators import (
     DeterministicIets,
     ExponentialIets,
@@ -99,11 +101,51 @@ def test_strip_empty():
         (dict(tau={(0, 1): 1.0}, mu={(0, 1): "ABAB"}), "Motif"),
         (dict(tau={}, mu={}, anchors={5: 0.0}), "out of range"),
         (dict(tau={}, mu={}, anchors={0: math.nan}), "finite"),
+        (dict(tau={(False, True): 1.0}, mu={(False, True): AB}), "0 <= i < j"),
+        (dict(tau={(0, 1): True}, mu={(0, 1): AB}), "positive"),
+        (dict(tau={(0, 1): "1.5"}, mu={(0, 1): AB}), "positive"),
+        (dict(tau={}, mu={}, anchors={True: 0.0}), "out of range"),
+        (dict(tau={}, mu={}, anchors={0: False}), "finite"),
+        (dict(tau={(False, True): True}, mu={(False, True): AB}, anchors={True: False}), "0 <= i < j"),
     ],
 )
 def test_graph_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
         EdgeLabelledTeg(2, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "count,match",
+    [
+        (True, "integer"),
+        (2.0, "integer"),
+        (-1, "non-negative"),
+        (3_037_000_500, "at most 3037000499"),
+        (10**20, "at most 3037000499"),
+    ],
+)
+def test_vertex_count_validation(count, match):
+    with pytest.raises(ValueError, match=match):
+        EdgeLabelledTeg(count, {}, {})
+    # the largest count whose edge keys i * n + j fit in int64
+    assert EdgeLabelledTeg(3_037_000_499, {}, {}).vertex_count == 3_037_000_499
+
+
+def test_columns_are_sorted_and_read_only():
+    tau = {(2, 3): 1, (0, 2): 2.5, (0, 1): 1.0}
+    g = EdgeLabelledTeg(4, tau, {(2, 3): AB, (0, 2): BA, (0, 1): AC}, {3: 7, 1: 2.0})
+    assert g.heads.tolist() == [0, 0, 2] and g.tails.tolist() == [1, 2, 3]
+    assert g.taus.tolist() == [1.0, 2.5, 1.0] and g.codes.tolist() == [2, 1, 0]
+    assert g.anchor_vertices.tolist() == [1, 3] and g.anchor_times.tolist() == [2.0, 7.0]
+    assert g.tau == {(0, 1): 1.0, (0, 2): 2.5, (2, 3): 1.0}
+    assert g.mu == {(0, 1): AC, (0, 2): BA, (2, 3): AB}
+    assert g.anchors == {1: 2.0, 3: 7.0}
+    for column in (g.heads, g.tails, g.taus, g.codes, g.anchor_vertices, g.anchor_times):
+        assert not column.flags.writeable
+    # ints are stored and written as floats
+    buf = io.StringIO()
+    save_edge_labelled(g, buf)
+    assert '"tau": 1.0,' in buf.getvalue() and '"3": 7.0' in buf.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -384,7 +426,7 @@ def test_reconstruct_raises_the_full_report(fixture):
 @pytest.mark.parametrize("keep_anchors", (True, False))
 def test_reconstruct_makes_one_pass(monkeypatch, keep_anchors):
     calls = {}
-    for name in ("_adjacency", "_components", "_resolve_nodes"):
+    for name in ("_potentials", "_resolve_nodes"):
 
         def counted(*args, _name=name, _original=getattr(duality, name)):
             calls[_name] = calls.get(_name, 0) + 1
@@ -399,7 +441,7 @@ def test_reconstruct_makes_one_pass(monkeypatch, keep_anchors):
     assert len(rebuilt) == len(net)
     if keep_anchors:
         assert [e.time for e in rebuilt] == [e.time for e in net]
-    assert calls == {"_adjacency": 1, "_components": 1, "_resolve_nodes": 1}
+    assert calls == {"_potentials": 1, "_resolve_nodes": 1}
 
 
 @pytest.mark.parametrize("dt", (math.inf, 1.0))
@@ -464,6 +506,67 @@ def test_json_round_trip_exact():
     assert loaded.anchors == g.anchors
 
 
+def _graphs_to_write():
+    special = (5e-324, 1e-7, 1e16, 0.1, 3.0)
+    yield EdgeLabelledTeg(0, {}, {})
+    yield EdgeLabelledTeg(3, {}, {}, {1: -0.0, 2: 1e16})
+    yield EdgeLabelledTeg(2, {(0, 1): 5e-324}, {(0, 1): BA}, {})
+    rng = random.Random(4)
+    for _ in range(20):
+        n = rng.randrange(2, 12)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keys = rng.sample(pairs, rng.randrange(len(pairs) + 1))
+        tau = {key: rng.choice(special + (rng.random() + 1e-3,)) for key in keys}
+        mu = {key: rng.choice(MOTIFS) for key in keys}
+        times = special + (-0.0, 0.0, rng.uniform(-1e6, 1e6))
+        anchors = {v: rng.choice(times) for v in rng.sample(range(n), rng.randrange(n + 1))}
+        yield EdgeLabelledTeg(n, tau, mu, anchors)
+
+
+@pytest.mark.parametrize("g", list(_graphs_to_write()), ids=repr)
+def test_writer_matches_json_dump(g):
+    doc = {
+        "vertex_count": g.vertex_count,
+        "edges": [
+            {"i": i, "j": j, "tau": tau, "motif": mu.value}
+            for ((i, j), tau), mu in zip(sorted(g.tau.items()), g.mu.values())
+        ],
+    }
+    if g.anchors:
+        doc["anchors"] = {str(v): t for v, t in g.anchors.items()}
+    buf = io.StringIO()
+    save_edge_labelled(g, buf)
+    assert buf.getvalue() == json.dumps(doc, indent=1) + "\n"
+    loaded = load_edge_labelled(io.StringIO(buf.getvalue()))
+    assert (loaded.tau, loaded.mu, loaded.anchors) == (g.tau, g.mu, g.anchors)
+
+
+def test_pipeline_never_builds_dict_views(monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("a dict view of the graph was built")
+
+    for name in ("tau", "mu", "anchors"):
+        monkeypatch.setattr(EdgeLabelledTeg, name, property(refuse))
+    net = generate_random(GeneratorConfig(40, 600, parse_iet_sampler("power_law:0.2"), 5))
+    for keep_anchors in (True, False):
+        g = strip_events(build_teg(net, math.inf), keep_anchors=keep_anchors)
+        buf = io.StringIO()
+        save_edge_labelled(g, buf)
+        loaded = load_edge_labelled(io.StringIO(buf.getvalue()))
+        assert check_consistency(loaded).ok
+        rebuilt = reconstruct(loaded, layout="overlay" if keep_anchors else "end_to_end")
+        assert len(rebuilt) == len(net)
+    assert not check_consistency(FIXTURE_C4).ok
+    events, graph = tmp_path / "events.txt", tmp_path / "graph.json"
+    for argv in (
+        ["generate", "--nodes", 20, "--events", 300, "--iets", "exponential:1", "--output", events],
+        ["build", "--input", events, "--dt", "inf", "--output", graph],
+        ["validate", "--input", graph],
+        ["reconstruct", "--input", graph, "--output", tmp_path / "rebuilt.txt"],
+    ):
+        assert cli.main([str(a) for a in argv]) == 0
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -497,3 +600,67 @@ def test_consistent_chain_round_trips():
     net = reconstruct(CHAIN)
     assert canonicalize(net) == net
     assert strip_events(build_teg(net, math.inf)).mu == CHAIN.mu
+
+
+def _mutation_corpus():
+    """Seeded labelled graphs: stripped from tie-free (real-valued) and
+    tie-heavy (integer-time) networks, some with anchors, each then left
+    alone, or given a flipped label, a changed tau, a dropped edge, an added
+    edge or a moved anchor."""
+    rng = random.Random(9)
+    for k in range(600):
+        tie_heavy = k % 2 == 1
+        nodes = rng.randrange(2, 6) if tie_heavy else rng.randrange(3, 9)
+        events, t = [], 0.0
+        for _ in range(rng.randrange(2, 31)):
+            u, v = rng.sample(range(nodes), 2)
+            t = float(rng.randrange(12)) if tie_heavy else t + rng.choice((0.25, 1.0, rng.random() + 0.01))
+            events.append(Event(u, v, t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            net = TemporalNetwork(events)
+        g = strip_events(build_teg(net, rng.choice((1.5, 3.5, math.inf))), keep_anchors=k % 3 == 0)
+        tau, mu, anchors = g.tau, g.mu, g.anchors
+        keys = sorted(tau)
+        mutation = rng.randrange(6)
+        if mutation == 1 and keys:
+            key = rng.choice(keys)
+            mu[key] = rng.choice([m for m in MOTIFS if m is not mu[key]])
+        elif mutation == 2 and keys:
+            key = rng.choice(keys)
+            tau[key] = tau[key] + rng.choice((0.5, 1e-9, 2.0))
+        elif mutation == 3 and keys:
+            key = rng.choice(keys)
+            del tau[key], mu[key]
+        elif mutation == 4 and g.vertex_count > 2:
+            i, j = sorted(rng.sample(range(g.vertex_count), 2))
+            tau[i, j], mu[i, j] = rng.choice((0.5, 1.0, 3.0)), rng.choice(MOTIFS)
+        elif mutation == 5 and anchors:
+            v = rng.choice(sorted(anchors))
+            anchors[v] = anchors[v] + rng.choice((-50.0, 0.5, 1e-13))
+        yield EdgeLabelledTeg(g.vertex_count, tau, mu, anchors)
+
+
+def _outcome(call):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return repr([(e.source, e.target, e.time) for e in call()])
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_mutation_corpus_matches_recorded_digests():
+    # pins every verdict, violation message, reconstructed time and
+    # anchor error of the corpus
+    summaries, rebuilt = hashlib.sha256(), hashlib.sha256()
+    verdicts = set()
+    for g in _mutation_corpus():
+        report = check_consistency(g)
+        verdicts |= report.conditions or {"ok"}
+        summaries.update(report.summary().encode() + b"\n")
+        for layout in ("overlay", "end_to_end"):
+            rebuilt.update(_outcome(lambda: reconstruct(g, layout=layout)).encode() + b"\n")
+    assert verdicts == {"ok", "C1", "C2", "C3", "C4"}
+    assert summaries.hexdigest() == "38df2fe3eb18971cb3f586d0a349e631e28b084c04f3336cfc9accfc5d2172c6"
+    assert rebuilt.hexdigest() == "5d50df41b6bbd619079bd23a072c394cdff5fd422009340f6f41d4e65c6121ee"
