@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import inf, log2
+from math import inf, isqrt, log2
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -300,54 +300,91 @@ def barcode_rows(teg: Teg | ComponentSet, top: int | None = None) -> list[tuple[
     return [tuple(times[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True)
-class AggregateGraph:
-    """Static directed graph of the node pairs that ever interact."""
+_MAX_NODES = isqrt(2**63 - 1)  # edge keys s * n + t are int64
 
-    nodes: frozenset[int]
-    edges: frozenset[tuple[int, int]]
+
+class AggregateGraph:
+    """Static directed graph of the node pairs that ever interact, as columns.
+
+    Built from event columns ``sources`` and ``targets`` (positions into
+    ``node_ids``). ``sources`` and ``targets`` then hold each interacting
+    ordered pair once, sorted; ``present`` marks the nodes of ``node_ids``
+    that take part. All are read-only numpy columns. ``nodes`` and ``edges``
+    build frozensets of node ids on demand; equality and hashing are those
+    of the two sets.
+    """
+
+    __slots__ = ("node_ids", "present", "sources", "targets")
+
+    def __init__(self, node_ids: np.ndarray, sources: np.ndarray, targets: np.ndarray):
+        n = len(node_ids)
+        if n > _MAX_NODES:
+            raise ValueError(f"at most {_MAX_NODES} nodes: edge keys are int64 source * n + target")
+        keys = np.sort(np.asarray(sources, np.int64) * n + targets)
+        keys = keys[_starts(keys)]
+        present = np.zeros(n, dtype=bool)
+        sources, targets = np.divmod(keys, n)
+        present[sources] = present[targets] = True
+        self.node_ids = _readonly(node_ids)
+        self.present = _readonly(present)
+        self.sources, self.targets = _readonly(sources), _readonly(targets)
+
+    @property
+    def nodes(self) -> frozenset[int]:
+        return frozenset(self.node_ids[self.present].tolist())
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        ids = self.node_ids
+        return frozenset(zip(ids[self.sources].tolist(), ids[self.targets].tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AggregateGraph):
+            return NotImplemented
+        return (self.nodes, self.edges) == (other.nodes, other.edges)
+
+    def __hash__(self):
+        return hash((self.nodes, self.edges))
+
+    def __repr__(self) -> str:
+        return f"AggregateGraph({self.node_count} nodes, {self.edge_count} edges)"
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return int(np.count_nonzero(self.present))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.sources)
 
     @property
     def density(self) -> float:
         """Directed density E / (n (n-1)); 0 below two nodes."""
-        n = len(self.nodes)
+        n = self.node_count
         if n < 2:
             return 0.0
-        return len(self.edges) / (n * (n - 1))
+        return self.edge_count / (n * (n - 1))
 
     @property
     def reciprocity(self) -> float:
         """Fraction of edges whose reverse is also present."""
-        if not self.edges:
+        if not self.edge_count:
             return 0.0
-        return sum(1 for u, v in self.edges if (v, u) in self.edges) / len(self.edges)
+        n = len(self.node_ids)
+        keys, reverse = self.sources * n + self.targets, self.targets * n + self.sources
+        found = keys[keys.searchsorted(reverse).clip(max=len(keys) - 1)] == reverse
+        return int(np.count_nonzero(found)) / self.edge_count
 
     @property
     def weak_component_count(self) -> int:
-        index = {node: k for k, node in enumerate(sorted(self.nodes))}
-        ids = (index[n] for edge in self.edges for n in edge)
-        ends = np.fromiter(ids, np.int64, 2 * len(self.edges))
-        label = _labels(len(index), ends[0::2], ends[1::2])
-        return int(np.count_nonzero(label == np.arange(len(index))))
-
-
-def _aggregate(net: TemporalNetwork, events) -> AggregateGraph:
-    ids = net.node_ids
-    sources, targets = ids[net.sources[events]].tolist(), ids[net.targets[events]].tolist()
-    return AggregateGraph(frozenset(sources).union(targets), frozenset(zip(sources, targets)))
+        n = len(self.node_ids)
+        label = _labels(n, self.sources, self.targets)
+        return int(np.count_nonzero(self.present & (label == np.arange(n))))
 
 
 def aggregate_network(net: TemporalNetwork) -> AggregateGraph:
     """Collapse time: one directed edge per interacting ordered pair."""
-    return _aggregate(net, slice(None))
+    return AggregateGraph(net.node_ids, net.sources, net.targets)
 
 
 def aggregate_component(teg: Teg | ComponentSet, rank: int) -> AggregateGraph:
@@ -358,4 +395,5 @@ def aggregate_component(teg: Teg | ComponentSet, rank: int) -> AggregateGraph:
     cs = _component_set(teg)
     if not 0 <= rank < len(cs):
         raise ValueError(f"component {rank} out of range: the graph has {len(cs)} components")
-    return _aggregate(cs.teg.network, cs._members[cs._bounds[rank] : cs._bounds[rank + 1]])
+    net, members = cs.teg.network, cs._members[cs._bounds[rank] : cs._bounds[rank + 1]]
+    return AggregateGraph(net.node_ids, net.sources[members], net.targets[members])

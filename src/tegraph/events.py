@@ -9,6 +9,8 @@ on the tie policy the network is built under.
 
 from __future__ import annotations
 
+import io
+import re
 import warnings
 from dataclasses import dataclass
 from math import inf, isfinite
@@ -211,32 +213,58 @@ def write_events(net: TemporalNetwork, stream: TextIO) -> None:
     stream.write(events_to_text(net))
 
 
-def parse_events(
-    stream: Iterable[str],
-    delimiter: str | None = None,
-    fields: Sequence[str] = ("source", "target", "time"),
-    tie_policy: str = TIE_STABLE,
-    on_self_loop: str = "error",
-) -> TemporalNetwork:
-    """Parse whitespace- or delimiter-separated event lines.
+_ROW = np.dtype([("source", np.int64), ("target", np.int64), ("time", np.float64)])
+# the bytes numpy's tokenizer and the line loop read alike: tab, newline, printable ASCII
+_PLAIN = b"\t\n" + bytes(range(0x20, 0x7F))
+# "#" as the first non-blank character; a "#" anywhere else is data
+_COMMENT_LINE = re.compile(r"^[\t ]*#.*\n?", re.MULTILINE)
+_CHUNK = 1 << 16  # characters split into lines at a time, so no list of every line is held
 
-    Blank lines and lines starting with ``#`` are skipped. ``fields`` gives
-    the column order and must be a permutation of (source, target, time);
-    extra columns are ignored. Duplicate (source, target, time) triples are
-    kept with a warning. ``on_self_loop`` is ``"error"`` or ``"skip"``.
 
-    Raises
-    ------
-    ParseError
-        On a malformed line, with its line number.
-    """
-    if sorted(fields) != ["source", "target", "time"]:
-        raise ValueError(f"fields must be a permutation of source/target/time, got {fields}")
-    if on_self_loop not in ("error", "skip"):
-        raise ValueError(f"on_self_loop must be 'error' or 'skip', got {on_self_loop!r}")
-    i, j, k = (list(fields).index(name) for name in ("source", "target", "time"))
+def _lines(text: str):
+    """The lines of a plain ``text``, split a bounded chunk at a time."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
+def _tokenized(text: str, delimiter, usecols, on_self_loop):
+    """Source, target and time columns of ``text`` by numpy's C tokenizer, or
+    None where the line loop has to read it: text other than tab, newline and
+    printable ASCII, a line the tokenizer refuses (ids past int64, ``1_0``,
+    short lines, multi-character delimiters), or a row the loop rejects."""
+    if not text.isascii() or text.encode().translate(None, _PLAIN):
+        return None
+    if "#" in text:
+        text = _COMMENT_LINE.sub("", text)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(
+                _lines(text), _ROW, comments=None, delimiter=delimiter, usecols=usecols, ndmin=1
+            )
+    except (ValueError, TypeError):
+        return None
+    sources, targets, times = rows["source"], rows["target"], rows["time"]
+    loops = sources == targets
+    if loops.any():
+        if on_self_loop == "error":
+            return None
+        keep = ~loops
+        sources, targets, times = sources[keep], targets[keep], times[keep]
+    if (sources < 0).any() or (targets < 0).any() or not ((times >= 0) & (times < inf)).all():
+        return None
+    return sources, targets, times
+
+
+def _parsed_lines(lines: Iterable[str], delimiter, usecols, on_self_loop):
+    """Source, target and time columns of ``lines``, one line at a time;
+    raises ``ParseError`` at the first malformed line."""
+    i, j, k = usecols
     sources, targets, times = [], [], []
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
@@ -263,12 +291,59 @@ def parse_events(
         sources.append(source)
         targets.append(target)
         times.append(time)
-    sources, targets, times = _id_array(sources), _id_array(targets), np.array(times, np.float64)
-    order = np.lexsort((times, targets, sources))
-    distinct = _starts(sources[order]) | _starts(targets[order]) | _starts(times[order])
-    duplicates = len(times) - int(np.count_nonzero(distinct))
-    if duplicates:
-        warnings.warn(f"{duplicates} duplicate event triples kept")
+    return _id_array(sources), _id_array(targets), np.array(times, np.float64)
+
+
+def _columns(stream, delimiter, usecols, on_self_loop):
+    """Source, target and time columns of a stream or an iterable of lines;
+    the text read is released on return, before the network is built."""
+    if not hasattr(stream, "read"):
+        return _parsed_lines(stream, delimiter, usecols, on_self_loop)
+    text = stream.read()
+    return _tokenized(text, delimiter, usecols, on_self_loop) or _parsed_lines(
+        io.StringIO(text), delimiter, usecols, on_self_loop
+    )
+
+
+def parse_events(
+    stream: Iterable[str],
+    delimiter: str | None = None,
+    fields: Sequence[str] = ("source", "target", "time"),
+    tie_policy: str = TIE_STABLE,
+    on_self_loop: str = "error",
+) -> TemporalNetwork:
+    """Parse whitespace- or delimiter-separated event lines.
+
+    Blank lines and lines whose first non-blank character is ``#`` are
+    skipped. ``fields`` gives the column order and must be a permutation of
+    (source, target, time); extra columns are ignored. Node ids are read as
+    Python ``int`` literals and times as ``float`` literals. Duplicate
+    (source, target, time) triples are kept with a warning. ``on_self_loop``
+    is ``"error"`` or ``"skip"``.
+
+    A stream with ``read`` is read whole and converted by numpy's C
+    tokenizer; text that the tokenizer refuses or that holds a rejected line
+    is read again line by line, which gives the same columns and locates the
+    error. Other iterables of lines are read line by line.
+
+    Raises
+    ------
+    ParseError
+        On a malformed line, with its line number.
+    """
+    if sorted(fields) != ["source", "target", "time"]:
+        raise ValueError(f"fields must be a permutation of source/target/time, got {fields}")
+    if on_self_loop not in ("error", "skip"):
+        raise ValueError(f"on_self_loop must be 'error' or 'skip', got {on_self_loop!r}")
+    usecols = [list(fields).index(name) for name in ("source", "target", "time")]
+    sources, targets, times = _columns(stream, delimiter, usecols, on_self_loop)
+    ordered = np.sort(times)
+    if (ordered[1:] == ordered[:-1]).any():  # every duplicate triple is a tie
+        order = np.lexsort((times, targets, sources))
+        distinct = _starts(sources[order]) | _starts(targets[order]) | _starts(times[order])
+        duplicates = len(times) - int(np.count_nonzero(distinct))
+        if duplicates:
+            warnings.warn(f"{duplicates} duplicate event triples kept")
     return TemporalNetwork._from_columns(sources, targets, times, None, tie_policy)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from math import log10
 from typing import Sequence
 
+import numpy as np
+
 from .components import EmpiricalCcdf
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -46,7 +48,7 @@ def barcode_svg(
     height = 2 * margin + row_height * len(rows)
     x0, x1 = margin, width - margin
 
-    def x_of(t: float) -> float:
+    def x_of(t):
         return x0 + (t - t_min) / span * (x1 - x0)
 
     parts = _header(width, height)
@@ -57,12 +59,14 @@ def barcode_svg(
             f'<text x="{x0 - 6}" y="{_fmt(y_top + row_height * 0.8)}" font-size="10" '
             f'text-anchor="end" fill="{color}">{k}</text>'
         )
-        for t in row:
-            x = _fmt(x_of(t))
-            parts.append(
-                f'<line x1="{x}" y1="{y_top + 2}" x2="{x}" y2="{y_top + row_height - 2}" '
-                f'stroke="{color}" stroke-width="1"/>'
-            )
+        # one float64 expression per row, in x_of's operation order, gives
+        # the same doubles as x_of per tick
+        ticks = map(_fmt, x_of(np.array(row, np.float64)).tolist())
+        y1, y2 = y_top + 2, y_top + row_height - 2
+        parts += [
+            f'<line x1="{x}" y1="{y1}" x2="{x}" y2="{y2}" stroke="{color}" stroke-width="1"/>'
+            for x in ticks
+        ]
     axis_y = height - margin
     parts.append(
         f'<line x1="{x0}" y1="{axis_y}" x2="{x1}" y2="{axis_y}" stroke="black" stroke-width="1"/>'

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from tegraph import (
     MOTIFS,
+    AggregateGraph,
     ComponentSet,
     EmpiricalCcdf,
     Event,
@@ -30,6 +31,7 @@ from tegraph import (
     weakly_connected_components,
 )
 from tegraph.cli import main
+from tegraph.svgrender import barcode_svg
 from tegraph.components import DiscreteDistribution, _labels
 from tegraph.generators import (
     ExponentialIets,
@@ -295,15 +297,118 @@ def test_aggregate_graph_metrics():
     assert back_and_forth.reciprocity == 1.0
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_aggregate_counts_match_networkx(seed):
-    net = _random_net(seed, n=14, m=40)
-    agg = aggregate_network(net)
+def _reference_barcode_svg(rows, width=900, row_height=14, margin=40):
+    """Per-tick barcode SVG: one ``x_of`` and one format call per event time."""
+    fmt = lambda x: f"{x:.2f}".rstrip("0").rstrip(".")
+    t_min = min(min(r) for r in rows if r)
+    t_max = max(max(r) for r in rows if r)
+    span = t_max - t_min or 1.0
+    height = 2 * margin + row_height * len(rows)
+    x0, x1 = margin, width - margin
+    x_of = lambda t: x0 + (t - t_min) / span * (x1 - x0)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+    for k, row in enumerate(rows):
+        y_top = height - margin - (k + 1) * row_height
+        color = palette[k % len(palette)]
+        parts.append(
+            f'<text x="{x0 - 6}" y="{fmt(y_top + row_height * 0.8)}" font-size="10" '
+            f'text-anchor="end" fill="{color}">{k}</text>'
+        )
+        for t in row:
+            x = fmt(x_of(t))
+            parts.append(
+                f'<line x1="{x}" y1="{y_top + 2}" x2="{x}" y2="{y_top + row_height - 2}" '
+                f'stroke="{color}" stroke-width="1"/>'
+            )
+    axis_y = height - margin
+    parts.append(f'<line x1="{x0}" y1="{axis_y}" x2="{x1}" y2="{axis_y}" stroke="black" stroke-width="1"/>')
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        t = t_min + frac * span
+        x = fmt(x_of(t))
+        parts.append(f'<line x1="{x}" y1="{axis_y}" x2="{x}" y2="{axis_y + 4}" stroke="black" stroke-width="1"/>')
+        parts.append(f'<text x="{x}" y="{axis_y + 16}" font-size="10" text-anchor="middle">{t:.6g}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _barcode_cases():
+    rng = np.random.default_rng(3)
+    real = tuple(np.sort(rng.random(500) * 1e5 + 12.345).tolist())
+    net = generate_random(GeneratorConfig(40, 3000, PowerLawIets(0.3), 2))
+    return [
+        ("real_valued", [real, real[:7], tuple(rng.random(3).tolist())]),
+        # exact ties at the third decimal, where one ulp of x flips the rounding
+        ("eighths", [tuple(np.arange(3.0, 1003.0001, 0.125).tolist())]),
+        ("repeated", [(5.0, 5.0, 5.0, 7.5, 7.5), (6.25,) * 4]),
+        ("single_element", [(3.0,)]),
+        ("single_elements", [(1e-9,), (2e-9,), (0.1 + 0.2,)]),
+        ("with_empty", [(0.0, 0.5, 1.0), (), (0.125, 0.375), ()]),
+        ("huge_times", [(1e15, 1e15 + 0.5, 2e15), (1.5e15,)]),
+        ("network", barcode_rows(build_teg(net, 0.05), top=12)),
+    ]
+
+
+@pytest.mark.parametrize("name,rows", _barcode_cases(), ids=[c[0] for c in _barcode_cases()])
+def test_barcode_svg_bytes_match_per_tick_reference(name, rows):
+    assert barcode_svg(rows) == _reference_barcode_svg(rows)
+    assert barcode_svg(rows, width=333, row_height=9, margin=17) == _reference_barcode_svg(
+        rows, width=333, row_height=9, margin=17
+    )
+
+
+def _assert_aggregate_matches_networkx(agg, events):
     g = nx.DiGraph()
-    g.add_nodes_from(agg.nodes)
-    g.add_edges_from(agg.edges)
+    g.add_edges_from((e.source, e.target) for e in events)
+    assert agg.nodes == frozenset(g.nodes) and agg.node_count == g.number_of_nodes()
+    assert agg.edges == frozenset(g.edges) and agg.edge_count == g.number_of_edges()
+    assert agg.density == nx.density(g)
+    assert agg.reciprocity == nx.overall_reciprocity(g)
     assert agg.weak_component_count == nx.number_weakly_connected_components(g)
-    assert agg.density == pytest.approx(nx.density(g))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ids", ["dense", "sparse", "past_int64"])
+def test_aggregate_counts_match_networkx(seed, ids):
+    rng = np.random.default_rng(seed)
+    base = _random_net(seed, n=14, m=40 + 30 * seed)
+    labels = {
+        "dense": range(14),
+        "sparse": rng.choice(10**6, 14, replace=False).tolist(),
+        "past_int64": [2**63 + 5 * k for k in range(7)] + list(range(7)),
+    }[ids]
+    relabel = dict(zip(range(14), labels))
+    net = TemporalNetwork(Event(relabel[e.source], relabel[e.target], e.time) for e in base)
+    assert net.node_ids.dtype == (object if ids == "past_int64" else np.int64)
+    _assert_aggregate_matches_networkx(aggregate_network(net), list(net))
+    cs = ComponentSet(build_teg(net, 0.4))
+    for rank in range(len(cs)):
+        members = [net[i] for i in cs[rank].events]
+        _assert_aggregate_matches_networkx(aggregate_component(cs, rank), members)
+
+
+def test_aggregate_equality_and_hash_are_those_of_the_sets():
+    net = TemporalNetwork([Event(0, 1, 0.0), Event(1, 0, 0.5), Event(7, 8, 50.0), Event(7, 8, 51.0)])
+    teg = build_teg(net, 1.0)
+    part = aggregate_component(teg, 1)
+    alone = aggregate_network(TemporalNetwork([Event(7, 8, 3.0)]))
+    # the same sets over different node columns
+    assert part == alone and hash(part) == hash(alone)
+    assert hash(part) == hash((frozenset({7, 8}), frozenset({(7, 8)})))
+    assert part != aggregate_network(TemporalNetwork([Event(8, 7, 3.0)]))
+    assert part != aggregate_component(teg, 0)
+    assert part != (part.nodes, part.edges)
+    assert len({part, alone, aggregate_network(net)}) == 2
+
+
+def test_aggregate_rejects_node_counts_past_int64_keys():
+    ids = np.broadcast_to(np.int64(0), (3_037_000_500,))  # no memory behind it
+    with pytest.raises(ValueError, match="at most 3037000499 nodes"):
+        AggregateGraph(ids, np.array([0]), np.array([1]))
 
 
 def test_aggregate_of_one_component():

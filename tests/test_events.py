@@ -1,6 +1,7 @@
 """Event and temporal-network basics: validation, ordering, text format."""
 
 import io
+import itertools
 import math
 import pickle
 import warnings
@@ -285,3 +286,223 @@ def test_library_paths_build_no_events(tmp_path, monkeypatch):
         ensemble = tmp_path / "motifs.csv"
         argv = ["motifs", "--input", str(raw), "--skip-self-loops", "--dt", "inf"]
         assert cli.main(argv + ["--ensemble", "2", "--output", str(ensemble)]) == 0
+
+
+def _reference_parse(lines, delimiter=None, fields=("source", "target", "time"), on_self_loop="error"):
+    """Per-line reference parser: the events of ``lines``, or the ParseError
+    (line number, message) of the first malformed line."""
+    i, j, k = (list(fields).index(name) for name in ("source", "target", "time"))
+    events = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(delimiter)
+        if len(parts) < 3:
+            return lineno, f"expected at least 3 columns, got {len(parts)}"
+        try:
+            source, target = int(parts[i]), int(parts[j])
+        except ValueError as exc:
+            return lineno, f"bad node id: {exc}"
+        try:
+            time = float(parts[k])
+        except ValueError as exc:
+            return lineno, f"bad time: {exc}"
+        if source == target:
+            if on_self_loop == "skip":
+                continue
+            return lineno, f"self-loop at node {source}"
+        try:
+            events.append(Event(source, target, time))
+        except ValueError as exc:
+            return lineno, str(exc)
+    return events
+
+
+def _assert_parses_like_reference(parse, lines, **kwargs):
+    """``parse(**kwargs)`` gives the reference's network and warnings, or its
+    ParseError, for the ``lines`` that ``parse`` reads."""
+    expected = _reference_parse(lines, **kwargs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            net = parse(**kwargs)
+        except ParseError as exc:
+            assert isinstance(expected, tuple), (lines, kwargs, str(exc))
+            assert (exc.line_number, str(exc)) == (expected[0], f"line {expected[0]}: {expected[1]}")
+            return
+    assert isinstance(expected, list), (lines, kwargs, expected)
+    triples = [(e.source, e.target, e.time) for e in expected]
+    times = [e.time for e in expected]
+    messages = [f"{len(triples) - len(set(triples))} duplicate event triples kept"]
+    messages += [f"{len(times) - len(set(times))} equal-timestamp adjacencies resolved by stable order"]
+    assert [str(w.message) for w in caught] == [m for m in messages if not m.startswith("0 ")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = TemporalNetwork(expected)
+    assert net.node_ids.dtype == want.node_ids.dtype
+    assert net.node_ids.tolist() == want.node_ids.tolist()
+    assert np.array_equal(net.sources, want.sources) and np.array_equal(net.targets, want.targets)
+    assert net.times.tobytes() == want.times.tobytes()  # -0.0 stays -0.0
+
+
+_PARSER_CORPUS = [
+    # unicode whitespace, split on and stripped like ASCII blanks
+    ("1\x1c2\x1d3\n4\x1e5\x1f6\n", {}),
+    ("1 2 3\x85\n\u20284 5 6\u2028\n", {}),
+    ("1\u20282 3\u2028\n4 5\u20296\n", {}),
+    ("1\u30002\u30003\n\xa04 5 6\xa0\n", {}),
+    ("1,\u30002 ,3\xa0\n", {"delimiter": ","}),
+    ("1 2 3\x0b\n4\x0c5 6\n", {}),
+    # CR inside a line (StringIO does not translate it)
+    ("1 2\r3\n", {}),
+    ("1 2 3\r4 5 6\n", {}),
+    ("1 2 3\r\n4 5 6\r\n", {}),
+    ("1,2,3\r\n# c\r\n4,5,6\r\n", {"delimiter": ","}),
+    # "#" only as the first non-blank character starts a comment
+    ("  # note\n\t#note\n1 2 3\n", {}),
+    ("1 2 3#c\n", {}),
+    ("1 2 3 #c extra\n4 5 6 # x\n", {}),
+    ("1,2,3,#c\n#1,2,3\n", {"delimiter": ","}),
+    ("#\n#", {}),
+    ("1 2 3\n\xa0# unicode blank first\n", {}),
+    # Python literal syntax the tokenizer does not take
+    ("1_0 2 3\n", {}),
+    ("1 2 1_0.5\n", {}),
+    ("\u0661 2 3\n", {}),
+    ("1 2 \u0663.5\n", {}),
+    ("1 2 \uff13\n", {}),
+    ("1 2 \ud800\n", {}),
+    ("1 2 1__0\n", {}),
+    # ids past int64 and past 2**64
+    ("9223372036854775807 1 2\n", {}),
+    ("9223372036854775808 1 2\n1 2 3\n", {}),
+    ("18446744073709551617 18446744073709551618 2\n", {}),
+    ("-9223372036854775809 1 2\n", {}),
+    # signed zeros, infinities, nan, overflow
+    ("-0 1 -0.0\n1 -0 0.0\n", {}),
+    ("1 2 -0\n1 2 +0.0\n", {}),
+    ("1 2 inf\n", {}),
+    ("1 2 -inf\n", {}),
+    ("1 2 nan\n", {}),
+    ("1 2 1e400\n", {}),
+    ("1 2 1e-400\n1 2 -1e-400\n", {}),
+    ("1 2 Infinity\n", {}),
+    ("+1 +2 +3.5e1\n", {}),
+    ("1 2 0x10\n", {}),
+    ("1 2 .5\n1 3 5.\n", {}),
+    ("1.0 2 3\n", {}),
+    ("1e3 2 3\n", {}),
+    ("00012 3 4\n", {}),
+    # empty and comment-only files
+    ("", {}),
+    ("\n\n   \n", {}),
+    ("# only\n  # comments\n", {}),
+    ("\n", {"delimiter": ","}),
+    # delimiters
+    ("1 , 2 , 3\n 4,5,6 \n", {"delimiter": ","}),
+    ("1,2,3,\n", {"delimiter": ","}),
+    (",1,2,3\n", {"delimiter": ","}),
+    ("1,2,3\n\n4,5,6\n", {"delimiter": ","}),
+    ("1,2,3\n  \n4,5,6\n", {"delimiter": ","}),
+    ("1 2,3\n", {"delimiter": ","}),
+    ("1::2::3\n4::5::6::x\n", {"delimiter": "::"}),
+    ("1::2\n", {"delimiter": "::"}),
+    ("1 2 3\n 4 5 6 \n", {"delimiter": " "}),
+    ("1  2 3\n", {"delimiter": " "}),
+    ("1\t2\t3\n\t4\t5\t6\t\n", {"delimiter": "\t"}),
+    ("1;2;3\n", {"delimiter": ";"}),
+    # short lines, bad tokens, extra columns
+    ("1 2\n", {}),
+    ("1 2 3\n4 5\n", {}),
+    ("x 2 3\n", {}),
+    ("1 2 y\n", {}),
+    ("1 2 3 4 5 6 7\n1 2 3\n", {}),
+    # self-loops, duplicates, ties
+    ("1 1 5\n1 2 6\n", {"on_self_loop": "skip"}),
+    ("1 1 5\n1 2 6\n", {"on_self_loop": "error"}),
+    ("1 2 6\n-3 -3 5\n3 3 inf\n", {"on_self_loop": "skip"}),
+    ("1 2 6\n-3 -3 5\n", {"on_self_loop": "error"}),
+    ("1 2 5\n1 2 5\n2 1 5\n", {}),
+    ("1 2 -0.0\n1 2 0\n", {}),
+    ("2 3 1\n-1 2 5\n1 1 2\n", {}),
+]
+
+
+@pytest.mark.parametrize("text,kwargs", _PARSER_CORPUS)
+def test_parser_matches_reference_on_corpus(text, kwargs):
+    parse = lambda **kw: parse_events(io.StringIO(text), **kw)
+    _assert_parses_like_reference(parse, list(io.StringIO(text)), **kwargs)
+
+
+@pytest.mark.parametrize("fields", list(itertools.permutations(("source", "target", "time"))))
+def test_parser_matches_reference_for_every_field_order(fields):
+    for text in ("1 2 3\n4 5 6.5 x\n", "7 8 9\n1 1 2\n", "1 2 -1\n", "3 4\n", "1_0 2 3\n5 6 7\n"):
+        for on_self_loop in ("error", "skip"):
+            parse = lambda **kw: parse_events(io.StringIO(text), **kw)
+            _assert_parses_like_reference(
+                parse, list(io.StringIO(text)), fields=fields, on_self_loop=on_self_loop
+            )
+
+
+def test_parser_matches_reference_on_files(tmp_path):
+    path = tmp_path / "events.txt"
+    for text, kwargs in _PARSER_CORPUS:
+        if "\ud800" in text:
+            continue  # a lone surrogate has no UTF-8 encoding
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)  # CR and CRLF as written; reading translates them
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+        _assert_parses_like_reference(lambda **kw: load_events(str(path), **kw), lines, **kwargs)
+
+
+_FUZZ_TOKENS = [
+    "0", "1", "2", "7", "12", "-1", "+3", "-0", "0.5", "-0.0", "1e3", "2.5e-1", ".5", "5.",
+    "inf", "nan", "1e400", "1_0", "9223372036854775808", "18446744073709551616",
+    "\u0661", "x", "#", "#c", "3#", "", "1.0",
+]
+_FUZZ_GAPS = [" ", " ", " ", "  ", "\t", ",", ", ", "::", "\xa0", "\u3000", "\x1c", "\r"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parser_matches_reference_on_fuzz(seed):
+    rng = np.random.default_rng(seed)
+    pick = lambda pool: pool[int(rng.integers(len(pool)))]
+    for _ in range(60):
+        lines = []
+        for _ in range(int(rng.integers(0, 6))):
+            roll = rng.random()
+            if roll < 0.1:
+                lines.append(pick(["", "   ", "# c", "  #c", "\t"]))
+                continue
+            # mostly valid rows, so that later lines are reached
+            count = int(rng.integers(2, 6)) if roll < 0.3 else 3
+            values = [pick(_FUZZ_TOKENS) for _ in range(count)] if roll < 0.5 else [
+                str(int(rng.integers(0, 4))), str(int(rng.integers(0, 4))), repr(float(rng.random()))
+            ] + [pick(_FUZZ_TOKENS) for _ in range(int(rng.integers(0, 2)))]
+            gap = pick(_FUZZ_GAPS) if rng.random() < 0.5 else " "
+            lines.append(gap.join(values) + (pick(_FUZZ_GAPS) if rng.random() < 0.1 else ""))
+        text = "\n".join(lines) + pick(["\n", "", "\r\n"])
+        kwargs = {
+            "delimiter": pick([None, None, ",", "::", " "]),
+            "fields": pick(list(itertools.permutations(("source", "target", "time")))),
+            "on_self_loop": pick(["error", "skip"]),
+        }
+        parse = lambda **kw: parse_events(io.StringIO(text), **kw)
+        _assert_parses_like_reference(parse, list(io.StringIO(text)), **kwargs)
+
+
+def test_plain_text_skips_the_line_loop(monkeypatch):
+    rows = [(k % 7, k % 5 + 7, k * 0.25) for k in range(300)]
+    text = "# source target time\n" + "".join(f"{s} {t} {x}\n" for s, t, x in rows) + "  # note\n"
+    commas = "\t# comma separated\n" + "".join(f"{s}, {t},{x},extra\r\n" for s, t, x in rows)
+
+    def refuse(*args):
+        raise AssertionError("the line loop ran")
+
+    monkeypatch.setattr("tegraph.events._parsed_lines", refuse)
+    assert len(parse_events(io.StringIO(text))) == 300
+    assert len(parse_events(io.StringIO(commas, newline=None), delimiter=",")) == 300
+    with pytest.raises(AssertionError, match="line loop"):
+        parse_events(io.StringIO(text + "1 1 5\n"))
