@@ -13,13 +13,16 @@ sequence:
 * C3: the in-edges of a vertex have pairwise distinct destination labels
   (no node position is prescribed twice).
 * C4: labels must agree with the node structure the rest of the graph
-  implies. Node identities are resolved from the labels once, in vertex
-  index order (every edge's tail comes before its head), and the event
-  graph of the resolved events is rebuilt, with the vertex index as time
-  and no waiting window: every edge it has and the input lacks, every
-  input edge it lacks, and every label it gives differently is a
-  violation. An event graph is a lossless representation, so a graph that
-  survives this rebuild is the event graph of its resolved events.
+  implies. Node identities are slot classes: each vertex has a source slot
+  and a target slot, every label joins the slots it prescribes, and a node
+  is a class of joined slots. A vertex whose two slots share a class is a
+  violation. The event graph of the resolved events is then rebuilt, with
+  the vertex index as time and no waiting window, except that two
+  vertices of equal relative time get no edge, as a zero gap gives none:
+  every edge it has and the input lacks, every input edge it lacks, and
+  every label it gives differently is a violation. An event graph is a
+  lossless representation, so a graph that survives this rebuild is the
+  event graph of its resolved events.
 
 ``check_consistency`` reports every violation; ``reconstruct`` inverts a
 consistent graph into a temporal network from the same single pass,
@@ -37,6 +40,7 @@ from typing import Mapping, TextIO
 
 import numpy as np
 
+from .components import _labels
 from .events import TemporalNetwork, _first_seen, _id_array, _readonly
 from .motifs import MOTIFS, Motif, prescribed_nodes
 from .teg import Teg, _incidence_edges, _json_items, _write_json
@@ -45,8 +49,8 @@ from .teg import Teg, _incidence_edges, _json_items, _write_json
 _XI_OUT = np.unique([m.xi_out for m in MOTIFS], return_inverse=True)[1]
 _XI_IN = np.unique([m.xi_in for m in MOTIFS], return_inverse=True)[1]
 # per motif code, the later event's (source, target) as slots of the earlier
-# event: 0 its source, 1 its target, None a new node
-_SLOTS = [prescribed_nodes(m, 0, 1) for m in MOTIFS]
+# event: 0 its source, 1 its target, -1 a new node
+_SLOTS = np.array([[-1 if s is None else s for s in prescribed_nodes(m, 0, 1)] for m in MOTIFS])
 _MOTIF_CODE = {m.value: c for c, m in enumerate(MOTIFS)}
 _MAX_VERTICES = isqrt(2**63 - 1)  # edge keys i * n + j are int64
 _REAL = (int, float, np.integer, np.floating)  # bool is an int, and rejected apart
@@ -178,16 +182,13 @@ class EdgeLabelledTeg:
     def edge_count(self) -> int:
         return len(self.heads)
 
-    def edge_keys(self) -> list[tuple[int, int]]:
-        return list(zip(self.heads.tolist(), self.tails.tolist()))
-
     @property
     def tau(self) -> dict[tuple[int, int], float]:
-        return dict(zip(self.edge_keys(), self.taus.tolist()))
+        return dict(zip(zip(self.heads.tolist(), self.tails.tolist()), self.taus.tolist()))
 
     @property
     def mu(self) -> dict[tuple[int, int], Motif]:
-        return dict(zip(self.edge_keys(), [MOTIFS[c] for c in self.codes.tolist()]))
+        return dict(zip(zip(self.heads.tolist(), self.tails.tolist()), [MOTIFS[c] for c in self.codes.tolist()]))
 
     @property
     def anchors(self) -> dict[int, float] | None:
@@ -238,49 +239,24 @@ def _potentials(n, out_ptr, out_ends, out_taus, in_ptr, in_ends, in_taus):
     return pot, order, starts
 
 
-def _resolve_nodes(n, in_ptr, in_heads, in_codes):
-    """Node pairs implied by the labels, resolving vertices in index order:
-    edges increase the index, so every edge's tail comes before its head.
+def _resolve_nodes(n, heads, tails, codes):
+    """Node labels of every vertex's source and target, and the mask of the
+    vertices whose two nodes collapse into one.
 
-    Returns the source and target label lists, the unresolvable-prescription
-    violations, and the vertices whose resolution hit a conflict (their
-    pairs are best-effort). Conflicts between in-edges whose destination
-    labels already collide are left for C3 to report.
+    Slot 2v is vertex v's source and slot 2v + 1 its target. Each edge
+    joins the slots of its later vertex to the slots of its earlier vertex
+    that its label prescribes, and a node is a class of joined slots, named
+    by its smallest slot. A collapsed vertex keeps its source class and
+    takes the unused label 2v + 1 as its target.
     """
-    sources, targets = [0] * n, [0] * n
-    violations: list[Violation] = []
-    dirty, label = set(), 0
-    for v in range(n):
-        nodes: list[int | None] = [None, None]  # source, target
-        setters = [0, 0]  # the in-edge that prescribed each
-        edges = range(in_ptr[v], in_ptr[v + 1])
-        for k in edges:
-            u = in_heads[k]
-            ends = (sources[u], targets[u])
-            for pos, slot in enumerate(_SLOTS[in_codes[k]]):
-                if slot is None:
-                    continue
-                if nodes[pos] is not None and nodes[pos] != ends[slot]:
-                    dirty.add(v)
-                    first = setters[pos]
-                    if _XI_IN[in_codes[first]] != _XI_IN[in_codes[k]]:
-                        detail = f"in-edges of vertex {v} prescribe different {('source', 'target')[pos]} nodes"
-                        violations.append(Violation("C4", (v,), ((in_heads[first], v), (u, v)), detail))
-                else:
-                    nodes[pos], setters[pos] = ends[slot], k
-        for pos in (0, 1):
-            if nodes[pos] is None:
-                nodes[pos] = label
-                label += 1
-        source, target = nodes
-        if source == target:
-            dirty.add(v)
-            detail = f"in-edges of vertex {v} collapse its two nodes into one"
-            violations.append(Violation("C4", (v,), tuple((in_heads[k], v) for k in edges), detail))
-            target = label
-            label += 1
-        sources[v], targets[v] = source, target
-    return sources, targets, violations, dirty
+    slots = _SLOTS[codes]  # per edge, (source, target) slot of the head, -1 free
+    given = slots >= 0
+    later = 2 * tails[:, None] + np.arange(2)
+    label = _labels(2 * n, later[given], (2 * heads[:, None] + slots)[given])
+    sources, targets = label[0::2], label[1::2]
+    collapsed = sources == targets
+    targets[collapsed] = 2 * np.flatnonzero(collapsed) + 1
+    return sources, targets, collapsed
 
 
 class _Pass:
@@ -305,9 +281,7 @@ class _Pass:
         self.label = np.empty(n, np.int64)
         self.label[self.order] = np.repeat(np.arange(len(starts)), np.diff(starts + [n]))
         self.low, self.high = self.reduce(np.minimum, self.pot), self.reduce(np.maximum, self.pot)
-        resolved = _resolve_nodes(n, self.in_ptr, in_heads, self.in_codes.tolist())
-        sources, targets, self.resolution, self.conflicted = resolved
-        self.sources, self.targets = np.array(sources, np.int64), np.array(targets, np.int64)
+        self.sources, self.targets, self.collapsed = _resolve_nodes(n, g.heads, g.tails, g.codes)
 
     def reduce(self, ufunc, values):
         """``ufunc`` reduced over each component's entries of ``values``."""
@@ -323,15 +297,15 @@ def _code_at(keys, codes, query):
 
 def _c4_violations(p: _Pass, dirty) -> list[Violation]:
     """Every edge key where the graph differs from the event graph of the resolved
-    events at time = vertex index, skipping keys with an endpoint in ``dirty``."""
+    events at time = vertex index, less the pairs of equal potential (a zero gap
+    gives no edge), skipping keys with an endpoint where ``dirty`` is set."""
     n, keys, labels = p.n, p.keys, p.g.codes
     heads, tails, codes = _incidence_edges(p.sources, p.targets, np.arange(n, dtype=np.float64), inf)
-    rebuilt = heads * n + tails
+    gapped = p.pot[heads] != p.pot[tails]
+    rebuilt, codes = heads[gapped] * n + tails[gapped], codes[gapped]
     missing = np.setdiff1d(rebuilt, keys, assume_unique=True)
     bad = np.sort(np.concatenate([keys[_code_at(rebuilt, codes, keys) != labels], missing]))
-    is_dirty = np.zeros(n, dtype=bool)
-    is_dirty[np.fromiter(dirty, np.int64, len(dirty))] = True
-    bad = bad[~(is_dirty[bad // n] | is_dirty[bad % n])]
+    bad = bad[~(dirty[bad // n] | dirty[bad % n])]
 
     violations = []
     given, derived = _code_at(keys, labels, bad).tolist(), _code_at(rebuilt, codes, bad).tolist()
@@ -392,9 +366,9 @@ def _report(p: _Pass, rel_tol: float) -> ConsistencyReport:
                     violations.append(Violation(cond, (v,), (ka, kb), detail))
 
     # C4 skips the endpoints of every edge a C2/C3 violation names, and the
-    # vertices whose node resolution conflicted
-    dirty = {v for violation in violations for key in violation.edges for v in key}
-    dirty |= p.conflicted
+    # collapsed vertices
+    dirty = p.collapsed.copy()
+    dirty[[v for violation in violations for key in violation.edges for v in key]] = True
 
     # C1: every edge re-checked against the breadth-first relative times,
     # within a tolerance from its component's span, by (component, head, tail).
@@ -406,8 +380,11 @@ def _report(p: _Pass, rel_tol: float) -> ConsistencyReport:
         detail = f"path sums disagree: relative times give {gap!r}, tau is {tau!r}"
         violations.append(Violation("C1", (v, w), ((v, w),), detail))
 
-    # C4: the resolution's own contradictions, then the rebuild certificate.
-    violations.extend(p.resolution)
+    # C4: the collapsed vertices, then the rebuild certificate.
+    for v in np.flatnonzero(p.collapsed).tolist():
+        edges = tuple((u, v) for u in p.in_heads[p.in_ptr[v] : p.in_ptr[v + 1]].tolist())
+        detail = f"in-edges of vertex {v} collapse its two nodes into one"
+        violations.append(Violation("C4", (v,), edges, detail))
     violations.extend(_c4_violations(p, dirty))
     return ConsistencyReport(tuple(violations))
 
@@ -418,14 +395,16 @@ def check_consistency(g: EdgeLabelledTeg, rel_tol: float = 1e-12) -> Consistency
     C1 compares tau sums with a tolerance relative to the component's time
     span (exact inputs are checked exactly: integer or dyadic taus leave no
     rounding residue); ``rel_tol`` must be non-negative. C2/C3 compare
-    labels. C4 resolves node identities from the labels once, in vertex
-    index order across the whole graph, rebuilds the event graph of the
-    resolved events with the vertex index as time and no waiting window,
-    and reports every edge key where the rebuild and the input differ: a
-    label the rebuild gives differently, an input edge it does not give,
-    or an edge it gives that the input lacks. Keys with an endpoint whose
-    node resolution conflicted, or that a C2/C3 violation names, are
-    skipped; their fault is already reported.
+    labels. C4 takes node identities as slot classes: the source and
+    target slots of every vertex, joined wherever a label prescribes a node,
+    and a vertex whose two slots share a class is a violation. It then
+    rebuilds the event graph of the resolved events with the vertex index as
+    time and no waiting window, giving no edge between two vertices of
+    equal relative time (a zero gap gives none), and reports every edge key
+    where the rebuild and the input differ: a label the rebuild gives
+    differently, an input edge it does not give, or an edge it gives that
+    the input lacks. Keys with a collapsed endpoint, or one that a C2/C3
+    violation names, are skipped; their fault is already reported.
     """
     _check_rel_tol(rel_tol)
     return _report(_Pass(g), rel_tol)
@@ -474,10 +453,10 @@ def reconstruct(
 
     One pass over the graph, shared with ``check_consistency``, finds the
     weakly connected components, the relative times from tau sums and the
-    node identities the motif labels imply (resolved in vertex index
-    order). Each component is then placed on its own: anchored vertices at
-    their anchor time and the rest relative to the first anchor, or the
-    earliest event at 0 without anchors. Components are laid out by
+    node identities the motif labels imply (the slot classes of
+    ``check_consistency``). Each component is then placed on its own:
+    anchored vertices at their anchor time and the rest relative to the
+    first anchor, or the earliest event at 0 without anchors. Components are laid out by
     (start time, first vertex index), and node labels are numbered by
     first appearance in that order, each component's events taken by
     (time, vertex index), source before target. The output is canonical
