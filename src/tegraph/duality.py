@@ -34,16 +34,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import inf, isfinite, isqrt
 from typing import Mapping, TextIO
 
 import numpy as np
 
 from .components import _labels
-from .events import TemporalNetwork, _first_seen, _id_array, _readonly
+from .events import _CHUNK, TemporalNetwork, _first_seen, _id_array, _readonly, _starts
 from .motifs import MOTIFS, Motif, prescribed_nodes
-from .teg import Teg, _incidence_edges, _json_items, _write_json
+from .teg import _MOTIF_NAMES, Teg, _incidence_edges, _json_rows, _write_json
 
 # per motif code, an id of its xi_out / xi_in label: equal ids, equal labels
 _XI_OUT = np.unique([m.xi_out for m in MOTIFS], return_inverse=True)[1]
@@ -54,6 +54,11 @@ _SLOTS = np.array([[-1 if s is None else s for s in prescribed_nodes(m, 0, 1)] f
 _MOTIF_CODE = {m.value: c for c, m in enumerate(MOTIFS)}
 _MAX_VERTICES = isqrt(2**63 - 1)  # edge keys i * n + j are int64
 _REAL = (int, float, np.integer, np.floating)  # bool is an int, and rejected apart
+
+
+def _types(values) -> set[type]:
+    """The exact types of ``values`` (``bool`` is not ``int`` here)."""
+    return set(map(type, values))
 
 
 class InconsistentGraphError(ValueError):
@@ -121,9 +126,30 @@ class EdgeLabelledTeg:
         mu: Mapping[tuple[int, int], Motif],
         anchors: Mapping[int, float] | None = None,
     ):
-        if set(tau) != set(mu):
+        keys = list(tau)
+        in_order = list(mu) == keys  # the usual case, and then no set is needed
+        if not in_order and set(tau) != set(mu):
             extra = set(tau) ^ set(mu)
             raise ValueError(f"tau and mu must label identical edges, mismatch at {sorted(extra)}")
+        anchors = anchors or {}
+        exact = (
+            _types(keys) <= {tuple}
+            and set(map(len, keys)) <= {2}
+            and _types(chain.from_iterable(keys)) <= {int}
+            and _types(tau.values()) <= {int, float}
+            and _types(mu.values()) <= {Motif}
+            and _types(anchors) <= {int}
+            and _types(anchors.values()) <= {int, float}
+        )
+        if not exact:  # find the first offending item
+            self._check_items(vertex_count, tau, mu, anchors)
+        pairs = _id_array(list(chain.from_iterable(keys))).reshape(-1, 2)
+        codes = list(map(MOTIFS.index, mu.values() if in_order else map(mu.__getitem__, keys)))
+        anchor_items = (list(anchors), list(anchors.values()))
+        self._fill(vertex_count, pairs[:, 0], pairs[:, 1], list(tau.values()), codes, *anchor_items)
+
+    @staticmethod
+    def _check_items(vertex_count, tau, mu, anchors):
         for (i, j), t in tau.items():
             if bool in (type(i), type(j)) or not (isinstance(i, int) and isinstance(j, int)):
                 raise ValueError(f"edge key ({i},{j}) must satisfy 0 <= i < j < {vertex_count}")
@@ -131,16 +157,11 @@ class EdgeLabelledTeg:
                 raise ValueError(f"tau[{i},{j}] must be positive and finite, got {t}")
             if not isinstance(mu[i, j], Motif):
                 raise ValueError(f"mu[{(i, j)}] must be a Motif, got {mu[i, j]!r}")
-        anchors = anchors or {}
         for v, t in anchors.items():
             if type(v) is bool or not isinstance(v, int):
                 raise ValueError(f"anchor vertex {v!r} out of range")
             if type(t) is bool or not isinstance(t, _REAL):
                 raise ValueError(f"anchor time for vertex {v} must be finite, got {t}")
-        keys = list(tau)
-        codes = [MOTIFS.index(mu[key]) for key in keys]
-        heads, tails = [i for i, _ in keys], [j for _, j in keys]
-        self._fill(vertex_count, heads, tails, list(tau.values()), codes, list(anchors), list(anchors.values()))
 
     @classmethod
     def _from_columns(cls, vertex_count, heads, tails, taus, codes, anchor_vertices=(), anchor_times=()):
@@ -209,34 +230,74 @@ def strip_events(teg: Teg, keep_anchors: bool = False) -> EdgeLabelledTeg:
     return EdgeLabelledTeg._from_columns(teg.vertex_count, teg.heads, teg.tails, teg.iets, teg.codes, *anchors)
 
 
-def _potentials(n, out_ptr, out_ends, out_taus, in_ptr, in_ends, in_taus):
+# _DEEP levels in a row narrower than _NARROW vertices (a long path) go to the
+# FIFO loop: a numpy round costs tens of microseconds, a FIFO step under one
+_NARROW, _DEEP = 64, 32
+
+
+def _fifo(queue, pot, ptr, ends, steps, seen):
+    """The FIFO search, over Python lists: scans the vertices of ``queue`` in
+    turn, and appends to it every vertex a scan finds not yet ``seen``,
+    setting its ``pot`` to the scanned vertex's plus the entry's step."""
+    for v in queue:  # grows while iterated
+        here = pot[v]
+        for k in range(ptr[v], ptr[v + 1]):
+            w = ends[k]
+            if not seen[w]:
+                seen[w] = 1
+                pot[w] = here + steps[k]
+                queue.append(w)
+
+
+def _potentials(n, heads, tails, taus, out_ptr, in_heads, in_tails, in_taus, in_ptr):
     """Every vertex's time relative to the first vertex of its weakly
     connected component, the vertices in visiting order and where each
-    component starts in it. Each vertex not yet reached, in ascending order,
-    starts a breadth-first search that sums tau along the edges it crosses,
-    out-edges by tail before in-edges by head."""
-    pot: list[float | None] = [None] * n
-    order, starts = [], []
-    for start in range(n):
-        if pot[start] is not None:
-            continue
-        pot[start] = 0.0
-        comp = [start]
-        for v in comp:  # grows while iterated: a FIFO queue
-            here = pot[v]
-            for k in range(out_ptr[v], out_ptr[v + 1]):
-                w = out_ends[k]
-                if pot[w] is None:
-                    pot[w] = here + out_taus[k]
-                    comp.append(w)
-            for k in range(in_ptr[v], in_ptr[v + 1]):
-                u = in_ends[k]
-                if pot[u] is None:
-                    pot[u] = here - in_taus[k]
-                    comp.append(u)
-        starts.append(len(order))
-        order += comp
-    return pot, order, starts
+    component starts in it.
+
+    A breadth-first search from each component's smallest vertex sums tau
+    along the edges it crosses, scanning a vertex's out-edges by tail and
+    then its in-edges by head (an in-edge adds its negated tau). Every
+    component is searched at once, one level per numpy round: the round
+    expands the whole frontier and keeps each new vertex's first occurrence
+    in frontier order and then adjacency order, which is the discoverer a
+    FIFO queue gives it. After ``_DEEP`` narrow levels in a row (a long
+    path) the remaining queue goes to the FIFO loop, ``_fifo``, which
+    continues it exactly. So every vertex gets the potential, to the bit, of
+    one FIFO search per component, and ``order`` lists each component's
+    vertices in that search's visiting order.
+    """
+    ptr = out_ptr + in_ptr  # each vertex's out-edges, then its in-edges
+    ends, steps = np.empty(2 * len(heads), np.int64), np.empty(2 * len(heads))
+    at_out, at_in = np.arange(len(heads)) + in_ptr[heads], np.arange(len(heads)) + out_ptr[in_tails + 1]
+    ends[at_out], ends[at_in], steps[at_out], steps[at_in] = tails, in_heads, taus, -in_taus
+    root = _labels(n, heads, tails)
+    roots = np.flatnonzero(root == np.arange(n))
+    pot, seen = np.zeros(n), bytearray(n)
+    reached = np.frombuffer(seen, np.bool_)
+    reached[roots] = True
+    visited, frontier, narrow = [roots], roots, 0
+    while len(frontier) and narrow < _DEEP:
+        degree = ptr[frontier + 1] - ptr[frontier]
+        entries = np.arange(degree.sum()) + np.repeat(ptr[frontier] - (np.cumsum(degree) - degree), degree)
+        parents = np.repeat(frontier, degree)
+        fresh = ~reached[ends[entries]]
+        entries, parents = entries[fresh], parents[fresh]
+        found = ends[entries]
+        by_vertex = np.argsort(found, kind="stable")
+        first = np.sort(by_vertex[_starts(found[by_vertex])])
+        frontier = found[first]
+        pot[frontier] = pot[parents[first]] + steps[entries[first]]
+        reached[frontier] = True
+        visited.append(frontier)
+        narrow = narrow + 1 if len(frontier) < _NARROW else 0
+    if len(frontier):
+        queue, potentials = frontier.tolist(), pot.tolist()
+        _fifo(queue, potentials, ptr.tolist(), ends.tolist(), steps.tolist(), seen)
+        pot = np.array(potentials)
+        visited.append(np.array(queue[len(frontier) :], np.int64))
+    visited = np.concatenate(visited)
+    order = visited[np.argsort(root[visited], kind="stable")]
+    return pot, order, np.searchsorted(root[order], roots)
 
 
 def _resolve_nodes(n, heads, tails, codes):
@@ -262,7 +323,8 @@ def _resolve_nodes(n, heads, tails, codes):
 class _Pass:
     """One pass over a labelled graph, shared by the check and the
     reconstruction: compressed out- and in-adjacency over the sorted edge
-    columns, components with their relative times, and node resolution.
+    columns (numpy arrays), components with their relative times from one
+    level-synchronous search (``_potentials``), and node resolution.
     Components are numbered by first vertex."""
 
     def __init__(self, g: EdgeLabelledTeg):
@@ -270,16 +332,13 @@ class _Pass:
         self.g, self.keys = g, g.heads * n + g.tails
         by_tail = np.argsort(g.tails, kind="stable")  # each vertex's in-edges by head
         self.in_heads, self.in_tails, self.in_codes = g.heads[by_tail], g.tails[by_tail], g.codes[by_tail]
-        self.out_ptr = np.searchsorted(g.heads, np.arange(n + 1)).tolist()
-        self.in_ptr = np.searchsorted(self.in_tails, np.arange(n + 1)).tolist()
-        in_heads = self.in_heads.tolist()
-        pot, order, starts = _potentials(
-            n, self.out_ptr, g.tails.tolist(), g.taus.tolist(), self.in_ptr, in_heads, g.taus[by_tail].tolist()
+        self.out_ptr = np.searchsorted(g.heads, np.arange(n + 1))
+        self.in_ptr = np.searchsorted(self.in_tails, np.arange(n + 1))
+        self.pot, self.order, self.starts = _potentials(
+            n, g.heads, g.tails, g.taus, self.out_ptr, self.in_heads, self.in_tails, g.taus[by_tail], self.in_ptr
         )
-        self.pot = np.array(pot, np.float64)
-        self.order, self.starts = np.array(order, np.int64), np.array(starts, np.int64)
         self.label = np.empty(n, np.int64)
-        self.label[self.order] = np.repeat(np.arange(len(starts)), np.diff(starts + [n]))
+        self.label[self.order] = np.repeat(np.arange(len(self.starts)), np.diff(self.starts, append=n))
         self.low, self.high = self.reduce(np.minimum, self.pot), self.reduce(np.maximum, self.pot)
         self.sources, self.targets, self.collapsed = _resolve_nodes(n, g.heads, g.tails, g.codes)
 
@@ -496,24 +555,23 @@ def reconstruct(
 
 
 def save_edge_labelled(g: EdgeLabelledTeg, stream: TextIO) -> None:
-    """JSON dump; tau values survive a round-trip bit-exactly."""
-    names = [m.value for m in MOTIFS]
-    columns = (g.heads.tolist(), g.tails.tolist(), g.taus.tolist(), g.codes.tolist())
-    row = '  {\n   "i": %d,\n   "j": %d,\n   "tau": %r,\n   "motif": "%s"\n  }'
-    edges = [row % (i, j, t, names[c]) for i, j, t, c in zip(*columns)]
-    fields = {"vertex_count": str(g.vertex_count), "edges": _json_items(edges)}
+    """JSON dump; tau values survive a round-trip bit-exactly. Rows are
+    written a bounded chunk at a time."""
+    edges = _json_rows(_EDGE_ROW, g.heads, g.tails, g.taus, _MOTIF_NAMES[g.codes])
+    fields = {"vertex_count": str(g.vertex_count), "edges": ("[]", edges)}
     if len(g.anchor_vertices):
-        anchors = [f'  "{v}": {t!r}' for v, t in zip(g.anchor_vertices.tolist(), g.anchor_times.tolist())]
-        fields["anchors"] = _json_items(anchors, "{}")
+        fields["anchors"] = ("{}", _json_rows(_ANCHOR_ROW, g.anchor_vertices, g.anchor_times))
     _write_json(stream, fields)
 
 
 _NUMBER = {int, float}  # JSON true and false load as bool, which is neither
 
 
-def load_edge_labelled(stream: TextIO) -> EdgeLabelledTeg:
-    """Read what ``save_edge_labelled`` writes; ValueError for anything else."""
-    doc = json.load(stream)
+def _json_columns(text: str):
+    """Vertex count, edge columns and anchor columns of any JSON document,
+    through ``json.loads``; ValueError, with the document's first fault,
+    unless it is a graph."""
+    doc = json.loads(text)
     try:
         count = doc["vertex_count"]
         if type(count) is not int:
@@ -540,11 +598,132 @@ def load_edge_labelled(stream: TextIO) -> EdgeLabelledTeg:
         times = np.array(list(anchors.values()), np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed edge-labelled graph JSON: {exc}") from None
+    return count, heads, tails, taus, codes, vertices, times
+
+
+# save_edge_labelled's layout: one row per edge or anchor, rows joined by ",\n"
+_EDGE_ROW = '  {\n   "i": %d,\n   "j": %d,\n   "tau": %r,\n   "motif": "%s"\n  }'
+_ANCHOR_ROW = '  "%d": %r'
+_HEAD, _END = '{\n "vertex_count": ', "\n}\n"
+_NO_EDGES, _EDGES, _ANCHORS = ',\n "edges": []', ',\n "edges": [\n', ',\n "anchors": {\n'
+# what a value can hold: digits, the signs of a JSON number and motif letters;
+# the rows' own text holds none of them
+_VALUE_CHARS = b"0123456789.eE+-ABC"
+_TOKENS = bytes(c if c in _VALUE_CHARS else 32 for c in range(256))  # the rest to spaces
+_DIGITS = bytes.maketrans(b"0123456789", b"0111111111")
+_MOTIF_BYTES = {m.value.encode(): c for c, m in enumerate(MOTIFS)}
+
+
+class _NotLayout(Exception):
+    """The text is not save_edge_labelled's layout; the json path reads it."""
+
+
+def _layout_rows(text: str, start: int, stop: int, row: str):
+    """The values of the rows ``text[start:stop]``, laid out as the writer
+    lays out ``row``, as one list of tokens per value, a bounded chunk of
+    rows at a time; raises ``_NotLayout`` where the text differs.
+
+    A chunk is that layout when deleting every value character leaves the
+    rows' own text, no value is empty (the writer quotes each value, or puts
+    it between ": " and a comma or the end), and the value characters form
+    one token per value.
+    """
+    width, joint = row.count("%"), ",\n" + row[: row.index("%")]
+    bare = row.replace("%d", "").replace("%r", "").replace("%s", "").encode()
+    while start < stop:
+        cut = text.find(joint, start + _CHUNK, stop)
+        cut = stop if cut < 0 else cut
+        chunk = text[start:cut].encode("ascii")
+        tokens = chunk.translate(_TOKENS).split()
+        rows, extra = divmod(len(tokens), width)
+        if extra or chunk.translate(None, _VALUE_CHARS) != b",\n".join([bare] * rows):
+            raise _NotLayout
+        if b'""' in chunk or b": ," in chunk or chunk.endswith(b": "):
+            raise _NotLayout
+        yield [tokens[k::width] for k in range(width)]
+        start = cut + 2
+
+
+def _ints(tokens: list[bytes]) -> np.ndarray:
+    """Tokens that JSON reads as non-negative integers within int64."""
+    text = b" " + b" ".join(tokens)
+    digits = text.translate(_DIGITS)
+    if not b"".join(tokens).isdigit() or b" 00" in digits or b" 01" in digits or max(map(len, tokens)) > 18:
+        raise _NotLayout
+    return np.fromstring(text, np.int64, sep=" ")
+
+
+def _reals(tokens: list[bytes]) -> np.ndarray:
+    """Tokens that JSON reads as finite floats, parsed as JSON parses them
+    (``float`` of the token): a number with a fraction or an exponent, or an
+    integer other than -0 (which JSON reads as the integer 0)."""
+    text = b" " + b" ".join(tokens) + b" "
+    digits = text.translate(_DIGITS)
+    # float() also takes a leading "+", a "." without a digit on each side
+    # and leading zeros, which JSON does not
+    if b" +" in text or b" -0 " in text or digits.replace(b"0", b"1").count(b"1.1") != text.count(b"."):
+        raise _NotLayout
+    if b" 00" in digits or b" 01" in digits or b" -00" in digits or b" -01" in digits:
+        raise _NotLayout
+    values = np.array(tokens, np.float64)
+    if not np.isfinite(values).all():
+        raise _NotLayout
+    return values
+
+
+def _layout_columns(text: str):
+    """Vertex count, edge columns and anchor columns of ``text`` when it is
+    exactly the layout ``save_edge_labelled`` writes, with anchors ascending,
+    converted a bounded chunk of rows at a time; None otherwise."""
+    try:
+        at = text.find(",", len(_HEAD))
+        if not text.startswith(_HEAD) or at < 0:
+            raise _NotLayout
+        count = int(_ints([text[len(_HEAD) : at].encode("ascii")])[0])
+        edges = [[np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.uint8)]]
+        anchors = [[np.empty(0, np.int64)], [np.empty(0)]]
+        if text.startswith(_NO_EDGES, at):
+            at += len(_NO_EDGES)
+        elif text.startswith(_EDGES, at):
+            stop = text.find("\n ]", at)
+            for i, j, tau, names in _layout_rows(text, at + len(_EDGES), stop, _EDGE_ROW):
+                codes = np.array([_MOTIF_BYTES[name] for name in names], np.uint8)
+                for column, values in zip(edges, (_ints(i), _ints(j), _reals(tau), codes)):
+                    column.append(values)
+            at = stop + 3
+        else:
+            raise _NotLayout
+        if text.startswith(_ANCHORS, at):
+            stop = text.find("\n }", at)
+            for vertices, times in _layout_rows(text, at + len(_ANCHORS), stop, _ANCHOR_ROW):
+                anchors[0].append(_ints(vertices))
+                anchors[1].append(_reals(times))
+            at = stop + 3
+        if text[at:] != _END:
+            raise _NotLayout
+    except (_NotLayout, ValueError, KeyError):
+        return None
+    (heads, tails, taus, codes), (vertices, times) = map(np.concatenate, edges), map(np.concatenate, anchors)
+    if (vertices[1:] <= vertices[:-1]).any():
+        return None  # JSON keeps the last of repeated keys
+    return count, heads, tails, taus, codes, vertices, times
+
+
+def load_edge_labelled(stream: TextIO) -> EdgeLabelledTeg:
+    """Read what ``save_edge_labelled`` writes; ValueError for anything else.
+
+    The writer's own layout is converted to columns a bounded chunk of rows
+    at a time. Any other JSON layout, and any fault, goes through
+    ``json.loads`` instead, which reads the same graph from any layout and
+    names the fault.
+    """
+    text = stream.read()
+    count, heads, tails, taus, codes, vertices, times = _layout_columns(text) or _json_columns(text)
     g = EdgeLabelledTeg._from_columns(count, heads, tails, taus, codes, vertices, times)
     keys = g.heads * count + g.tails
     if np.any(keys[1:] == keys[:-1]):  # name the first duplicate in file order
         keys = np.array(heads, np.int64) * count + tails
         order = np.argsort(keys, kind="stable")
         k = order[1:][keys[order[1:]] == keys[order[:-1]]].min()
-        raise ValueError(f"malformed edge-labelled graph JSON: duplicate edge {(heads[k], tails[k])}")
+        raise ValueError(f"malformed edge-labelled graph JSON: duplicate edge {(int(heads[k]), int(tails[k]))}")
     return g

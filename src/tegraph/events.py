@@ -198,15 +198,22 @@ def canonicalize(net: TemporalNetwork) -> TemporalNetwork:
     return TemporalNetwork._from_columns(sources, targets, net.times - net.times[0], node_ids)
 
 
-def _format_time(t: float) -> str:
-    if t == int(t) and abs(t) < 2**53:
-        return str(int(t))
-    return repr(t)
+def _time_strings(times: np.ndarray) -> list[str]:
+    """Each time as text: an integer-valued time under 2**53 in magnitude as
+    that integer, any other by ``repr``. Numpy picks out and converts the
+    integer-valued ones in one pass."""
+    whole = (times == np.trunc(times)) & (np.abs(times) < 2**53)
+    strings = np.empty(len(times), dtype=object)
+    strings[whole] = list(map(str, times[whole].astype(np.int64).tolist()))
+    strings[~whole] = list(map(repr, times[~whole].tolist()))
+    return strings.tolist()
 
 
 def events_to_text(net: TemporalNetwork) -> str:
     """One ``source target time`` line per event (lossless)."""
-    return "".join(f"{s} {t} {_format_time(x)}\n" for s, t, x in zip(*net._lists()))
+    ids = net.node_ids
+    columns = ids[net.sources].tolist(), ids[net.targets].tolist(), _time_strings(net.times)
+    return "".join(f"{s} {t} {x}\n" for s, t, x in zip(*columns))
 
 
 def write_events(net: TemporalNetwork, stream: TextIO) -> None:

@@ -132,27 +132,47 @@ def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
     return Teg(net, delta_t, heads, tails, times[tails] - times[heads], codes)
 
 
-def _json_items(items: list[str], brackets: str = "[]") -> str:
-    """A JSON array (or object) of items rendered at depth 2, as ``json.dump(indent=1)`` lays it out."""
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n {brackets[1]}"
+_ROWS = 1 << 12  # rows rendered at a time, so no list of every row is held
+_MOTIF_NAMES = np.array([m.value for m in MOTIFS], dtype=object)
 
 
-def _write_json(stream: TextIO, fields: dict[str, str]) -> None:
+def _json_rows(row: str, *columns):
+    """``row % values`` for the values of ``columns`` at each index, joined
+    by ",\\n" a bounded chunk of rows at a time: the items of a JSON array or
+    object at depth 2, as ``json.dump(indent=1)`` lays them out."""
+    for start in range(0, len(columns[0]), _ROWS):
+        values = zip(*(column[start : start + _ROWS].tolist() for column in columns))
+        yield ",\n".join(row % items for items in values)
+
+
+def _write_json(stream: TextIO, fields: dict) -> None:
     """Write the object of rendered ``fields`` byte for byte as ``json.dump(indent=1)``
-    and a newline would, without its pure-Python encoder (several times slower)."""
-    stream.write("{\n" + ",\n".join(f' "{k}": {v}' for k, v in fields.items()) + "\n}\n")
+    and a newline would, without its pure-Python encoder (several times slower).
+    A field is a rendered value, or a pair of its empty value (``"[]"`` or
+    ``"{}"``) and the chunks of its items (``_json_rows``), written as they come."""
+    opening = "{"
+    for name, value in fields.items():
+        stream.write(f'{opening}\n "{name}": ')
+        opening = ","
+        if isinstance(value, str):
+            stream.write(value)
+            continue
+        empty, chunks = value
+        written = False
+        for chunk in chunks:
+            stream.write(",\n" + chunk if written else empty[0] + "\n" + chunk)
+            written = True
+        stream.write(f"\n {empty[1]}" if written else empty)
+    stream.write("\n}\n")
 
 
 def write_teg_json(teg: Teg, stream: TextIO) -> None:
     """Dump the edge list with its header; inter-event times are lossless.
+    Rows are written a bounded chunk at a time.
 
     The dump is for downstream tools: the package has no reader for it.
     """
-    names = [m.value for m in MOTIFS]
-    columns = (teg.heads.tolist(), teg.tails.tolist(), teg.iets.tolist(), teg.codes.tolist())
     row = '  [\n   %d,\n   %d,\n   %r,\n   "%s"\n  ]'
-    rows = [row % (i, j, iet, names[c]) for i, j, iet, c in zip(*columns)]
+    rows = _json_rows(row, teg.heads, teg.tails, teg.iets, _MOTIF_NAMES[teg.codes])
     delta_t = json.dumps("inf" if teg.delta_t == inf else teg.delta_t)
-    _write_json(stream, {"delta_t": delta_t, "event_count": str(teg.vertex_count), "edges": _json_items(rows)})
+    _write_json(stream, {"delta_t": delta_t, "event_count": str(teg.vertex_count), "edges": ("[]", rows)})

@@ -35,3 +35,40 @@ def teg_edge_tuples(teg):
     """The builder's edges as (i, j, iet, motif) tuples, read off its columns."""
     columns = (teg.heads.tolist(), teg.tails.tolist(), teg.iets.tolist(), teg.codes.tolist())
     return {(i, j, iet, MOTIFS[code]) for i, j, iet, code in zip(*columns)}
+
+
+def fifo_potentials(n, out_ptr, out_ends, out_taus, in_ptr, in_ends, in_taus):
+    """Relative times, visiting order and component starts by one FIFO
+    breadth-first search per weakly connected component, each from its
+    smallest vertex, over Python lists: a vertex's out-edges by tail, then
+    its in-edges by head, summing tau forward and subtracting it backward.
+    """
+    pot = [None] * n
+    order, starts = [], []
+    for start in range(n):
+        if pot[start] is not None:
+            continue
+        pot[start] = 0.0
+        comp = [start]
+        for v in comp:  # grows while iterated: a FIFO queue
+            here = pot[v]
+            for k in range(out_ptr[v], out_ptr[v + 1]):
+                w = out_ends[k]
+                if pot[w] is None:
+                    pot[w] = here + out_taus[k]
+                    comp.append(w)
+            for k in range(in_ptr[v], in_ptr[v + 1]):
+                u = in_ends[k]
+                if pot[u] is None:
+                    pot[u] = here - in_taus[k]
+                    comp.append(u)
+        starts.append(len(order))
+        order += comp
+    return pot, order, starts
+
+
+def format_time(t):
+    """A time as an event line writes it, one float at a time."""
+    if t == int(t) and abs(t) < 2**53:
+        return str(int(t))
+    return repr(t)

@@ -7,8 +7,10 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
+from _oracles import fifo_potentials
 from tegraph import (
     MOTIFS,
     AnchorError,
@@ -26,8 +28,10 @@ from tegraph import (
     save_edge_labelled,
     strip_events,
     weakly_connected_components,
+    write_teg_json,
 )
 from tegraph import cli, duality
+from tegraph import teg as teg_module
 from tegraph.generators import (
     DeterministicIets,
     ExponentialIets,
@@ -740,3 +744,246 @@ def test_mutation_corpus_matches_recorded_digests():
     assert verdicts == {"ok", "C1", "C2", "C3", "C4"}
     assert summaries.hexdigest() == "558c0871b054d83ab685dff52284c830c56173c929b8fe07464d6f744eaddd08"
     assert rebuilt.hexdigest() == "ac85af9b45e52977c42a993778aa1e077b84aad0a989c5f29020c753ccf23941"
+
+
+def _columns_graph(sources, targets, times):
+    net = TemporalNetwork._from_columns(np.asarray(sources), np.asarray(targets), np.asarray(times, float))
+    return strip_events(build_teg(net, math.inf))
+
+
+def _potential_shapes():
+    """Labelled graphs the level-synchronous search has to get bit-exact:
+    seeded multi-component networks, many three-event components, isolated
+    vertices, no vertices, and two-node chains deeper than the hand-off to
+    the FIFO loop, alone, beside a wide component and leading into one."""
+    for seed, law in enumerate(("power_law:0.2", "exponential:1.0", "power_law:0.5")):
+        net = generate_random(GeneratorConfig(60, 3000, parse_iet_sampler(law), seed))
+        for dt in (0.05, 0.5, 3.0, 50.0, math.inf):
+            yield f"{law}-dt{dt}", strip_events(build_teg(net, dt))
+    rng = np.random.default_rng(3)
+    pairs = 400
+    ends = 3 * np.arange(pairs)
+    times = np.cumsum(rng.exponential(1.0, 3 * pairs))
+    yield "reply-pairs", _columns_graph(np.tile(ends, 3), np.concatenate([ends + 1, ends + 2, ends + 1]), times)
+    yield "isolated", EdgeLabelledTeg(7, {(1, 4): 0.5, (4, 5): 0.25}, {(1, 4): AC, (4, 5): CA})
+    yield "empty", EdgeLabelledTeg(0, {}, {})
+    m = 3 * duality._DEEP + 5
+    chain = np.arange(m) % 2
+    gaps = np.cumsum(rng.exponential(1.0, m))
+    yield "chain", _columns_graph(chain, 1 - chain, gaps)
+    u = rng.integers(2, 40, 2000)
+    v = (u - 2 + rng.integers(1, 38, 2000)) % 38 + 2
+    wide_times = np.sort(rng.uniform(0, gaps[-1], 2000))
+    yield "chain-beside-wide", _columns_graph(
+        np.concatenate([chain, u]), np.concatenate([1 - chain, v]), np.concatenate([gaps, wide_times])
+    )
+    yield "chain-into-wide", _columns_graph(
+        np.concatenate([chain, u % 20]),
+        np.concatenate([1 - chain, v % 20 + 20]),
+        np.concatenate([gaps, gaps[-1] + 1 + wide_times]),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:.*equal-timestamp")
+@pytest.mark.parametrize("name,g", list(_potential_shapes()), ids=lambda x: x if isinstance(x, str) else "")
+def test_potentials_match_one_fifo_search_per_component(name, g):
+    p = duality._Pass(g)
+    pot, order, starts = fifo_potentials(
+        g.vertex_count,
+        p.out_ptr.tolist(),
+        g.tails.tolist(),
+        g.taus.tolist(),
+        p.in_ptr.tolist(),
+        p.in_heads.tolist(),
+        g.taus[np.argsort(g.tails, kind="stable")].tolist(),
+    )
+    assert p.pot.tobytes() == np.array(pot, np.float64).tobytes()
+    assert p.order.tolist() == order
+    assert p.starts.tolist() == starts
+
+
+def test_deep_chain_reaches_the_fifo_loop(monkeypatch):
+    scanned = []
+
+    def counted(queue, *args, _original=duality._fifo):
+        _original(queue, *args)
+        scanned.append(len(queue))
+
+    monkeypatch.setattr(duality, "_fifo", counted)
+    shapes = dict(_potential_shapes())
+    duality._Pass(shapes["chain"])
+    assert scanned and scanned[0] > 2 * duality._DEEP
+    scanned.clear()
+    duality._Pass(shapes["reply-pairs"])
+    assert not scanned  # wide levels only
+
+
+def _load_outcome(text, fast):
+    """Columns or error text of load_edge_labelled, with or without the layout reader."""
+    original = duality._layout_columns
+    duality._layout_columns = original if fast else (lambda text: None)
+    try:
+        g = load_edge_labelled(io.StringIO(text))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    finally:
+        duality._layout_columns = original
+    columns = (g.heads, g.tails, g.taus, g.codes, g.anchor_vertices, g.anchor_times)
+    return g.vertex_count, [column.tobytes() for column in columns]
+
+
+def _written(g):
+    buf = io.StringIO()
+    save_edge_labelled(g, buf)
+    return buf.getvalue()
+
+
+def _documents():
+    """Writer output, the same documents in other JSON layouts, hand-made
+    faults the layout reader must refuse, and seeded single-byte mutations."""
+    net = generate_random(GeneratorConfig(6, 40, ExponentialIets(1.0), 8))
+    graphs = [
+        strip_events(build_teg(net, 2.0), keep_anchors=True),
+        strip_events(build_teg(net, math.inf)),
+        EdgeLabelledTeg(0, {}, {}),
+        EdgeLabelledTeg(3, {}, {}, {1: -0.0, 2: 1e16}),
+        EdgeLabelledTeg(2, {(0, 1): 5e-324}, {(0, 1): BA}, {0: 1e-7}),
+    ]
+    for g in graphs:
+        text = _written(g)
+        doc = json.loads(text)
+        yield "writer", text
+        yield "indent-none", json.dumps(doc)
+        yield "indent-2", json.dumps(doc, indent=2) + "\n"
+        yield "reordered", json.dumps(dict(reversed(doc.items())), indent=1) + "\n"
+        yield "sorted-keys", json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    g = graphs[0]
+    text = _written(g)
+    tau, anchor = f'"tau": {float(g.taus[0])!r}', f'"0": {float(g.anchor_times[0])!r}'
+    name, last = MOTIFS[g.codes[0]].value, f'"{g.vertex_count - 1}": {float(g.anchor_times[-1])!r}'
+    # a value moved out of its place leaves the same tokens in the same order
+    yield "moved i", text.replace('  {\n   "i": 0,', '  {0\n   "i": ,', 1)
+    yield "moved motif", text.replace(f'"motif": "{name}"\n  }}', f'"motif": ""\n  }}{name}', 1)
+    yield "moved anchor", text.replace(f"{last}\n }}", f'"{g.vertex_count - 1}"{last.split()[1]}: \n }}')
+    for old, new in [
+        (tau, '"tau": inf'),
+        (tau, '"tau": Infinity'),
+        (tau, '"tau": -0'),
+        (tau, '"tau": 2'),
+        (tau, '"tau": 1e400'),
+        (tau, '"tau": 01.5'),
+        (tau, '"tau": .5'),
+        (tau, '"tau": 5.'),
+        (tau, '"tau": +1.5'),
+        (tau, '"tau": 1E5'),
+        (tau, '"tau": 1e-05'),
+        (tau, '"tau": 1_0.5'),
+        (anchor, '"0": -0'),
+        (anchor, '"0": -00.5'),
+        (anchor, '"00": 1.5'),
+        ('"i": 0', '"i": 00'),
+        ('"i": 0', '"i": -0'),
+        ('"i": 0', '"i": 1234567890123456789012'),
+        ('"vertex_count": ', '"vertex_count": 0'),
+        ('"anchors": {\n  "0"', '"anchors": {\n  "1"'),
+        ('"motif": "', '"motif": "\\u0041'),
+        ("\n}\n", "\n}\n\n"),
+        ("\n}\n", "\n} \n"),
+        ("\n}\n", "\n}"),
+    ]:
+        assert old in text
+        yield f"edit {new!r}", text.replace(old, new, 1)
+    rng = random.Random(12)
+    alphabet = '0123456789.eE+-ABCx "{}[],:\n\x01é'
+    for k in range(400):
+        text = _written(graphs[k % 2])
+        at = rng.randrange(len(text))
+        change = rng.randrange(3)
+        char = rng.choice(alphabet)
+        if change == 0:
+            text = text[:at] + char + text[at + 1 :]
+        elif change == 1:
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + char + text[at:]
+        yield "mutation", text
+
+
+def test_layout_reader_matches_the_json_reader():
+    taken = {}
+    for name, text in _documents():
+        fast = duality._layout_columns(text) is not None
+        taken.setdefault(name, set()).add(fast)
+        assert _load_outcome(text, fast=True) == _load_outcome(text, fast=False), (name, text)
+    assert taken["writer"] == {True}
+    for name in ("indent-none", "indent-2", "reordered", "sorted-keys"):
+        assert taken[name] == {False}
+    assert taken["mutation"] == {True, False}
+    assert taken["moved i"] == taken["moved motif"] == taken["moved anchor"] == {False}
+    # JSON numbers in the writer's own form are read on the fast path
+    assert taken["edit '\"tau\": 1E5'"] == {True}
+    assert taken["edit '\"tau\": 1e-05'"] == {True}
+
+
+def _pinned_graphs():
+    net = generate_random(GeneratorConfig(250, 5000, parse_iet_sampler("power_law:0.2"), 1))
+    teg = build_teg(net, math.inf)
+    return teg, strip_events(teg), strip_events(teg, keep_anchors=True)
+
+
+def test_writers_keep_their_bytes():
+    # digests of the writers' output before rows were written in chunks
+    teg, bare, anchored = _pinned_graphs()
+    assert teg.edge_count > 2 * teg_module._ROWS
+    buf = io.StringIO()
+    write_teg_json(teg, buf)
+    texts = (_written(bare), _written(anchored), buf.getvalue())
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in texts]
+    assert digests == [
+        "a017a825c1d887ab19ae760c966b0a0ec6afd26080cdb30f4b8a8a6d0fb76966",
+        "ef6550b0527456e73045b36da982d571e4328874bc4d3b30f79fe599d2ea961a",
+        "b49ae627f0d577a383e93e86d3407e3457cef93fbafad6a4c94f1c307dca1b41",
+    ]
+
+
+@pytest.mark.parametrize("edges", (0, 1, 2, teg_module._ROWS, teg_module._ROWS + 1, 9000))
+@pytest.mark.parametrize("keep_anchors", (False, True))
+def test_chunked_writer_matches_json_dump(edges, keep_anchors):
+    _, _, g = _pinned_graphs()
+    anchors = (g.anchor_vertices, g.anchor_times) if keep_anchors else ()
+    columns = (c[:edges] for c in (g.heads, g.tails, g.taus, g.codes))
+    g = EdgeLabelledTeg._from_columns(g.vertex_count, *columns, *anchors)
+    doc = {
+        "vertex_count": g.vertex_count,
+        "edges": [
+            {"i": i, "j": j, "tau": t, "motif": MOTIFS[c].value}
+            for i, j, t, c in zip(g.heads.tolist(), g.tails.tolist(), g.taus.tolist(), g.codes.tolist())
+        ],
+    }
+    if keep_anchors:
+        doc["anchors"] = {str(v): t for v, t in zip(g.anchor_vertices.tolist(), g.anchor_times.tolist())}
+    text = _written(g)
+    assert text == json.dumps(doc, indent=1) + "\n"
+    assert _load_outcome(text, fast=True) == _load_outcome(text, fast=False)
+
+
+def test_constructor_skips_the_item_loop_only_for_exact_types():
+    g = _pinned_graphs()[2]
+    tau, mu, anchors = g.tau, g.mu, g.anchors
+    fast = EdgeLabelledTeg(g.vertex_count, tau, mu, anchors)
+    # numpy scalars and a reordered mu take the checked loop, to the same columns
+    checked = EdgeLabelledTeg(
+        g.vertex_count,
+        {key: np.float64(t) for key, t in tau.items()},
+        dict(reversed(mu.items())),
+        {v: np.float64(t) for v, t in anchors.items()},
+    )
+    for a, b in ((g, fast), (g, checked)):
+        for name in EdgeLabelledTeg.__slots__[1:]:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    # the first offending item is named, however many come before it
+    key = max(tau)
+    for bad, match in (({**tau, key: True}, "tau\\[.*got True"), ({**tau, (0, 1.5): 1.0}, "edge key \\(0,1.5\\)")):
+        bad_mu = {k: mu.get(k, AB) for k in bad}
+        with pytest.raises(ValueError, match=match):
+            EdgeLabelledTeg(g.vertex_count, bad, bad_mu, anchors)

@@ -30,6 +30,7 @@ from tegraph import (
     sweep_largest_component,
     time_shuffle,
 )
+from _oracles import format_time
 from tegraph.events import events_to_text, load_events, save_events, write_events
 
 
@@ -204,6 +205,29 @@ def test_write_events_stream():
     buf = io.StringIO()
     write_events(net, buf)
     assert buf.getvalue() == "0 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        [-0.0, 0.0, 1.0, 2.5],
+        [2.0**53 - 1, 2.0**53, -(2.0**53), -(2.0**53) + 1, 2.0**53 + 2],
+        [1e16, 1e300, 1.7976931348623157e308, 5e-324, 123456789.0, 0.1],
+        [float(k) for k in range(50)] + [k + 0.5 for k in range(50)],
+    ],
+    ids=("signed-zero", "two-to-53", "large-floats", "mixed"),
+)
+@pytest.mark.filterwarnings("ignore:.*equal-timestamp")  # -0.0 ties 0.0
+def test_event_text_matches_one_float_at_a_time(times):
+    # the columns are taken as given: times of any sign and size
+    n = len(times)
+    net = TemporalNetwork._from_columns(np.arange(n) % 7, np.arange(n) % 7 + 1, np.array(times))
+    columns = (net.node_ids[net.sources].tolist(), net.node_ids[net.targets].tolist(), net.times.tolist())
+    expected = "".join(f"{s} {t} {format_time(x)}\n" for s, t, x in zip(*columns))
+    assert events_to_text(net) == expected
+    buf = io.StringIO()
+    write_events(net, buf)
+    assert buf.getvalue() == expected
 
 
 def _event_lists():
