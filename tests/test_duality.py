@@ -967,18 +967,18 @@ def test_chunked_writer_matches_json_dump(edges, keep_anchors):
     assert _load_outcome(text, fast=True) == _load_outcome(text, fast=False)
 
 
-def test_constructor_skips_the_item_loop_only_for_exact_types():
+def test_constructor_converts_to_the_same_columns_and_names_the_first_offender():
     g = _pinned_graphs()[2]
     tau, mu, anchors = g.tau, g.mu, g.anchors
-    fast = EdgeLabelledTeg(g.vertex_count, tau, mu, anchors)
-    # numpy scalars and a reordered mu take the checked loop, to the same columns
+    built = EdgeLabelledTeg(g.vertex_count, tau, mu, anchors)
+    # numpy scalars and a reordered mu give the same columns
     checked = EdgeLabelledTeg(
         g.vertex_count,
         {key: np.float64(t) for key, t in tau.items()},
         dict(reversed(mu.items())),
         {v: np.float64(t) for v, t in anchors.items()},
     )
-    for a, b in ((g, fast), (g, checked)):
+    for a, b in ((g, built), (g, checked)):
         for name in EdgeLabelledTeg.__slots__[1:]:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     # the first offending item is named, however many come before it
