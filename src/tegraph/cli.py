@@ -408,10 +408,10 @@ def _cmd_barcode(args, argv):
 
 
 def _cmd_aggregate(args, argv):
-    net = _read_events(args)
     if (args.dt is None) != (args.component is None):
         print("error: --dt and --component go together", file=sys.stderr)
         return _USAGE_EXIT
+    net = _read_events(args)
     if args.dt is None:
         agg = aggregate_network(net)
         scope = "network"

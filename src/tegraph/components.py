@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import inf, isqrt, log2
+from math import inf, log2
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .events import TemporalNetwork, _readonly, _starts
+from .events import _MAX_IDS, TemporalNetwork, _readonly, _starts
 from .motifs import MOTIFS, Motif
 from .teg import Teg, build_teg, check_window
 
@@ -300,9 +300,6 @@ def barcode_rows(teg: Teg | ComponentSet, top: int | None = None) -> list[tuple[
     return [tuple(times[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
 
 
-_MAX_NODES = isqrt(2**63 - 1)  # edge keys s * n + t are int64
-
-
 class AggregateGraph:
     """Static directed graph of the node pairs that ever interact, as columns.
 
@@ -318,8 +315,8 @@ class AggregateGraph:
 
     def __init__(self, node_ids: np.ndarray, sources: np.ndarray, targets: np.ndarray):
         n = len(node_ids)
-        if n > _MAX_NODES:
-            raise ValueError(f"at most {_MAX_NODES} nodes: edge keys are int64 source * n + target")
+        if n > _MAX_IDS:
+            raise ValueError(f"at most {_MAX_IDS} nodes: edge keys are int64 source * n + target")
         keys = np.sort(np.asarray(sources, np.int64) * n + targets)
         keys = keys[_starts(keys)]
         present = np.zeros(n, dtype=bool)

@@ -35,13 +35,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import inf, isfinite, isqrt
+from math import inf, isfinite
 from typing import Mapping, TextIO
 
 import numpy as np
 
 from .components import _labels
-from .events import _CHUNK, TemporalNetwork, _first_seen, _id_array, _readonly, _starts
+from .events import _CHUNK, _MAX_IDS, TemporalNetwork, _first_seen, _id_array, _readonly, _starts
 from .motifs import MOTIFS, Motif, prescribed_nodes
 from .teg import _MOTIF_NAMES, Teg, _incidence_edges, _json_rows, _write_json
 
@@ -52,7 +52,6 @@ _XI_IN = np.unique([m.xi_in for m in MOTIFS], return_inverse=True)[1]
 # event: 0 its source, 1 its target, -1 a new node
 _SLOTS = np.array([[-1 if s is None else s for s in prescribed_nodes(m, 0, 1)] for m in MOTIFS])
 _MOTIF_CODE = {m.value: c for c, m in enumerate(MOTIFS)}
-_MAX_VERTICES = isqrt(2**63 - 1)  # edge keys i * n + j are int64
 _REAL = (int, float, np.integer, np.floating)  # bool is an int, and rejected apart
 
 
@@ -151,8 +150,8 @@ class EdgeLabelledTeg:
         return g
 
     def _fill(self, n, heads, tails, taus, codes, anchor_vertices, anchor_times):
-        if type(n) is bool or not isinstance(n, int) or n > _MAX_VERTICES:
-            raise ValueError(f"vertex_count must be an integer of at most {_MAX_VERTICES}, got {n!r}")
+        if type(n) is bool or not isinstance(n, int) or n > _MAX_IDS:
+            raise ValueError(f"vertex_count must be an integer of at most {_MAX_IDS}, got {n!r}")
         if n < 0:
             raise ValueError(f"vertex_count must be non-negative, got {n}")
         heads, tails, taus = _id_array(heads), _id_array(tails), np.asarray(taus, np.float64)
@@ -591,23 +590,19 @@ _NO_EDGES, _EDGES, _ANCHORS = ',\n "edges": []', ',\n "edges": [\n', ',\n "ancho
 # the rows' own text holds none of them
 _VALUE_CHARS = b"0123456789.eE+-ABC"
 _TOKENS = bytes(c if c in _VALUE_CHARS else 32 for c in range(256))  # the rest to spaces
-_DIGITS = bytes.maketrans(b"0123456789", b"0111111111")
 _MOTIF_BYTES = {m.value.encode(): c for c, m in enumerate(MOTIFS)}
 
 
-class _NotLayout(Exception):
-    """The text is not save_edge_labelled's layout; the json path reads it."""
-
-
 def _layout_rows(text: str, start: int, stop: int, row: str):
-    """The values of the rows ``text[start:stop]``, laid out as the writer
-    lays out ``row``, as one list of tokens per value, a bounded chunk of
-    rows at a time; raises ``_NotLayout`` where the text differs.
+    """The value tokens of the rows ``text[start:stop]``, laid out as the
+    writer lays out ``row``, as one list of tokens per value, a bounded chunk
+    of rows at a time; raises ValueError where the text differs.
 
     A chunk is that layout when deleting every value character leaves the
     rows' own text, no value is empty (the writer quotes each value, or puts
     it between ": " and a comma or the end), and the value characters form
-    one token per value.
+    one token per value. The tokens are isolated, not read: ``_values``
+    reads them.
     """
     width, joint = row.count("%"), ",\n" + row[: row.index("%")]
     bare = row.replace("%d", "").replace("%r", "").replace("%s", "").encode()
@@ -618,49 +613,36 @@ def _layout_rows(text: str, start: int, stop: int, row: str):
         tokens = chunk.translate(_TOKENS).split()
         rows, extra = divmod(len(tokens), width)
         if extra or chunk.translate(None, _VALUE_CHARS) != b",\n".join([bare] * rows):
-            raise _NotLayout
+            raise ValueError("not the writer's layout")
         if b'""' in chunk or b": ," in chunk or chunk.endswith(b": "):
-            raise _NotLayout
+            raise ValueError("not the writer's layout")
         yield [tokens[k::width] for k in range(width)]
         start = cut + 2
 
 
-def _ints(tokens: list[bytes]) -> np.ndarray:
-    """Tokens that JSON reads as non-negative integers within int64."""
-    text = b" " + b" ".join(tokens)
-    digits = text.translate(_DIGITS)
-    if not b"".join(tokens).isdigit() or b" 00" in digits or b" 01" in digits or max(map(len, tokens)) > 18:
-        raise _NotLayout
-    return np.fromstring(text, np.int64, sep=" ")
-
-
-def _reals(tokens: list[bytes]) -> np.ndarray:
-    """Tokens that JSON reads as finite floats, parsed as JSON parses them
-    (``float`` of the token): a number with a fraction or an exponent, or an
-    integer other than -0 (which JSON reads as the integer 0)."""
-    text = b" " + b" ".join(tokens) + b" "
-    digits = text.translate(_DIGITS)
-    # float() also takes a leading "+", a "." without a digit on each side
-    # and leading zeros, which JSON does not
-    if b" +" in text or b" -0 " in text or digits.replace(b"0", b"1").count(b"1.1") != text.count(b"."):
-        raise _NotLayout
-    if b" 00" in digits or b" 01" in digits or b" -00" in digits or b" -01" in digits:
-        raise _NotLayout
-    values = np.array(tokens, np.float64)
-    if not np.isfinite(values).all():
-        raise _NotLayout
-    return values
+def _values(tokens: list[bytes], types, dtype) -> np.ndarray:
+    """The JSON values of ``tokens``, read by ``json.loads`` as one list, as
+    a ``dtype`` column; ValueError unless each value's type is in ``types``,
+    OverflowError past int64."""
+    values = json.loads(b"[" + b",".join(tokens) + b"]")
+    if not set(map(type, values)) <= types:
+        raise ValueError("a value of another JSON type")
+    return np.array(values, dtype)
 
 
 def _layout_columns(text: str):
     """Vertex count, edge columns and anchor columns of ``text`` when it is
-    exactly the layout ``save_edge_labelled`` writes, with anchors ascending,
-    converted a bounded chunk of rows at a time; None otherwise."""
+    exactly the layout ``save_edge_labelled`` writes, with anchors ascending;
+    None otherwise. The layout check isolates each value's token, a bounded
+    chunk of rows at a time, and ``json.loads`` reads the tokens, so the
+    values are those the ``json.loads`` path reads."""
     try:
         at = text.find(",", len(_HEAD))
         if not text.startswith(_HEAD) or at < 0:
-            raise _NotLayout
-        count = int(_ints([text[len(_HEAD) : at].encode("ascii")])[0])
+            return None
+        count = json.loads(text[len(_HEAD) : at])
+        if type(count) is not int:
+            return None
         edges = [[np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.uint8)]]
         anchors = [[np.empty(0, np.int64)], [np.empty(0)]]
         if text.startswith(_NO_EDGES, at):
@@ -668,21 +650,24 @@ def _layout_columns(text: str):
         elif text.startswith(_EDGES, at):
             stop = text.find("\n ]", at)
             for i, j, tau, names in _layout_rows(text, at + len(_EDGES), stop, _EDGE_ROW):
-                codes = np.array([_MOTIF_BYTES[name] for name in names], np.uint8)
-                for column, values in zip(edges, (_ints(i), _ints(j), _reals(tau), codes)):
-                    column.append(values)
+                edges[0].append(_values(i, {int}, np.int64))
+                edges[1].append(_values(j, {int}, np.int64))
+                edges[2].append(_values(tau, _NUMBER, np.float64))
+                edges[3].append(np.array([_MOTIF_BYTES[name] for name in names], np.uint8))
             at = stop + 3
         else:
-            raise _NotLayout
+            return None
         if text.startswith(_ANCHORS, at):
             stop = text.find("\n }", at)
             for vertices, times in _layout_rows(text, at + len(_ANCHORS), stop, _ANCHOR_ROW):
-                anchors[0].append(_ints(vertices))
-                anchors[1].append(_reals(times))
+                if not b"".join(vertices).isdigit():  # a key is a JSON string: "-0" is not vertex 0
+                    return None
+                anchors[0].append(_values(vertices, {int}, np.int64))
+                anchors[1].append(_values(times, _NUMBER, np.float64))
             at = stop + 3
         if text[at:] != _END:
-            raise _NotLayout
-    except (_NotLayout, ValueError, KeyError):
+            return None
+    except (ValueError, OverflowError, KeyError):
         return None
     (heads, tails, taus, codes), (vertices, times) = map(np.concatenate, edges), map(np.concatenate, anchors)
     if (vertices[1:] <= vertices[:-1]).any():
@@ -693,10 +678,12 @@ def _layout_columns(text: str):
 def load_edge_labelled(stream: TextIO) -> EdgeLabelledTeg:
     """Read what ``save_edge_labelled`` writes; ValueError for anything else.
 
-    The writer's own layout is converted to columns a bounded chunk of rows
-    at a time. Any other JSON layout, and any fault, goes through
-    ``json.loads`` instead, which reads the same graph from any layout and
-    names the fault.
+    In the writer's own layout, a check of a bounded chunk of rows at a time
+    isolates each value, and ``json.loads`` reads each column's values as
+    one list. Any other JSON layout, and any fault, goes through
+    ``json.loads`` of the whole text instead, which reads the same graph
+    from any layout and names the fault. Either way one parser reads the
+    numbers, so both give the same columns.
     """
     text = stream.read()
     count, heads, tails, taus, codes, vertices, times = _layout_columns(text) or _json_columns(text)

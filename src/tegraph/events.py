@@ -13,7 +13,7 @@ import io
 import re
 import warnings
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import inf, isfinite, isqrt
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -68,6 +68,10 @@ def _id_array(ids) -> np.ndarray:
         return np.array(ids, dtype=np.int64)
     except OverflowError:
         return np.array(ids, dtype=object)
+
+
+# the most ids whose pair keys i * n + j fit int64
+_MAX_IDS = isqrt(2**63 - 1)
 
 
 def _starts(grouped: np.ndarray) -> np.ndarray:

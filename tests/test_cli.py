@@ -209,6 +209,12 @@ def test_aggregate_flag_pairing_is_usage_error(tmp_path, capsys):
     out = tmp_path / "agg.json"
     assert run("aggregate", "--input", events, "--dt", "1", "--output", out) == 1
     assert "together" in capsys.readouterr().err
+    assert run("aggregate", "--input", events, "--component", "0", "--output", out) == 1
+    assert "together" in capsys.readouterr().err
+    # the pairing is checked before the input is read
+    assert run("aggregate", "--input", tmp_path / "missing.txt", "--dt", "5", "--output", out) == 1
+    assert "together" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys):

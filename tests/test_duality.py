@@ -878,12 +878,28 @@ def _documents():
         (tau, '"tau": 1E5'),
         (tau, '"tau": 1e-05'),
         (tau, '"tau": 1_0.5'),
+        (tau, '"tau": 1e05'),
+        (tau, '"tau": 1e+5'),
+        (tau, '"tau": 1.5E-3'),
+        (tau, '"tau": -0.0'),
+        (tau, '"tau": -1.5'),
+        (tau, '"tau": 0.50'),
+        (tau, '"tau": 0e0'),
+        (tau, '"tau": 1.5e-400'),
+        (tau, '"tau": 1.7976931348623157e308'),
+        (tau, '"tau": 2e-'),
         (anchor, '"0": -0'),
         (anchor, '"0": -00.5'),
         (anchor, '"00": 1.5'),
+        (anchor, '"-0": 1.5'),
+        (anchor, '"+0": 1.5'),
+        (anchor, '"9223372036854775808": 1.5'),
         ('"i": 0', '"i": 00'),
         ('"i": 0', '"i": -0'),
         ('"i": 0', '"i": 1234567890123456789012'),
+        ('"i": 0', '"i": 9223372036854775807'),
+        ('"i": 0', '"i": 9223372036854775808'),
+        ('"i": 0', '"i": -3'),
         ('"vertex_count": ', '"vertex_count": 0'),
         ('"anchors": {\n  "0"', '"anchors": {\n  "1"'),
         ('"motif": "', '"motif": "\\u0041'),
