@@ -46,7 +46,7 @@ from .duality import (
     save_edge_labelled,
     strip_events,
 )
-from .events import ParseError, load_events, save_events
+from .events import ParseError, _stable_sort, load_events, save_events
 from .generators import (
     GeneratorConfig,
     ensemble_seeds,
@@ -380,8 +380,9 @@ def _cmd_entropy(args, argv):
     lines.append(whole)
     if args.per_component:
         # every edge lies inside its head's component
-        ranks = ComponentSet(teg).assignment[teg.heads]
-        order = np.argsort(ranks, kind="stable")
+        components = ComponentSet(teg)
+        ranks = components.assignment[teg.heads]
+        _, order = _stable_sort(ranks, len(components))
         for rank, inside in enumerate(np.split(order, np.cumsum(np.bincount(ranks))[:-1])):
             r = row(f"component:{rank}", inside)
             if r is not None:

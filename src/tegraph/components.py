@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .events import _MAX_IDS, TemporalNetwork, _readonly, _starts
+from .events import _MAX_IDS, TemporalNetwork, _inverse, _readonly, _stable_sort, _starts
 from .motifs import MOTIFS, Motif
 from .teg import Teg, build_teg, check_window
 
@@ -77,9 +77,9 @@ class ComponentSet:
         # components are indexed by first event, so the stable sort breaks
         # (size, start) ties by first event
         order = np.lexsort((times[firsts], -sizes))
-        assignment = order.argsort()[firsts.searchsorted(label)]
+        assignment = _inverse(order)[firsts.searchsorted(label)]
         # every rank's events, ascending, one run per rank
-        members = np.argsort(assignment, kind="stable")
+        _, members = _stable_sort(assignment, len(order))
         bounds = np.concatenate(([0], np.cumsum(sizes[order])))
         self.teg = teg
         self.assignment = _readonly(assignment, np.int64)
@@ -164,7 +164,7 @@ def sweep_largest_component(
                 # the kernel hangs each joined group under its largest root
                 roots = np.sort(ends, axis=None)
                 roots = roots[_starts(roots)]
-                roots = roots[np.argsort(-size[roots], kind="stable")]
+                roots = roots[_stable_sort(m - size[roots], m)[1]]
                 slot[roots] = np.arange(len(roots))
                 chief = _labels(len(roots), slot[ends[:, 0]], slot[ends[:, 1]])
                 moved = chief != np.arange(len(roots))

@@ -41,7 +41,7 @@ from typing import Mapping, TextIO
 import numpy as np
 
 from .components import _labels
-from .events import _CHUNK, _MAX_IDS, TemporalNetwork, _first_seen, _id_array, _readonly, _starts
+from .events import _CHUNK, _MAX_IDS, TemporalNetwork, _first_seen, _id_array, _inverse, _readonly, _stable_sort, _starts
 from .motifs import MOTIFS, Motif, prescribed_nodes
 from .teg import _MOTIF_NAMES, Teg, _incidence_edges, _json_rows, _write_json
 
@@ -170,7 +170,7 @@ class EdgeLabelledTeg:
             if bad_vertex[k]:
                 raise ValueError(f"anchor vertex {v!r} out of range")
             raise ValueError(f"anchor time for vertex {v} must be finite, got {float(times[k])}")
-        order = np.argsort(heads * n + tails, kind="stable")  # in range, so both are int64
+        _, order = _stable_sort(heads * n + tails, n * n)  # in range, so both are int64
         self.vertex_count = n
         self.heads, self.tails = _readonly(heads[order]), _readonly(tails[order])
         self.taus, self.codes = _readonly(taus[order]), _readonly(np.asarray(codes, np.uint8)[order])
@@ -263,8 +263,8 @@ def _potentials(n, heads, tails, taus, out_ptr, in_heads, in_tails, in_taus, in_
         fresh = ~reached[ends[entries]]
         entries, parents = entries[fresh], parents[fresh]
         found = ends[entries]
-        by_vertex = np.argsort(found, kind="stable")
-        first = np.sort(by_vertex[_starts(found[by_vertex])])
+        grouped, by_vertex = _stable_sort(found, n)
+        first = np.sort(by_vertex[_starts(grouped)])
         frontier = found[first]
         pot[frontier] = pot[parents[first]] + steps[entries[first]]
         reached[frontier] = True
@@ -276,7 +276,7 @@ def _potentials(n, heads, tails, taus, out_ptr, in_heads, in_tails, in_taus, in_
         pot = np.array(potentials)
         visited.append(np.array(queue[len(frontier) :], np.int64))
     visited = np.concatenate(visited)
-    order = visited[np.argsort(root[visited], kind="stable")]
+    order = visited[_stable_sort(root[visited], n)[1]]
     return pot, order, np.searchsorted(root[order], roots)
 
 
@@ -310,8 +310,8 @@ class _Pass:
     def __init__(self, g: EdgeLabelledTeg):
         n = self.n = g.vertex_count
         self.g, self.keys = g, g.heads * n + g.tails
-        by_tail = np.argsort(g.tails, kind="stable")  # each vertex's in-edges by head
-        self.in_heads, self.in_tails, self.in_codes = g.heads[by_tail], g.tails[by_tail], g.codes[by_tail]
+        self.in_tails, by_tail = _stable_sort(g.tails, n)  # each vertex's in-edges by head
+        self.in_heads, self.in_codes = g.heads[by_tail], g.codes[by_tail]
         self.out_ptr = np.searchsorted(g.heads, np.arange(n + 1))
         self.in_ptr = np.searchsorted(self.in_tails, np.arange(n + 1))
         self.pot, self.order, self.starts = _potentials(
@@ -414,7 +414,7 @@ def _report(p: _Pass, rel_tol: float) -> ConsistencyReport:
     gaps, comp = p.pot[tails] - p.pot[heads], p.label[heads]
     tol = rel_tol * np.maximum(1.0, p.high - p.low)
     bad = np.flatnonzero(np.abs(gaps - g.taus) > tol[comp])
-    bad = bad[np.argsort(comp[bad], kind="stable")]
+    bad = bad[_stable_sort(comp[bad], len(p.starts))[1]]
     for v, w, gap, tau in zip(*(column[bad].tolist() for column in (heads, tails, gaps, g.taus))):
         detail = f"path sums disagree: relative times give {gap!r}, tau is {tau!r}"
         violations.append(Violation("C1", (v, w), ((v, w),), detail))
@@ -521,7 +521,7 @@ def reconstruct(
 
     times, start = _absolute_times(g, p, rel_tol)
     placed = np.lexsort((p.order[p.starts], start))  # by (start time, first vertex)
-    rank = np.argsort(placed)
+    rank = _inverse(placed)
     if layout == "end_to_end":
         widths = (p.reduce(np.maximum, times) - start).tolist()
         offsets, offset = np.empty(len(placed)), 0.0
@@ -691,7 +691,7 @@ def load_edge_labelled(stream: TextIO) -> EdgeLabelledTeg:
     keys = g.heads * count + g.tails
     if np.any(keys[1:] == keys[:-1]):  # name the first duplicate in file order
         keys = np.array(heads, np.int64) * count + tails
-        order = np.argsort(keys, kind="stable")
-        k = order[1:][keys[order[1:]] == keys[order[:-1]]].min()
+        keys, order = _stable_sort(keys, count * count)
+        k = order[1:][keys[1:] == keys[:-1]].min()
         raise ValueError(f"malformed edge-labelled graph JSON: duplicate edge {(int(heads[k]), int(tails[k]))}")
     return g

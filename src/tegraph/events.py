@@ -1,10 +1,10 @@
 """Temporal networks as time-ordered tables of dyadic events.
 
 An event is a directed interaction (source, target, time). A temporal
-network holds its events in four read-only numpy columns, sorted stably by
-time; ``Event`` objects are built from them only on demand. Equal-time
-events are either rejected or kept in a stable, reading order, depending
-on the tie policy the network is built under.
+network holds its events in four read-only numpy columns, in the order of
+a stable sort by time; ``Event`` objects are built from them only on
+demand. Equal-time events are either rejected or kept in a stable, reading
+order, depending on the tie policy the network is built under.
 """
 
 from __future__ import annotations
@@ -81,12 +81,40 @@ def _starts(grouped: np.ndarray) -> np.ndarray:
     return new
 
 
+def _stable_sort(keys: np.ndarray, bound: int):
+    """Int64 ``keys`` in ``[0, bound)`` sorted, and the order that sorts them
+    stably: exactly ``np.sort(keys)`` and ``np.argsort(keys, kind="stable")``.
+
+    Numpy's stable argsort is a timsort; this is one vectorised ``np.sort``
+    of ``key << shift | position``, several times faster, split back into
+    keys and positions. The stable argsort is taken only where the packed
+    key would pass int64, which needs about 1e9 keys.
+    """
+    shift = max(len(keys) - 1, 0).bit_length()
+    if bound > 1 << (63 - shift):
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    order = keys << shift
+    order |= np.arange(len(keys))
+    order.sort()
+    ordered = order >> shift
+    order &= (1 << shift) - 1
+    return ordered, order
+
+
+def _inverse(permutation: np.ndarray) -> np.ndarray:
+    """The inverse of a permutation of ``0 .. n - 1``, by one scatter."""
+    inverse = np.empty_like(permutation)
+    inverse[permutation] = np.arange(len(permutation))
+    return inverse
+
+
 def _first_seen(sources: np.ndarray, targets: np.ndarray):
     """Node columns renumbered 0, 1, ... by first appearance, scanning the
     events in order, source before target; and the new node ids."""
     ends = np.stack((sources, targets), 1).ravel()
     _, firsts, positions = np.unique(ends, return_index=True, return_inverse=True)
-    ends = np.argsort(np.argsort(firsts))[positions]
+    ends = _inverse(np.argsort(firsts))[positions]
     return ends[0::2], ends[1::2], np.arange(len(firsts))
 
 
@@ -96,10 +124,13 @@ class TemporalNetwork:
     ``sources`` and ``targets`` are int64 positions into ``node_ids``, the
     sorted distinct node ids (int64, or object past the int64 range);
     ``times`` is float64. The ``events`` are taken in any order and sorted
-    stably by time. Under ``tie_policy="reject"`` equal timestamps raise;
-    under ``"stable_order"`` (default) equal-time events keep their given
-    relative order, with a warning giving the tie count. ``net[i]``,
-    iteration and ``events`` build ``Event`` objects on demand.
+    by time. Under ``tie_policy="reject"`` equal timestamps raise; under
+    ``"stable_order"`` (default) equal-time events keep their given
+    relative order, with a warning giving the tie count. The time sort
+    itself is unstable; only when there are ties does one packed-key sort
+    of each event's run of equal times repair the order, so the columns
+    are those of a stable sort, bit for bit. ``net[i]``, iteration and
+    ``events`` build ``Event`` objects on demand.
     """
 
     __slots__ = ("sources", "targets", "times", "node_ids")
@@ -124,14 +155,23 @@ class TemporalNetwork:
         if node_ids is None:
             node_ids, ends = np.unique(np.stack((sources, targets), 1).ravel(), return_inverse=True)
             node_ids, sources, targets = _id_array(node_ids), ends[0::2], ends[1::2]
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        ties = int(np.count_nonzero(times[1:] == times[:-1]))
+        order = np.argsort(times)
+        ordered = times[order]
+        run = _starts(ordered)  # the first event of each run of equal times
+        ties = len(run) - int(np.count_nonzero(run))
         if ties:
             if tie_policy == TIE_REJECT:
                 raise ValueError(f"{ties} equal-timestamp adjacencies under tie_policy='reject'")
             warnings.warn(f"{ties} equal-timestamp adjacencies resolved by stable order")
-        self.__setstate__((sources[order], targets[order], times, node_ids))
+            # the unstable sort may mix up a run: a stable sort of each event's
+            # run number puts every run back in the given order, and the times
+            # are gathered again so that -0.0 and 0.0 keep their places too
+            keys = np.empty(len(order), np.int64)
+            keys[order] = np.cumsum(run)
+            del ordered, run
+            _, order = _stable_sort(keys, len(keys) + 1)
+            ordered = times[order]
+        self.__setstate__((sources[order], targets[order], ordered, node_ids))
 
     def __getstate__(self):
         return self.sources, self.targets, self.times, self.node_ids

@@ -23,7 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .events import Event, TemporalNetwork, _readonly, _starts
+from .events import Event, TemporalNetwork, _readonly, _stable_sort, _starts
 from .motifs import MOTIFS
 
 
@@ -85,8 +85,8 @@ def _incidence_edges(sources, targets, times, delta_t: float):
     m = len(sources)
     # incidence 2e is (sources[e], e) and 2e + 1 is (targets[e], e)
     nodes = np.stack((sources, targets), 1).ravel()
-    order = np.argsort(nodes, kind="stable")
-    grouped = nodes[order]
+    grouped, order = _stable_sort(nodes, int(nodes.max(initial=0)) + 1)
+    del nodes
     follows = grouped[1:] == grouped[:-1]
     first = order[:-1][follows] >> 1
     second = order[1:][follows] >> 1
@@ -95,7 +95,7 @@ def _incidence_edges(sources, targets, times, delta_t: float):
     pairs = np.sort(first[inside] * m + second[inside])
     pairs = pairs[_starts(pairs)]
     # free the candidates before classifying: this sets the peak memory
-    del nodes, order, grouped, follows, first, second, gaps, inside
+    del order, grouped, follows, first, second, gaps, inside
     heads, tails = np.divmod(pairs, m)
     del pairs
     u_i, v_i, u_j, v_j = sources[heads], targets[heads], sources[tails], targets[tails]
@@ -117,14 +117,15 @@ def _incidence_edges(sources, targets, times, delta_t: float):
 def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
     """Build the event graph of ``net`` by sorting node incidences, O(M log M).
 
-    Every event contributes two (node, event) incidences. A stable sort by
-    node lists each node's events in the network's order, so consecutive
-    incidences of one node are the candidate pairs (i, j) with j the next
-    event of that node; under stable-order ties that is the next event in
-    the resolved order (a zero gap never yields an edge, and with distinct
-    timestamps this is exactly the next event in time). Candidates with a
-    gap outside (0, delta_t) are dropped, a pair reached over both nodes is
-    kept once, and each pair's motif is read off its four endpoints.
+    Every event contributes two (node, event) incidences. One packed-key
+    sort of the incidences, stable by node, lists each node's events in the
+    network's order, so consecutive incidences of one node are the candidate
+    pairs (i, j) with j the next event of that node; under stable-order
+    ties that is the next event in the resolved order (a zero gap never
+    yields an edge, and with distinct timestamps this is exactly the next
+    event in time). Candidates with a gap outside (0, delta_t) are dropped,
+    a pair reached over both nodes is kept once, and each pair's motif is
+    read off its four endpoints.
     """
     check_window(delta_t)
     times = net.times

@@ -5,6 +5,8 @@ node (O(M^2)) so it encodes the adjacency definition directly, with none
 of the bookkeeping the production builder uses.
 """
 
+import numpy as np
+
 from tegraph import MOTIFS, classify_pair
 
 
@@ -72,3 +74,14 @@ def format_time(t):
     if t == int(t) and abs(t) < 2**53:
         return str(int(t))
     return repr(t)
+
+
+def stable_fill(sources, targets, times, node_ids=None):
+    """The four columns of a network built from event columns in any order,
+    by one stable argsort of the times; ``sources`` and ``targets`` are
+    positions into ``node_ids``, or node ids when ``node_ids`` is None."""
+    if node_ids is None:
+        node_ids, ends = np.unique(np.stack((sources, targets), 1).ravel(), return_inverse=True)
+        sources, targets = ends[0::2], ends[1::2]
+    order = np.argsort(times, kind="stable")
+    return sources[order], targets[order], times[order], node_ids

@@ -496,6 +496,8 @@ _EVENT_TABLE_DIGESTS = {
     "edges": "2335999bb3c420b3bac62fd2e65a7293831f83f21f452c36449b1fe335ff48c4",
     "reconstruct": "017be495952df83aa0f2cc32690b527e675ec36a3c30ac99d0af830daaca523a",
     "aggregate": "8890d0a8c6372103aee414c3bfd0c02bd10e0761bde206f0fc9c8dad41993fb8",
+    # recorded while the time order was still a stable argsort
+    "motifs_ensemble": "7dbb787f0133f8fdc7e0744f17315aa2d98fa84eb0eb5628cb2aaf10d3157aa1",
 }
 
 
@@ -520,3 +522,16 @@ def test_event_table_outputs_match_recorded_digests(tmp_path):
             warnings.simplefilter("ignore")
             assert run(*argv, "--output", out) == 0, name
         assert hashlib.sha256(out.read_bytes()).hexdigest() == _EVENT_TABLE_DIGESTS[name], name
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_motif_ensemble_matches_recorded_digest(tmp_path, workers):
+    # the tie-heavy file makes every shuffled member repair its time order
+    events = tmp_path / "events.txt"
+    _big_id_event_file(events)
+    out = tmp_path / "motifs.csv"
+    argv = ("motifs", "--input", events, "--dt", "3", "--ensemble", "8", "--seed", "5", "--workers", workers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(*argv, "--output", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _EVENT_TABLE_DIGESTS["motifs_ensemble"]

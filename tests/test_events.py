@@ -30,8 +30,8 @@ from tegraph import (
     sweep_largest_component,
     time_shuffle,
 )
-from _oracles import format_time
-from tegraph.events import events_to_text, load_events, save_events, write_events
+from _oracles import format_time, stable_fill
+from tegraph.events import _stable_sort, events_to_text, load_events, save_events, write_events
 
 
 @pytest.mark.parametrize(
@@ -530,3 +530,93 @@ def test_plain_text_skips_the_line_loop(monkeypatch):
     assert len(parse_events(io.StringIO(commas, newline=None), delimiter=",")) == 300
     with pytest.raises(AssertionError, match="line loop"):
         parse_events(io.StringIO(text + "1 1 5\n"))
+
+
+def _sort_cases():
+    """(name, keys, bound) cases for the packed-key sort; 1,000 keys pack
+    positions into 10 bits, so keys up to 2**53 fit int64."""
+    rng = np.random.default_rng(14)
+    edge = rng.integers(0, 2**53, 1000)
+    edge[[0, 500, 999]] = 2**53 - 1
+    return [
+        ("empty", np.zeros(0, np.int64), 1),
+        ("one", np.array([5]), 6),
+        ("all_equal", np.full(1000, 7), 8),
+        ("seeded", rng.integers(0, 50, 10_000), 50),
+        ("few_ties", rng.integers(0, 10**6, 5000), 10**6),
+        ("widest_packed", edge, 2**53),
+        ("past_the_limit", edge, 2**53 + 1),
+        ("far_past_the_limit", rng.integers(0, 2**62, 1000), 2**62),
+    ]
+
+
+@pytest.mark.parametrize("name,keys,bound", _sort_cases(), ids=[c[0] for c in _sort_cases()])
+def test_stable_sort_matches_numpy(name, keys, bound, monkeypatch):
+    argsort, calls = np.argsort, []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    ordered, order = _stable_sort(keys, bound)
+    monkeypatch.undo()
+    assert order.dtype == ordered.dtype == np.int64
+    assert order.tobytes() == np.argsort(keys, kind="stable").tobytes()
+    assert ordered.tobytes() == np.sort(keys).tobytes()
+    # only a packed key past int64 falls back to the stable argsort
+    assert calls == ([{"kind": "stable"}] if name.endswith("past_the_limit") else [])
+
+
+def _fill_cases():
+    """(name, sources, targets, times) event columns in any order."""
+    rng = np.random.default_rng(15)
+
+    def pairs(m, nodes):
+        sources = rng.integers(0, nodes, m)
+        return sources, (sources + rng.integers(1, nodes, m)) % nodes
+
+    zeros = np.repeat(rng.choice([-0.0, 0.0], 60), 10)  # runs of ten of one sign
+    mixed = rng.choice([-0.0, 0.0, 1.0, 2.0], 3000)
+    return [
+        ("tie_heavy", *pairs(5000, 20), rng.integers(0, 200, 5000).astype(float)),
+        ("signed_zero_runs", *pairs(1800, 5), np.concatenate((zeros, np.ones(600), zeros))),
+        ("signed_zero_mixed", *pairs(3000, 9), mixed),
+        ("all_equal", *pairs(2000, 6), np.full(2000, 3.0)),
+        ("one_event", np.array([4]), np.array([1]), np.array([-0.0])),
+        ("sorted_distinct", *pairs(1000, 30), np.sort(rng.random(1000))),
+        ("sorted_ties", *pairs(1000, 30), np.sort(rng.integers(0, 100, 1000)).astype(float)),
+        ("distinct", *pairs(4000, 50), rng.random(4000)),
+    ]
+
+
+def _assert_columns(net, expected):
+    sources, targets, times, node_ids = expected
+    assert net.sources.tobytes() == sources.tobytes() and net.targets.tobytes() == targets.tobytes()
+    assert net.times.tobytes() == times.tobytes()
+    assert np.array_equal(np.signbit(net.times), np.signbit(times))
+    assert np.array_equal(net.node_ids, node_ids) and net.node_ids.dtype == node_ids.dtype
+
+
+@pytest.mark.parametrize("name,sources,targets,times", _fill_cases(), ids=[c[0] for c in _fill_cases()])
+@pytest.mark.filterwarnings("ignore:.*equal-timestamp")
+def test_fill_matches_the_stable_sort_bit_for_bit(name, sources, targets, times):
+    net = TemporalNetwork._from_columns(sources, targets, times)
+    _assert_columns(net, stable_fill(sources, targets, times))
+    # the same events given as positions into known node ids
+    _assert_columns(TemporalNetwork._from_columns(net.sources, net.targets, net.times, net.node_ids),
+                    stable_fill(net.sources, net.targets, net.times, net.node_ids))
+    _assert_columns(
+        TemporalNetwork._from_columns(net.sources[::-1], net.targets[::-1], net.times[::-1], net.node_ids),
+        stable_fill(net.sources[::-1], net.targets[::-1], net.times[::-1], net.node_ids),
+    )
+
+
+@pytest.mark.parametrize("name,sources,targets,times", _fill_cases(), ids=[c[0] for c in _fill_cases()])
+@pytest.mark.filterwarnings("ignore:.*equal-timestamp")
+def test_time_shuffle_matches_the_stable_sort_bit_for_bit(name, sources, targets, times):
+    net = TemporalNetwork._from_columns(sources, targets, times)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(len(net))
+        expected = stable_fill(net.sources, net.targets, net.times[perm], net.node_ids)
+        _assert_columns(time_shuffle(net, seed), expected)
