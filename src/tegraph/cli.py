@@ -382,7 +382,7 @@ def _cmd_entropy(args, argv):
         # every edge lies inside its head's component
         components = ComponentSet(teg)
         ranks = components.assignment[teg.heads]
-        _, order = _stable_sort(ranks, len(components))
+        _, order = _stable_sort(ranks)
         for rank, inside in enumerate(np.split(order, np.cumsum(np.bincount(ranks))[:-1])):
             r = row(f"component:{rank}", inside)
             if r is not None:

@@ -79,7 +79,7 @@ class ComponentSet:
         order = np.lexsort((times[firsts], -sizes))
         assignment = _inverse(order)[firsts.searchsorted(label)]
         # every rank's events, ascending, one run per rank
-        _, members = _stable_sort(assignment, len(order))
+        _, members = _stable_sort(assignment)
         bounds = np.concatenate(([0], np.cumsum(sizes[order])))
         self.teg = teg
         self.assignment = _readonly(assignment, np.int64)
@@ -164,7 +164,7 @@ def sweep_largest_component(
                 # the kernel hangs each joined group under its largest root
                 roots = np.sort(ends, axis=None)
                 roots = roots[_starts(roots)]
-                roots = roots[_stable_sort(m - size[roots], m)[1]]
+                roots = roots[_stable_sort(m - size[roots])[1]]
                 slot[roots] = np.arange(len(roots))
                 chief = _labels(len(roots), slot[ends[:, 0]], slot[ends[:, 1]])
                 moved = chief != np.arange(len(roots))

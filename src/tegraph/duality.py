@@ -170,7 +170,7 @@ class EdgeLabelledTeg:
             if bad_vertex[k]:
                 raise ValueError(f"anchor vertex {v!r} out of range")
             raise ValueError(f"anchor time for vertex {v} must be finite, got {float(times[k])}")
-        _, order = _stable_sort(heads * n + tails, n * n)  # in range, so both are int64
+        order = np.argsort(heads * n + tails)  # unique keys, so any sort is stable
         self.vertex_count = n
         self.heads, self.tails = _readonly(heads[order]), _readonly(tails[order])
         self.taus, self.codes = _readonly(taus[order]), _readonly(np.asarray(codes, np.uint8)[order])
@@ -263,7 +263,7 @@ def _potentials(n, heads, tails, taus, out_ptr, in_heads, in_tails, in_taus, in_
         fresh = ~reached[ends[entries]]
         entries, parents = entries[fresh], parents[fresh]
         found = ends[entries]
-        grouped, by_vertex = _stable_sort(found, n)
+        grouped, by_vertex = _stable_sort(found)
         first = np.sort(by_vertex[_starts(grouped)])
         frontier = found[first]
         pot[frontier] = pot[parents[first]] + steps[entries[first]]
@@ -276,7 +276,7 @@ def _potentials(n, heads, tails, taus, out_ptr, in_heads, in_tails, in_taus, in_
         pot = np.array(potentials)
         visited.append(np.array(queue[len(frontier) :], np.int64))
     visited = np.concatenate(visited)
-    order = visited[_stable_sort(root[visited], n)[1]]
+    order = visited[_stable_sort(root[visited])[1]]
     return pot, order, np.searchsorted(root[order], roots)
 
 
@@ -310,7 +310,7 @@ class _Pass:
     def __init__(self, g: EdgeLabelledTeg):
         n = self.n = g.vertex_count
         self.g, self.keys = g, g.heads * n + g.tails
-        self.in_tails, by_tail = _stable_sort(g.tails, n)  # each vertex's in-edges by head
+        self.in_tails, by_tail = _stable_sort(g.tails)  # each vertex's in-edges by head
         self.in_heads, self.in_codes = g.heads[by_tail], g.codes[by_tail]
         self.out_ptr = np.searchsorted(g.heads, np.arange(n + 1))
         self.in_ptr = np.searchsorted(self.in_tails, np.arange(n + 1))
@@ -414,7 +414,7 @@ def _report(p: _Pass, rel_tol: float) -> ConsistencyReport:
     gaps, comp = p.pot[tails] - p.pot[heads], p.label[heads]
     tol = rel_tol * np.maximum(1.0, p.high - p.low)
     bad = np.flatnonzero(np.abs(gaps - g.taus) > tol[comp])
-    bad = bad[_stable_sort(comp[bad], len(p.starts))[1]]
+    bad = bad[_stable_sort(comp[bad])[1]]
     for v, w, gap, tau in zip(*(column[bad].tolist() for column in (heads, tails, gaps, g.taus))):
         detail = f"path sums disagree: relative times give {gap!r}, tau is {tau!r}"
         violations.append(Violation("C1", (v, w), ((v, w),), detail))
@@ -691,7 +691,7 @@ def load_edge_labelled(stream: TextIO) -> EdgeLabelledTeg:
     keys = g.heads * count + g.tails
     if np.any(keys[1:] == keys[:-1]):  # name the first duplicate in file order
         keys = np.array(heads, np.int64) * count + tails
-        keys, order = _stable_sort(keys, count * count)
+        keys, order = _stable_sort(keys)
         k = order[1:][keys[1:] == keys[:-1]].min()
         raise ValueError(f"malformed edge-labelled graph JSON: duplicate edge {(int(heads[k]), int(tails[k]))}")
     return g

@@ -81,17 +81,19 @@ def _starts(grouped: np.ndarray) -> np.ndarray:
     return new
 
 
-def _stable_sort(keys: np.ndarray, bound: int):
-    """Int64 ``keys`` in ``[0, bound)`` sorted, and the order that sorts them
+def _stable_sort(keys: np.ndarray):
+    """Non-negative int64 ``keys`` sorted, and the order that sorts them
     stably: exactly ``np.sort(keys)`` and ``np.argsort(keys, kind="stable")``.
 
     Numpy's stable argsort is a timsort; this is one vectorised ``np.sort``
     of ``key << shift | position``, several times faster, split back into
-    keys and positions. The stable argsort is taken only where the packed
-    key would pass int64, which needs about 1e9 keys.
+    keys and positions; ``shift`` is the bit length of the largest position.
+    The stable argsort is taken only where the packed key would pass int64:
+    where the largest key is at least ``2**(63 - shift)``, about 9e12 for a
+    million keys.
     """
     shift = max(len(keys) - 1, 0).bit_length()
-    if bound > 1 << (63 - shift):
+    if int(keys.max(initial=0)) >> (63 - shift):
         order = np.argsort(keys, kind="stable")
         return keys[order], order
     order = keys << shift
@@ -126,10 +128,11 @@ class TemporalNetwork:
     ``times`` is float64. The ``events`` are taken in any order and sorted
     by time. Under ``tie_policy="reject"`` equal timestamps raise; under
     ``"stable_order"`` (default) equal-time events keep their given
-    relative order, with a warning giving the tie count. The time sort
-    itself is unstable; only when there are ties does one packed-key sort
-    of each event's run of equal times repair the order, so the columns
-    are those of a stable sort, bit for bit. ``net[i]``, iteration and
+    relative order, with a warning giving the tie count. Events already
+    in time order keep their order; others are sorted by an unstable
+    sort, and only when there are ties does one packed-key sort of each
+    event's run of equal times repair the order, so the columns are those
+    of a stable sort, bit for bit. ``net[i]``, iteration and
     ``events`` build ``Event`` objects on demand.
     """
 
@@ -155,7 +158,8 @@ class TemporalNetwork:
         if node_ids is None:
             node_ids, ends = np.unique(np.stack((sources, targets), 1).ravel(), return_inverse=True)
             node_ids, sources, targets = _id_array(node_ids), ends[0::2], ends[1::2]
-        order = np.argsort(times)
+        in_order = bool(np.all(times[1:] >= times[:-1]))  # the given order is the stable one
+        order = np.arange(len(times)) if in_order else np.argsort(times)
         ordered = times[order]
         run = _starts(ordered)  # the first event of each run of equal times
         ties = len(run) - int(np.count_nonzero(run))
@@ -163,13 +167,14 @@ class TemporalNetwork:
             if tie_policy == TIE_REJECT:
                 raise ValueError(f"{ties} equal-timestamp adjacencies under tie_policy='reject'")
             warnings.warn(f"{ties} equal-timestamp adjacencies resolved by stable order")
+        if ties and not in_order:
             # the unstable sort may mix up a run: a stable sort of each event's
             # run number puts every run back in the given order, and the times
             # are gathered again so that -0.0 and 0.0 keep their places too
             keys = np.empty(len(order), np.int64)
             keys[order] = np.cumsum(run)
             del ordered, run
-            _, order = _stable_sort(keys, len(keys) + 1)
+            _, order = _stable_sort(keys)
             ordered = times[order]
         self.__setstate__((sources[order], targets[order], ordered, node_ids))
 

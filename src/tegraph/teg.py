@@ -85,7 +85,7 @@ def _incidence_edges(sources, targets, times, delta_t: float):
     m = len(sources)
     # incidence 2e is (sources[e], e) and 2e + 1 is (targets[e], e)
     nodes = np.stack((sources, targets), 1).ravel()
-    grouped, order = _stable_sort(nodes, int(nodes.max(initial=0)) + 1)
+    grouped, order = _stable_sort(nodes)
     del nodes
     follows = grouped[1:] == grouped[:-1]
     first = order[:-1][follows] >> 1
