@@ -348,11 +348,11 @@ def _cmd_iets(args, argv):
                 curves.append((m.value, iet_ccdf(teg, m)))
     lines = ["scope,iet,tail"]
     for label, ccdf in curves:
-        lines += [f"{label},{_f(v)},{_f(p)}" for v, p in zip(ccdf.values, ccdf.tail)]
+        lines += [f"{label},{_f(v)},{_f(p)}" for v, p in zip(ccdf.support.tolist(), ccdf.tails.tolist())]
     _write_text(args.output, "\n".join(lines) + "\n")
     outputs = [args.output]
     if args.svg:
-        log_x = all(c.values[0] > 0 for _, c in curves)
+        log_x = all(c.support[0] > 0 for _, c in curves)
         _write_text(args.svg, ccdf_svg(curves, log_x=log_x))
         outputs.append(args.svg)
     _write_manifest(args, argv, outputs)

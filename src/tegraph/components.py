@@ -11,7 +11,6 @@ plotting, and the time-aggregated static graph.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf, log2
 from typing import Iterable, Sequence
@@ -40,6 +39,30 @@ def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             label = jumped
 
 
+def _component_columns(teg: Teg):
+    """``assignment``, ``sizes``, ``starts``, ``ends``, members and bounds of
+    the components of ``teg``: the columns of its ``ComponentSet``."""
+    m, times = teg.vertex_count, teg.network.times
+    label = _labels(m, teg.heads, teg.tails)
+    firsts = np.flatnonzero(label == np.arange(m))
+    sizes = np.bincount(label, minlength=m)[firsts]
+    # components are indexed by first event, so the stable sort breaks
+    # (size, start) ties by first event
+    order = np.lexsort((times[firsts], -sizes))
+    assignment = _inverse(order)[firsts.searchsorted(label)]
+    # every rank's events, ascending, one run per rank
+    _, members = _stable_sort(assignment)
+    bounds = np.concatenate(([0], np.cumsum(sizes[order])))
+    return (
+        _readonly(assignment, np.int64),
+        _readonly(sizes[order], np.int64),
+        _readonly(times[firsts[order]], np.float64),
+        _readonly(times[members[bounds[1:] - 1]], np.float64),
+        _readonly(members),
+        _readonly(bounds),
+    )
+
+
 @dataclass(frozen=True)
 class Component:
     """One weakly connected set of events (indices ascending)."""
@@ -64,29 +87,19 @@ class ComponentSet:
     ``assignment[v]`` is the rank of event v's component; ``sizes``,
     ``starts`` and ``ends`` are indexed by rank. All are read-only int64 or
     float64 columns. A ``Component``, with its node set, is built only for
-    the ranks a caller reads.
+    the ranks a caller reads. The columns are computed once per ``Teg`` and
+    kept on it (the graph is immutable), so every ``ComponentSet`` of one
+    graph shares them; the ``Teg`` holds the columns, not this object, so
+    no reference cycle forms.
     """
 
     __slots__ = ("teg", "assignment", "sizes", "starts", "ends", "_members", "_bounds")
 
     def __init__(self, teg: Teg):
-        m, times = teg.vertex_count, teg.network.times
-        label = _labels(m, teg.heads, teg.tails)
-        firsts = np.flatnonzero(label == np.arange(m))
-        sizes = np.bincount(label, minlength=m)[firsts]
-        # components are indexed by first event, so the stable sort breaks
-        # (size, start) ties by first event
-        order = np.lexsort((times[firsts], -sizes))
-        assignment = _inverse(order)[firsts.searchsorted(label)]
-        # every rank's events, ascending, one run per rank
-        _, members = _stable_sort(assignment)
-        bounds = np.concatenate(([0], np.cumsum(sizes[order])))
+        if teg._components is None:
+            teg._components = _component_columns(teg)
         self.teg = teg
-        self.assignment = _readonly(assignment, np.int64)
-        self.sizes = _readonly(sizes[order], np.int64)
-        self.starts = _readonly(times[firsts[order]], np.float64)
-        self.ends = _readonly(times[members[bounds[1:] - 1]], np.float64)
-        self._members, self._bounds = members, bounds
+        self.assignment, self.sizes, self.starts, self.ends, self._members, self._bounds = teg._components
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -228,33 +241,62 @@ def component_size_distribution(teg: Teg | ComponentSet) -> DiscreteDistribution
     return DiscreteDistribution.from_counts(support.tolist(), counts.tolist())
 
 
-@dataclass(frozen=True)
 class EmpiricalCcdf:
     """P(X > x) of a sample, as a right-continuous step function.
 
-    ``values`` are the distinct sample values ascending; ``tail[k]`` is the
-    fraction of the sample strictly greater than ``values[k]`` (so the last
-    entry is 0).
+    ``support`` holds the distinct sample values ascending and ``tails[k]``
+    the fraction of the sample strictly greater than ``support[k]`` (so the
+    last entry is 0), as read-only float64 columns. ``values`` and ``tail``
+    build them as new tuples on each access; equality and hashing are those
+    of the two tuples and ``sample_count``.
     """
 
-    values: tuple[float, ...]
-    tail: tuple[float, ...]
-    sample_count: int
+    __slots__ = ("support", "tails", "sample_count")
+
+    def __init__(self, values: Sequence[float], tail: Sequence[float], sample_count: int):
+        self.support = _readonly(values, np.float64)
+        self.tails = _readonly(tail, np.float64)
+        self.sample_count = sample_count
+        if len(self.support) != len(self.tails):
+            raise ValueError("values and tail must align")
 
     @classmethod
-    def from_samples(cls, samples: Iterable[float]) -> "EmpiricalCcdf":
-        data = np.fromiter(samples, np.float64)
+    def from_samples(cls, samples: Iterable[float] | np.ndarray) -> "EmpiricalCcdf":
+        if isinstance(samples, np.ndarray):
+            data = np.sort(samples.astype(np.float64, copy=False), axis=None)
+        else:
+            data = np.sort(np.fromiter(samples, np.float64))
         n = len(data)
         if n == 0:
             raise ValueError("empty sample")
-        values, counts = np.unique(data, return_counts=True)
-        tail = (n - np.cumsum(counts)) / n
-        return cls(tuple(values.tolist()), tuple(tail.tolist()), n)
+        first = _starts(data)
+        ends = np.flatnonzero(first)
+        ends[:-1], ends[-1] = ends[1:], n  # one past each value's run
+        return cls(data[first], (n - ends) / n, n)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.support.tolist())
+
+    @property
+    def tail(self) -> tuple[float, ...]:
+        return tuple(self.tails.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EmpiricalCcdf):
+            return NotImplemented
+        return (self.values, self.tail, self.sample_count) == (other.values, other.tail, other.sample_count)
+
+    def __hash__(self):
+        return hash((self.values, self.tail, self.sample_count))
+
+    def __repr__(self) -> str:
+        return f"EmpiricalCcdf({len(self.support)} values, sample_count={self.sample_count})"
 
     def evaluate(self, x: float) -> float:
         """P(X > x); 1 left of the support, 0 from the maximum on."""
-        k = bisect_right(self.values, x)
-        return 1.0 if k == 0 else self.tail[k - 1]
+        k = int(self.support.searchsorted(x, side="right"))
+        return 1.0 if k == 0 else float(self.tails[k - 1])
 
 
 def iet_ccdf(teg: Teg, motif: Motif | None = None) -> EmpiricalCcdf:
@@ -279,15 +321,22 @@ def cumulative_residual_entropy(ccdf: EmpiricalCcdf) -> float:
     """-integral of P(X>x) log2 P(X>x), evaluated exactly on the steps.
 
     The empirical CCDF is piecewise constant, so the integral is a finite
-    sum of gap widths times -p log2 p. A single-valued sample gives 0.
+    sum of gap widths times -p log2 p. A single-valued sample gives 0. The
+    terms are added in order by one ``cumsum``, so the sum is the one a
+    loop over the steps gives, bit for bit; the logarithms are taken by
+    ``math.log2``, whose last bits ``np.log2`` does not always match.
     """
-    total = 0.0
-    for k in range(len(ccdf.values) - 1):
-        p = ccdf.tail[k]
-        if p > 0:
-            width = ccdf.values[k + 1] - ccdf.values[k]
-            total -= width * p * log2(p)
-    return total
+    p, widths = ccdf.tails[:-1], ccdf.support[1:] - ccdf.support[:-1]
+    inside = p > 0
+    if not inside.all():
+        p, widths = p[inside], widths[inside]
+    if not len(p):
+        return 0.0
+    terms = widths * p
+    terms *= np.fromiter(map(log2, p.tolist()), np.float64, len(p))
+    # the loop starts from 0.0, the cumsum from the first term: only the
+    # sign of a zero sum can differ
+    return float(np.negative(terms, out=terms).cumsum()[-1]) + 0.0
 
 
 def barcode_rows(teg: Teg | ComponentSet, top: int | None = None) -> list[tuple[float, ...]]:

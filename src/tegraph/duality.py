@@ -18,11 +18,12 @@ sequence:
   is a class of joined slots. A vertex whose two slots share a class is a
   violation. The event graph of the resolved events is then rebuilt, with
   the vertex index as time and no waiting window, except that two
-  vertices of equal relative time get no edge, as a zero gap gives none:
-  every edge it has and the input lacks, every input edge it lacks, and
-  every label it gives differently is a violation. An event graph is a
-  lossless representation, so a graph that survives this rebuild is the
-  event graph of its resolved events.
+  vertices of equal relative time get no edge, as a zero gap gives none,
+  unless the input holds that edge with a tau C1 accepts (tau sums of
+  times one ulp apart can round equal): every edge it has and the input
+  lacks, every input edge it lacks, and every label it gives differently
+  is a violation. An event graph is a lossless representation, so a graph
+  that survives this rebuild is the event graph of its resolved events.
 
 ``check_consistency`` reports every violation; ``reconstruct`` inverts a
 consistent graph into a temporal network from the same single pass,
@@ -334,13 +335,18 @@ def _code_at(keys, codes, query):
     return np.where(hit, np.append(codes, -1)[pos], -1)
 
 
-def _c4_violations(p: _Pass, dirty) -> list[Violation]:
+def _c4_violations(p: _Pass, dirty, held) -> list[Violation]:
     """Every edge key where the graph differs from the event graph of the resolved
     events at time = vertex index, less the pairs of equal potential (a zero gap
-    gives no edge), skipping keys with an endpoint where ``dirty`` is set."""
+    gives no edge) other than the ``held`` keys, the input edges whose tau C1
+    accepts; keys with an endpoint where ``dirty`` is set are skipped."""
     n, keys, labels = p.n, p.keys, p.g.codes
     heads, tails, codes = _incidence_edges(p.sources, p.targets, np.arange(n, dtype=np.float64), inf)
     gapped = p.pot[heads] != p.pot[tails]
+    # a tau that C1 accepts is a gap (taus are positive) even where the
+    # potentials round equal, as one ulp apart can
+    tied = np.flatnonzero(~gapped)
+    gapped[tied] = np.isin(heads[tied] * n + tails[tied], held)
     rebuilt, codes = heads[gapped] * n + tails[gapped], codes[gapped]
     missing = np.setdiff1d(rebuilt, keys, assume_unique=True)
     bad = np.sort(np.concatenate([keys[_code_at(rebuilt, codes, keys) != labels], missing]))
@@ -413,7 +419,8 @@ def _report(p: _Pass, rel_tol: float) -> ConsistencyReport:
     # within a tolerance from its component's span, by (component, head, tail).
     gaps, comp = p.pot[tails] - p.pot[heads], p.label[heads]
     tol = rel_tol * np.maximum(1.0, p.high - p.low)
-    bad = np.flatnonzero(np.abs(gaps - g.taus) > tol[comp])
+    off = np.abs(gaps - g.taus) > tol[comp]
+    bad = np.flatnonzero(off)
     bad = bad[_stable_sort(comp[bad])[1]]
     for v, w, gap, tau in zip(*(column[bad].tolist() for column in (heads, tails, gaps, g.taus))):
         detail = f"path sums disagree: relative times give {gap!r}, tau is {tau!r}"
@@ -424,7 +431,7 @@ def _report(p: _Pass, rel_tol: float) -> ConsistencyReport:
         edges = tuple((u, v) for u in p.in_heads[p.in_ptr[v] : p.in_ptr[v + 1]].tolist())
         detail = f"in-edges of vertex {v} collapse its two nodes into one"
         violations.append(Violation("C4", (v,), edges, detail))
-    violations.extend(_c4_violations(p, dirty))
+    violations.extend(_c4_violations(p, dirty, p.keys[~off]))
     return ConsistencyReport(tuple(violations))
 
 
@@ -439,7 +446,8 @@ def check_consistency(g: EdgeLabelledTeg, rel_tol: float = 1e-12) -> Consistency
     and a vertex whose two slots share a class is a violation. It then
     rebuilds the event graph of the resolved events with the vertex index as
     time and no waiting window, giving no edge between two vertices of
-    equal relative time (a zero gap gives none), and reports every edge key
+    equal relative time (a zero gap gives none) unless the input holds that
+    edge with a tau C1 accepts, and reports every edge key
     where the rebuild and the input differ: a label the rebuild gives
     differently, an input edge it does not give, or an edge it gives that
     the input lacks. Keys with a collapsed endpoint, or one that a C2/C3

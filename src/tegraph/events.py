@@ -394,10 +394,15 @@ def parse_events(
     usecols = [list(fields).index(name) for name in ("source", "target", "time")]
     sources, targets, times = _columns(stream, delimiter, usecols, on_self_loop)
     ordered = np.sort(times)
-    if (ordered[1:] == ordered[:-1]).any():  # every duplicate triple is a tie
-        order = np.lexsort((times, targets, sources))
+    if (ordered[1:] == ordered[:-1]).any():
+        # every duplicate triple lies in a run of equal times: sort those only
+        by_time = np.argsort(times)
+        tie = ~_starts(times[by_time])
+        tie[:-1] |= tie[1:]
+        tied = by_time[tie]
+        order = tied[np.lexsort((times[tied], targets[tied], sources[tied]))]
         distinct = _starts(sources[order]) | _starts(targets[order]) | _starts(times[order])
-        duplicates = len(times) - int(np.count_nonzero(distinct))
+        duplicates = len(order) - int(np.count_nonzero(distinct))
         if duplicates:
             warnings.warn(f"{duplicates} duplicate event triples kept")
     return TemporalNetwork._from_columns(sources, targets, times, None, tie_policy)

@@ -39,10 +39,12 @@ class Teg:
     Vertices are event indices 0..M-1 in the network's order. Edge k runs
     from event ``heads[k]`` to the later event ``tails[k]``, with
     inter-event time ``iets[k]`` and motif ``MOTIFS[codes[k]]``; the
-    columns must be sorted by (head, tail) and are stored read-only.
+    columns must be sorted by (head, tail) and are stored read-only. The
+    columns of its weakly connected components are kept once computed
+    (``components.ComponentSet``).
     """
 
-    __slots__ = ("network", "delta_t", "heads", "tails", "iets", "codes")
+    __slots__ = ("network", "delta_t", "heads", "tails", "iets", "codes", "_components")
 
     def __init__(self, network: TemporalNetwork, delta_t: float, heads, tails, iets, codes):
         check_window(delta_t)
@@ -52,6 +54,7 @@ class Teg:
         self.tails = _readonly(tails, np.int64)
         self.iets = _readonly(iets, np.float64)
         self.codes = _readonly(codes, np.uint8)
+        self._components = None
         if not len(self.heads) == len(self.tails) == len(self.iets) == len(self.codes):
             raise ValueError("edge columns must have equal lengths")
 
@@ -74,6 +77,19 @@ def is_dt_adjacent(first: Event, second: Event, delta_t: float) -> bool:
         return False
     gap = second.time - first.time
     return 0 < gap < delta_t
+
+
+def _motif_table() -> np.ndarray:
+    """Motif code by the four node equalities u_j == u_i, v_j == v_i, u_j == v_i
+    and v_j == u_i of events (u_i, v_i) then (u_j, v_j), as bits 0-3 of the index."""
+    bits = np.arange(16)
+    same_u, same_v, u_is_v, v_is_u = (bits >> k & 1 == 1 for k in range(4))
+    # first match wins, in MOTIFS order: ABAB, ABBA, ABAC, ABCA, ABBC, ABCB
+    conditions = [same_u & same_v, u_is_v & v_is_u, same_u, v_is_u, u_is_v, same_v]
+    return np.select(conditions, range(len(MOTIFS))).astype(np.uint8)
+
+
+_MOTIF_OF_BITS = _motif_table()
 
 
 def _incidence_edges(sources, targets, times, delta_t: float):
@@ -99,19 +115,10 @@ def _incidence_edges(sources, targets, times, delta_t: float):
     heads, tails = np.divmod(pairs, m)
     del pairs
     u_i, v_i, u_j, v_j = sources[heads], targets[heads], sources[tails], targets[tails]
-    # first match wins, in MOTIFS order: ABAB, ABBA, ABAC, ABCA, ABBC, ABCB
-    codes = np.select(
-        [
-            (u_j == u_i) & (v_j == v_i),
-            (u_j == v_i) & (v_j == u_i),
-            u_j == u_i,
-            v_j == u_i,
-            u_j == v_i,
-            v_j == v_i,
-        ],
-        range(len(MOTIFS)),
-    )
-    return heads, tails, codes
+    bits = (u_j == u_i).view(np.uint8)
+    for shift, same in enumerate((v_j == v_i, u_j == v_i, v_j == u_i), 1):
+        bits |= same.view(np.uint8) << shift
+    return heads, tails, _MOTIF_OF_BITS[bits]
 
 
 def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:

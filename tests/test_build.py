@@ -207,3 +207,34 @@ def test_json_round_trip_infinite_window():
     buf = io.StringIO()
     write_teg_json(teg, buf)
     assert '"delta_t": "inf"' in buf.getvalue()
+
+
+def _select_codes(sources, targets, heads, tails):
+    """Motif codes by ``np.select`` over the six conditions, first match wins."""
+    u_i, v_i, u_j, v_j = sources[heads], targets[heads], sources[tails], targets[tails]
+    conditions = [
+        (u_j == u_i) & (v_j == v_i),
+        (u_j == v_i) & (v_j == u_i),
+        u_j == u_i,
+        v_j == u_i,
+        u_j == v_i,
+        v_j == v_i,
+    ]
+    return np.select(conditions, range(len(MOTIFS)))
+
+
+@pytest.mark.filterwarnings("ignore:.*equal-timestamp")
+@pytest.mark.parametrize("seed", range(8))
+def test_motif_lookup_matches_select(seed):
+    rng = np.random.default_rng(seed)
+    m, nodes = 400, (3, 4, 6, 30)[seed % 4]
+    sources = rng.integers(0, nodes, m)
+    targets = (sources + rng.integers(1, nodes, m)) % nodes
+    times = rng.integers(0, m // 4, m) if seed % 2 else rng.random(m) * 100
+    net = TemporalNetwork._from_columns(sources, targets, times.astype(np.float64))
+    for dt in (1.5, 7.0, math.inf):
+        teg = build_teg(net, dt)
+        expected = _select_codes(net.sources, net.targets, teg.heads, teg.tails)
+        assert np.array_equal(teg.codes, expected)
+        if dt == math.inf:
+            assert set(teg.codes.tolist()) == set(range(len(MOTIFS)))

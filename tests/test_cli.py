@@ -535,3 +535,52 @@ def test_motif_ensemble_matches_recorded_digest(tmp_path, workers):
         warnings.simplefilter("ignore")
         assert run(*argv, "--output", out) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _EVENT_TABLE_DIGESTS["motifs_ensemble"]
+
+
+def _eighth_step_event_file(path, seed=3, m=300, nodes=12):
+    """Times on a 1/8 grid from 0 to 820: barcode ticks sit at 40 + t, so
+    many land exactly on half cents."""
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.integers(0, 820 * 8 + 1, m)) / 8
+    times[0], times[-1] = 0.0, 820.0
+    src = rng.integers(0, nodes, m)
+    dst = (src + rng.integers(1, nodes, m)) % nodes
+    rows = zip(src.tolist(), dst.tolist(), times.tolist())
+    path.write_text("".join(f"{s} {d} {t!r}\n" for s, d, t in rows))
+
+
+# sha256 of the statistics outputs, recorded while barcode ticks, CCDF
+# points and the CRE were still formatted and summed one value at a time
+_STATS_DIGESTS = {
+    "barcode": "8d22b19806917cf6a7fca17b404196f00b4a21b289033191f043a3fbb90b2b1f",
+    "barcode_csv": "6c41837f314f8e089565a93738d1e9fdb059380d51bbce46eb064f1188fd0b83",
+    "barcode_eighths": "eaae279daee394282ba6aa0cc9e892863f8f849b802e5583c538e640319a1f96",
+    "iets": "b0f939bd61b4f0aff5260f1f691d3f4ce1a74b90377248e97a700fdd5ba0463a",
+    "iets_svg": "7df178a31357d3b62d56a320aa33cc4f517e8f8eae976a3feec9c52c0ebe3cc9",
+    "iets_eighths_svg": "21abdcc1720a4c19ec80e6b06c6233cf93d4cca06bde99da31ceb8a77995d9d1",
+    "entropy": "95dc1f173ba7a766a03969e50ea27afddcd1f15b9c952f759f5b99c3b2384b0d",
+    "entropy_components": "5dab0d8486abd4126c58a5054b915fd74ca1d2e13df6017672fc4537d062f98c",
+}
+
+
+def test_statistics_outputs_match_recorded_digests(tmp_path):
+    events, eighths = tmp_path / "events.txt", tmp_path / "eighths.txt"
+    _big_id_event_file(events)
+    _eighth_step_event_file(eighths)
+    out = {name: tmp_path / f"{name}.out" for name in _STATS_DIGESTS}
+    runs = [
+        ("barcode", "--input", events, "--dt", "3", "--top", "12", "--csv", out["barcode_csv"]),
+        ("barcode_eighths", "--input", eighths, "--dt", "2"),
+        ("iets", "--input", events, "--dt", "3", "--svg", out["iets_svg"]),
+        ("iets_eighths", "--input", eighths, "--dt", "2", "--svg", out["iets_eighths_svg"]),
+        ("entropy", "--input", events, "--dt", "3"),
+        ("entropy_components", "--input", events, "--dt", "3", "--per-component"),
+    ]
+    for name, *argv in runs:
+        command = name.split("_")[0]
+        target = out.get(name, tmp_path / f"{name}.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(command, *argv, "--output", target) == 0, name
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
+    assert digests == _STATS_DIGESTS

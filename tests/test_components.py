@@ -1,8 +1,10 @@
 """Component structure, distributions, entropies, aggregates."""
 
+import gc
 import hashlib
 import math
 import warnings
+import weakref
 
 import networkx as nx
 import numpy as np
@@ -31,6 +33,8 @@ from tegraph import (
     weakly_connected_components,
 )
 from tegraph.cli import main
+from tegraph import components as components_module
+from tegraph import svgrender
 from tegraph.svgrender import barcode_svg
 from tegraph.components import DiscreteDistribution, _labels
 from tegraph.generators import (
@@ -359,6 +363,164 @@ def test_barcode_svg_bytes_match_per_tick_reference(name, rows):
     assert barcode_svg(rows, width=333, row_height=9, margin=17) == _reference_barcode_svg(
         rows, width=333, row_height=9, margin=17
     )
+
+
+def _fmt_reference(x):
+    return f"{x:.2f}".rstrip("0").rstrip(".")
+
+
+def test_fmt_column_matches_fmt():
+    rng = np.random.default_rng(17)
+    xs = np.concatenate(
+        [
+            rng.random(20_000) * 10.0 ** rng.integers(-4, 19, 20_000),
+            rng.integers(0, 10**7, 5000) / 8,  # exact half cents and quarters
+            rng.integers(0, 10**8, 5000) / 200,
+            (rng.integers(0, 10**8, 5000) + 0.5) / 100,  # near half cents
+            np.nextafter(rng.integers(1, 10**8, 2000) / 200, [[-np.inf], [np.inf]]).ravel(),
+            [0.0, -0.0, -1.5, -0.004, 0.004999, 0.005, 0.0050001, 0.00500001, 1e-300],
+            [999999.99, 999999.994, 999999.995, 999999.996, 999999.999, 1e6, 1e6 + 0.5],
+            [1e15, 1e15 + 0.125, 1e17, 2.0**53 + 2, 1.7e308, np.inf, -np.inf, np.nan],
+        ]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = svgrender._fmt_column(xs)
+    texts = [row.tobytes().replace(b"\0", b"").decode() for row in rows]
+    assert texts == [_fmt_reference(x) for x in xs.tolist()]
+
+
+def _reference_ccdf_svg(curves, width=640, height=480, margin=50, log_x=False):
+    """Per-point CCDF SVG: one ``x_of`` and one format call per step corner."""
+    xs = [v for _, c in curves for v in c.values]
+    lo, hi = min(xs), max(xs)
+    if log_x:
+        lo, hi = math.log10(lo), math.log10(hi)
+    span = hi - lo or 1.0
+    x0, x1 = margin, width - margin
+    y0, y1 = height - margin, margin
+    x_of = lambda v: x0 + ((math.log10(v) if log_x else v) - lo) / span * (x1 - x0)
+    y_of = lambda p: y0 + p * (y1 - y0)
+    fmt = _fmt_reference
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
+        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
+    ]
+    for frac in (0.0, 0.5, 1.0):
+        parts.append(f'<text x="{x0 - 8}" y="{fmt(y_of(frac) + 3)}" font-size="10" text-anchor="end">{frac:.1f}</text>')
+    palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+    for k, (label, ccdf) in enumerate(curves):
+        color = palette[k % len(palette)]
+        points = [f"{fmt(x_of(ccdf.values[0]))},{fmt(y_of(1.0))}"]
+        for v, p in zip(ccdf.values, ccdf.tail):
+            x = fmt(x_of(v))
+            points.append(f"{x},{points[-1].split(',')[1]}")
+            points.append(f"{x},{fmt(y_of(p))}")
+        parts.append(f'<polyline points="{" ".join(points)}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        parts.append(
+            f'<text x="{x1 - 4}" y="{y1 + 12 * (k + 1)}" font-size="10" text-anchor="end" fill="{color}">{label}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def test_ccdf_svg_bytes_match_per_point_reference():
+    rng = np.random.default_rng(8)
+    net = generate_random(GeneratorConfig(60, 6000, PowerLawIets(0.3), 4))
+    teg = build_teg(net, math.inf)
+    curves = [("all", iet_ccdf(teg))] + [(m.value, iet_ccdf(teg, m)) for m in MOTIFS if motif_counts(teg)[m]]
+    cases = [
+        curves,
+        [("eighths", EmpiricalCcdf.from_samples(rng.integers(1, 5000, 3000) / 8))],
+        [("one", EmpiricalCcdf.from_samples([2.5]))],
+        [("zero", EmpiricalCcdf.from_samples([0.0, 0.0, 1.0, 3.0]))],
+    ]
+    for case in cases:
+        for kwargs in ({}, {"log_x": True}, {"width": 333, "height": 201, "margin": 7}):
+            if kwargs.get("log_x") and min(c.values[0] for _, c in case) <= 0:
+                continue
+            assert svgrender.ccdf_svg(case, **kwargs) == _reference_ccdf_svg(case, **kwargs)
+
+
+def _reference_cre(ccdf):
+    """The step sum of the CRE, one term at a time."""
+    values, tail, total = ccdf.values, ccdf.tail, 0.0
+    for k in range(len(values) - 1):
+        p = tail[k]
+        if p > 0:
+            total -= (values[k + 1] - values[k]) * p * math.log2(p)
+    return total
+
+
+def test_cumulative_residual_entropy_matches_step_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    net = generate_random(GeneratorConfig(200, 20_000, PowerLawIets(0.2), 9))
+    samples = [
+        build_teg(net, 500.0).iets,
+        rng.random(50_000) * 1e3,
+        rng.integers(0, 12, 5000).astype(np.float64),  # many repeats
+        rng.pareto(0.5, 3000),
+        np.array([4.0, 4.0]),
+        np.array([1e-300, 2e-300, 3e-300]),  # terms that underflow to zero
+        np.array([0.0, 1.0]),
+    ]
+    for sample in samples:
+        ccdf = EmpiricalCcdf.from_samples(sample)
+        got, want = cumulative_residual_entropy(ccdf), _reference_cre(ccdf)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want
+    unsorted = EmpiricalCcdf((0.0, 2.0, 1.0, 3.0), (0.75, 0.0, 0.5, 0.0), 4)
+    assert cumulative_residual_entropy(unsorted) == _reference_cre(unsorted)
+
+
+def test_empirical_ccdf_columns():
+    sample = np.array([3.0, 1.0, 3.0, 2.0])
+    ccdf = EmpiricalCcdf.from_samples(sample)
+    assert ccdf == EmpiricalCcdf.from_samples(sample.tolist()) == EmpiricalCcdf.from_samples(iter(sample.tolist()))
+    assert ccdf == EmpiricalCcdf((1.0, 2.0, 3.0), (0.75, 0.5, 0.0), 4)
+    assert hash(ccdf) == hash(((1.0, 2.0, 3.0), (0.75, 0.5, 0.0), 4))
+    assert ccdf != EmpiricalCcdf((1.0, 2.0, 3.0), (0.75, 0.5, 0.0), 5)
+    assert ccdf.support.dtype == ccdf.tails.dtype == np.float64
+    assert not ccdf.support.flags.writeable and not ccdf.tails.flags.writeable
+    ints = EmpiricalCcdf.from_samples(np.array([2, 2, 5]))
+    assert ints.values == (2.0, 5.0) and all(type(v) is float for v in ints.values + ints.tail)
+    assert type(ccdf.evaluate(1.5)) is float
+    with pytest.raises(ValueError, match="align"):
+        EmpiricalCcdf((1.0, 2.0), (0.0,), 2)
+    with pytest.raises(ValueError, match="empty"):
+        EmpiricalCcdf.from_samples(np.array([]))
+
+
+def test_components_computed_once_per_graph(monkeypatch):
+    net = generate_random(GeneratorConfig(30, 600, ExponentialIets(1.0), 5))
+    teg = build_teg(net, 0.5)
+    calls = []
+    compute = components_module._component_columns
+    monkeypatch.setattr(components_module, "_component_columns", lambda t: calls.append(t) or compute(t))
+    cs = weakly_connected_components(teg)
+    barcode_rows(teg)
+    component_size_distribution(teg)
+    aggregate_component(teg, 0)
+    again = ComponentSet(teg)
+    assert len(calls) == 1
+    assert again.assignment is cs.assignment and again.teg is teg
+    other = build_teg(net, 0.5)
+    assert np.array_equal(ComponentSet(other).assignment, cs.assignment) and len(calls) == 2
+
+
+def test_graph_and_components_freed_without_the_cycle_collector():
+    net = generate_random(GeneratorConfig(30, 600, ExponentialIets(1.0), 5))
+    teg = build_teg(net, 0.5)
+    cs = weakly_connected_components(teg)
+    columns = weakref.ref(cs.assignment)
+    gc.disable()
+    try:
+        del teg, cs
+        assert columns() is None
+    finally:
+        gc.enable()
 
 
 def _assert_aggregate_matches_networkx(agg, events):

@@ -399,6 +399,22 @@ def test_tie_hiding_a_next_event_in_another_component_is_c4(keep_anchors):
     assert [(v.condition, v.edges) for v in report.violations] == [("C4", ((0, 3),))]
 
 
+@pytest.mark.filterwarnings("ignore:.*equal-timestamp")
+@pytest.mark.parametrize("keep_anchors", (False, True))
+def test_one_ulp_gap_whose_potentials_round_equal_is_an_edge(keep_anchors):
+    # events 2 and 3 are one ulp apart; the tau sums reach both at 3.3, yet
+    # the edge between them is real and C1 accepts its tau
+    times = (0.0, 1.0999999999999999, 3.3, math.nextafter(3.3, math.inf))
+    net = _network([(0, 1, times[0]), (1, 0, times[1]), (2, 0, times[2]), (2, 1, times[3])])
+    g = strip_events(build_teg(net, math.inf), keep_anchors=keep_anchors)
+    assert g.tau[2, 3] == times[3] - times[2]
+    assert check_consistency(g).ok
+    rebuilt = reconstruct(g)
+    assert [(e.source, e.target) for e in rebuilt] == [(e.source, e.target) for e in canonicalize(net)]
+    if keep_anchors:
+        assert rebuilt == net
+
+
 def _tied_networks(count):
     """Seeded integer-time networks of 2-5 nodes and up to 30 events, so most
     times are shared, each with a window of 0.5, 1, 2, 3.5 or inf."""

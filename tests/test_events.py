@@ -193,6 +193,29 @@ def test_parse_duplicates_kept_with_warning():
     assert len(net) == 2
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_duplicate_count_only_among_ties(seed):
+    # runs of equal times with and without repeated triples, -0.0 next to
+    # 0.0, and tie-free events between them, in shuffled order
+    rng = np.random.default_rng(seed)
+    m = 200
+    times = rng.choice([0.0, -0.0, 1.5, 2.0, 7.25] + rng.random(40).tolist(), m)
+    sources = rng.integers(0, 4 if seed % 2 else 40, m)
+    targets = (sources + rng.integers(1, 4, m)) % 50
+    triples = list(dict.fromkeys(zip(sources.tolist(), targets.tolist(), times.tolist())))
+    if seed < 5:  # seed 5 keeps ties without a single duplicate
+        triples += [triples[k] for k in rng.integers(0, len(triples), 1 + seed)]
+        triples = [triples[k] for k in rng.permutation(len(triples))]
+    text = "".join(f"{s} {t} {x!r}\n" for s, t, x in triples)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_events(io.StringIO(text))
+    duplicates = len(triples) - len(set(triples))
+    found = [str(w.message) for w in caught if "duplicate" in str(w.message)]
+    assert found == ([f"{duplicates} duplicate event triples kept"] if duplicates else [])
+    assert (duplicates == 0) == (seed == 5)
+
+
 def test_file_round_trip(tmp_path):
     net = TemporalNetwork([Event(4, 1, 0.25), Event(1, 3, 2.0)])
     path = tmp_path / "events.txt"
