@@ -1,0 +1,101 @@
+"""Column tables as text, a bounded chunk of rows at a time.
+
+Every event, CSV and JSON output but the manifests is rendered here, ``ROWS``
+rows at a time, and the event and labelled-graph readers split their text
+here, about ``CHUNK`` characters at a time: no list of every row or line is held.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+ROWS = 1 << 12  # rows rendered at a time
+CHUNK = 1 << 16  # characters split at a time
+
+
+def rows(row: str, *columns, sep: str = ""):
+    """``row % values`` for the values of ``columns`` at each index, joined by
+    ``sep``, one string per bounded chunk of rows: lines when ``row`` ends in
+    a newline. A column is an array, or a pair ``(function, array)`` that
+    stands for ``function(array)`` computed a chunk at a time (node ids,
+    motif names, time text), so no full-length copy is made."""
+    columns = [column if isinstance(column, tuple) else (np.asarray, column) for column in columns]
+    for start in range(0, len(columns[0][1]), ROWS):
+        values = zip(*(f(column[start : start + ROWS]).tolist() for f, column in columns))
+        yield sep.join(row % items for items in values)
+
+
+def json_object(fields: dict):
+    """The text of the object of ``fields``, byte for byte as ``json.dump(indent=1)``
+    and a newline write it, without its pure-Python encoder (several times
+    slower), in chunks. A field is a JSON value, or its empty text (``"[]"``
+    or ``"{}"``), the ``row`` of its items and their columns: the items are
+    ``rows(row, *columns)`` joined by ",\n", rendered a chunk at a time."""
+    opening = "{"
+    for name, value in fields.items():
+        yield f'{opening}\n "{name}": '
+        opening = ","
+        if not isinstance(value, tuple):
+            yield json.dumps(value)
+            continue
+        empty, row, *columns = value
+        joint = empty[0] + "\n"
+        for chunk in rows(row, *columns, sep=",\n"):
+            yield joint + chunk
+            joint = ",\n"
+        yield "\n " + empty[1] if joint == ",\n" else empty
+    yield "\n}\n"
+
+
+def time_strings(times: np.ndarray) -> np.ndarray:
+    """Each time as text, in an object column: an integer-valued time under
+    2**53 in magnitude as that integer, any other by ``repr``. Numpy picks
+    out and converts the integer-valued ones in one pass."""
+    whole = (times == np.trunc(times)) & (np.abs(times) < 2**53)
+    strings = np.empty(len(times), dtype=object)
+    strings[whole] = list(map(str, times[whole].astype(np.int64).tolist()))
+    strings[~whole] = list(map(repr, times[~whole].tolist()))
+    return strings
+
+
+def lines(text: str):
+    """The lines of a plain ``text``, split a bounded chunk at a time."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + CHUNK) + 1 or len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
+# what a value can hold: digits, the signs of a JSON number and motif letters;
+# the rows' own text holds none of them
+_VALUE_CHARS = b"0123456789.eE+-ABC"
+_TOKENS = bytes(c if c in _VALUE_CHARS else 32 for c in range(256))  # the rest to spaces
+
+
+def layout_rows(text: str, start: int, stop: int, row: str):
+    """The value tokens of the rows ``text[start:stop]``, laid out as
+    ``json_object`` lays out items of ``row``, as one list of tokens per value, a
+    bounded chunk of rows at a time; raises ValueError where the text differs.
+
+    A chunk is that layout when deleting every value character leaves the
+    rows' own text, no value is empty (the writer quotes each value, or puts
+    it between ": " and a comma or the end), and the value characters form
+    one token per value. The tokens are isolated, not read.
+    """
+    width, joint = row.count("%"), ",\n" + row[: row.index("%")]
+    bare = row.replace("%d", "").replace("%r", "").replace("%s", "").encode()
+    while start < stop:
+        cut = text.find(joint, start + CHUNK, stop)
+        cut = stop if cut < 0 else cut
+        chunk = text[start:cut].encode("ascii")
+        tokens = chunk.translate(_TOKENS).split()
+        count, extra = divmod(len(tokens), width)
+        if extra or chunk.translate(None, _VALUE_CHARS) != b",\n".join([bare] * count):
+            raise ValueError("not the writer's layout")
+        if b'""' in chunk or b": ," in chunk or chunk.endswith(b": "):
+            raise ValueError("not the writer's layout")
+        yield [tokens[k::width] for k in range(width)]
+        start = cut + 2

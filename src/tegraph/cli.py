@@ -19,12 +19,11 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from itertools import islice
 from math import inf
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _text
 from .components import (
     ComponentSet,
     EmpiricalCcdf,
@@ -46,7 +45,7 @@ from .duality import (
     save_edge_labelled,
     strip_events,
 )
-from .events import ParseError, _stable_sort, load_events, save_events
+from .events import ParseError, _stable_sort, _starts, load_events, save_events
 from .generators import (
     GeneratorConfig,
     ensemble_seeds,
@@ -174,7 +173,9 @@ def _read_events(args):
     )
 
 
-def _write_manifest(args, argv, outputs) -> None:
+def _write_manifest(args, argv) -> None:
+    """A ``<path>.manifest.json`` beside each file the run wrote."""
+    outputs = [path for path in (getattr(args, name, None) for name in ("output", "svg", "csv")) if path]
     doc = {
         "tool": "teg",
         "version": __version__,
@@ -183,56 +184,51 @@ def _write_manifest(args, argv, outputs) -> None:
         "outputs": sorted(outputs),
     }
     for path in outputs:
-        with open(path + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+        with _output(path + ".manifest.json") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _output(path: str):
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _f(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _dt_json(dt: float):
-    return "inf" if dt == inf else dt
+def _write(path: str, *blocks) -> None:
+    """Write the strings of each block in turn: a list, or chunks from ``_text``."""
+    with _output(path) as fh:
+        for block in blocks:
+            fh.writelines(block)
 
 
 # --- subcommand bodies ----------------------------------------------------
 
 
-def _cmd_generate(args, argv):
+def _cmd_generate(args):
     cfg = GeneratorConfig(args.nodes, args.events, parse_iet_sampler(args.iets), args.seed)
     net = generate_random(cfg)
     save_events(net, args.output)
-    _write_manifest(args, argv, [args.output])
     return 0
 
 
-def _cmd_shuffle(args, argv):
+def _cmd_shuffle(args):
     net = _read_events(args)
     shuffled = time_shuffle(net, args.seed)
     save_events(shuffled, args.output)
-    _write_manifest(args, argv, [args.output])
     return 0
 
 
-def _cmd_build(args, argv):
+def _cmd_build(args):
     net = _read_events(args)
     teg = build_teg(net, args.dt)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(args.output) as fh:
         if args.format == "edges":
             write_teg_json(teg, fh)
         else:
             save_edge_labelled(strip_events(teg, keep_anchors=not args.no_anchors), fh)
-    _write_manifest(args, argv, [args.output])
     return 0
 
 
-def _cmd_validate(args, argv):
+def _cmd_validate(args):
     with open(args.input, "r", encoding="utf-8") as fh:
         g = load_edge_labelled(fh)
     report = check_consistency(g, rel_tol=args.rel_tol)
@@ -240,7 +236,7 @@ def _cmd_validate(args, argv):
     return 0 if report.ok else _CONSISTENCY_EXIT
 
 
-def _cmd_reconstruct(args, argv):
+def _cmd_reconstruct(args):
     with open(args.input, "r", encoding="utf-8") as fh:
         g = load_edge_labelled(fh)
     net = reconstruct(
@@ -250,43 +246,40 @@ def _cmd_reconstruct(args, argv):
         spacing=args.spacing,
     )
     save_events(net, args.output)
-    _write_manifest(args, argv, [args.output])
     return 0
 
 
-def _cmd_components(args, argv):
+_COMPONENT_ROW = (
+    '  {\n   "rank": %d,\n   "size": %d,\n   "node_count": %d,\n'
+    '   "start": %r,\n   "end": %r,\n   "first_event": %d\n  }'
+)
+
+
+def _cmd_components(args):
     net = _read_events(args)
-    dt = args.dt
-    cs = ComponentSet(build_teg(net, dt))
-    doc = {
-        "delta_t": _dt_json(dt),
+    cs = ComponentSet(build_teg(net, args.dt))
+    top = len(cs) if args.top is None else min(args.top, len(cs))
+    # each rank's node count: its distinct (rank, node) keys, by one sort
+    n, members = len(net.node_ids), cs._members[: cs._bounds[top]]
+    ranks = cs.assignment[members] * n
+    keys = np.sort(np.concatenate((ranks + net.sources[members], ranks + net.targets[members])))
+    node_counts = np.bincount(keys[_starts(keys)] // n, minlength=top)
+    columns = np.arange(top), cs.sizes[:top], node_counts, cs.starts[:top], cs.ends[:top]
+    fields = {
+        "delta_t": "inf" if args.dt == inf else args.dt,
         "event_count": len(net),
         "component_count": len(cs),
         "largest_fraction": cs.largest_fraction,
-        "components": [
-            {
-                "rank": k,
-                "size": c.size,
-                "node_count": len(c.nodes),
-                "start": c.start,
-                "end": c.end,
-                "first_event": c.events[0],
-            }
-            for k, c in enumerate(islice(cs, args.top))
-        ],
+        "components": ("[]", _COMPONENT_ROW, *columns, cs._members[cs._bounds[:top]]),
     }
-    _write_text(args.output, json.dumps(doc, indent=1) + "\n")
-    _write_manifest(args, argv, [args.output])
+    _write(args.output, _text.json_object(fields))
     return 0
 
 
-def _cmd_sweep(args, argv):
+def _cmd_sweep(args):
     net = _read_events(args)
-    rows = sweep_largest_component(net, args.dt_grid)
-    lines = ["delta_t,largest_fraction"]
-    lines += [f"{_f(dt)},{_f(frac)}" for dt, frac in rows]
-    _write_text(args.output, "\n".join(lines) + "\n")
-    _write_manifest(args, argv, [args.output])
+    rows = np.array(sweep_largest_component(net, args.dt_grid))
+    _write(args.output, ["delta_t,largest_fraction\n"], _text.rows("%.17g,%.17g\n", *rows.T))
     return 0
 
 
@@ -302,40 +295,38 @@ def _shuffle_frequencies(job):
     return [counts[m] / total for m in MOTIFS]
 
 
-def _motif_row(scope: str, edges: int, masses) -> str:
-    return ",".join([scope, str(edges)] + [_f(p) for p in masses])
+_MOTIF_ROW = "%s,%d" + ",%.17g" * len(MOTIFS) + "\n"
 
 
-def _cmd_motifs(args, argv):
+def _cmd_motifs(args):
     net = _read_events(args)
-    dt = args.dt
-    teg = build_teg(net, dt)
-    lines = ["scope,edges," + ",".join(m.value for m in MOTIFS)]
-    lines.append(_motif_row("all", teg.edge_count, motif_distribution(teg).masses))
+    teg = build_teg(net, args.dt)
+    header = "scope,edges," + ",".join(m.value for m in MOTIFS) + "\n"
+    blocks = [[header, _MOTIF_ROW % ("all", teg.edge_count, *motif_distribution(teg).masses)]]
     if args.per_component:
         # every edge lies inside its head's component
         cs = ComponentSet(teg)
         ranks = cs.assignment[teg.heads]
         counts = np.bincount(ranks * len(MOTIFS) + teg.codes, minlength=len(cs) * len(MOTIFS))
-        for rank, row in enumerate(counts.reshape(-1, len(MOTIFS)).tolist()):
-            total = sum(row)
-            if total:
-                lines.append(_motif_row(f"component:{rank}", total, [c / total for c in row]))
+        counts = counts.reshape(-1, len(MOTIFS))
+        totals = counts.sum(1)
+        kept = np.flatnonzero(totals)
+        masses = counts[kept] / totals[kept, None]
+        blocks.append(_text.rows("component:" + _MOTIF_ROW, kept, totals[kept], *masses.T))
     if args.ensemble:
-        jobs = [(net, dt, s) for s in ensemble_seeds(args.seed, args.ensemble)]
+        jobs = [(net, args.dt, s) for s in ensemble_seeds(args.seed, args.ensemble)]
         if args.workers > 1:
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 freqs = list(pool.map(_shuffle_frequencies, jobs, chunksize=8))
         else:
             freqs = [_shuffle_frequencies(job) for job in jobs]
         mean = [sum(col) / len(freqs) for col in zip(*freqs)]
-        lines.append(_motif_row(f"shuffle_mean:{args.ensemble}", teg.edge_count, mean))
-    _write_text(args.output, "\n".join(lines) + "\n")
-    _write_manifest(args, argv, [args.output])
+        blocks.append([_MOTIF_ROW % (f"shuffle_mean:{args.ensemble}", teg.edge_count, *mean)])
+    _write(args.output, *blocks)
     return 0
 
 
-def _cmd_iets(args, argv):
+def _cmd_iets(args):
     net = _read_events(args)
     teg = build_teg(net, args.dt)
     if args.motif:
@@ -346,69 +337,54 @@ def _cmd_iets(args, argv):
         for m in MOTIFS:
             if counts[m]:
                 curves.append((m.value, iet_ccdf(teg, m)))
-    lines = ["scope,iet,tail"]
-    for label, ccdf in curves:
-        lines += [f"{label},{_f(v)},{_f(p)}" for v, p in zip(ccdf.support.tolist(), ccdf.tails.tolist())]
-    _write_text(args.output, "\n".join(lines) + "\n")
-    outputs = [args.output]
+    rows = (_text.rows(label + ",%.17g,%.17g\n", ccdf.support, ccdf.tails) for label, ccdf in curves)
+    _write(args.output, ["scope,iet,tail\n"], *rows)
     if args.svg:
         log_x = all(c.support[0] > 0 for _, c in curves)
-        _write_text(args.svg, ccdf_svg(curves, log_x=log_x))
-        outputs.append(args.svg)
-    _write_manifest(args, argv, outputs)
+        _write(args.svg, [ccdf_svg(curves, log_x=log_x)])
     return 0
 
 
-def _cmd_entropy(args, argv):
+def _cmd_entropy(args):
     net = _read_events(args)
     teg = build_teg(net, args.dt)
-    lines = ["scope,edges,motif_entropy_bits,iet_cre"]
 
-    def row(scope, inside):
+    def entropies(inside):
         codes = teg.codes[inside]
-        total = len(codes)
-        if total == 0:
-            return None
-        masses = (np.bincount(codes, minlength=len(MOTIFS)) / total).tolist()
+        masses = (np.bincount(codes, minlength=len(MOTIFS)) / len(codes)).tolist()
         cre = cumulative_residual_entropy(EmpiricalCcdf.from_samples(teg.iets[inside]))
-        return f"{scope},{total},{_f(shannon_entropy(masses))},{_f(cre)}"
+        return shannon_entropy(masses), cre
 
-    whole = row("all", slice(None))
-    if whole is None:
-        print("error: event graph has no edges", file=sys.stderr)
-        return _INPUT_EXIT
-    lines.append(whole)
+    if not teg.edge_count:
+        raise ValueError("event graph has no edges")
+    row = "%s,%d,%.17g,%.17g\n"
+    whole = row % ("all", teg.edge_count, *entropies(slice(None)))
+    blocks = [["scope,edges,motif_entropy_bits,iet_cre\n", whole]]
     if args.per_component:
         # every edge lies inside its head's component
-        components = ComponentSet(teg)
-        ranks = components.assignment[teg.heads]
+        ranks = ComponentSet(teg).assignment[teg.heads]
         _, order = _stable_sort(ranks)
-        for rank, inside in enumerate(np.split(order, np.cumsum(np.bincount(ranks))[:-1])):
-            r = row(f"component:{rank}", inside)
-            if r is not None:
-                lines.append(r)
-    _write_text(args.output, "\n".join(lines) + "\n")
-    _write_manifest(args, argv, [args.output])
+        sizes = np.bincount(ranks)
+        groups = np.split(order, np.cumsum(sizes)[:-1])
+        kept = np.flatnonzero(sizes)
+        values = np.array([entropies(groups[rank]) for rank in kept.tolist()]).reshape(-1, 2)
+        blocks.append(_text.rows("component:" + row, kept, sizes[kept], *values.T))
+    _write(args.output, *blocks)
     return 0
 
 
-def _cmd_barcode(args, argv):
+def _cmd_barcode(args):
     net = _read_events(args)
     teg = build_teg(net, args.dt)
     rows = barcode_rows(teg, top=args.top)
-    _write_text(args.output, barcode_svg(rows))
-    outputs = [args.output]
+    _write(args.output, [barcode_svg(rows)])
     if args.csv:
-        lines = ["component,time"] + [
-            f"{k},{_f(t)}" for k, row in enumerate(rows) for t in row
-        ]
-        _write_text(args.csv, "\n".join(lines) + "\n")
-        outputs.append(args.csv)
-    _write_manifest(args, argv, outputs)
+        ranks = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        _write(args.csv, ["component,time\n"], _text.rows("%d,%.17g\n", ranks, np.concatenate(rows)))
     return 0
 
 
-def _cmd_aggregate(args, argv):
+def _cmd_aggregate(args):
     if (args.dt is None) != (args.component is None):
         print("error: --dt and --component go together", file=sys.stderr)
         return _USAGE_EXIT
@@ -428,8 +404,7 @@ def _cmd_aggregate(args, argv):
         "reciprocity": agg.reciprocity,
         "weak_component_count": agg.weak_component_count,
     }
-    _write_text(args.output, json.dumps(doc, indent=1) + "\n")
-    _write_manifest(args, argv, [args.output])
+    _write(args.output, _text.json_object(doc))
     return 0
 
 
@@ -557,7 +532,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, argv)
+        code = args.func(args)
+        if code == 0:
+            _write_manifest(args, argv)
+        return code
     except InconsistentGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _CONSISTENCY_EXIT

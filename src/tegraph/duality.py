@@ -41,10 +41,11 @@ from typing import Mapping, TextIO
 
 import numpy as np
 
+from . import _text
 from .components import _labels
-from .events import _CHUNK, _MAX_IDS, TemporalNetwork, _first_seen, _id_array, _inverse, _readonly, _stable_sort, _starts
+from .events import _MAX_IDS, TemporalNetwork, _first_seen, _id_array, _inverse, _readonly, _stable_sort, _starts
 from .motifs import MOTIFS, Motif, prescribed_nodes
-from .teg import _MOTIF_NAMES, Teg, _incidence_edges, _json_rows, _write_json
+from .teg import _MOTIF_NAMES, Teg, _incidence_edges
 
 # per motif code, an id of its xi_out / xi_in label: equal ids, equal labels
 _XI_OUT = np.unique([m.xi_out for m in MOTIFS], return_inverse=True)[1]
@@ -338,7 +339,7 @@ def _code_at(keys, codes, query):
 def _c4_violations(p: _Pass, dirty, held) -> list[Violation]:
     """Every edge key where the graph differs from the event graph of the resolved
     events at time = vertex index, less the pairs of equal potential (a zero gap
-    gives no edge) other than the ``held`` keys, the input edges whose tau C1
+    gives no edge) other than the sorted ``held`` keys, the input edges whose tau C1
     accepts; keys with an endpoint where ``dirty`` is set are skipped."""
     n, keys, labels = p.n, p.keys, p.g.codes
     heads, tails, codes = _incidence_edges(p.sources, p.targets, np.arange(n, dtype=np.float64), inf)
@@ -346,9 +347,10 @@ def _c4_violations(p: _Pass, dirty, held) -> list[Violation]:
     # a tau that C1 accepts is a gap (taus are positive) even where the
     # potentials round equal, as one ulp apart can
     tied = np.flatnonzero(~gapped)
-    gapped[tied] = np.isin(heads[tied] * n + tails[tied], held)
-    rebuilt, codes = heads[gapped] * n + tails[gapped], codes[gapped]
-    missing = np.setdiff1d(rebuilt, keys, assume_unique=True)
+    query = heads[tied] * n + tails[tied]
+    gapped[tied] = np.append(held, -1)[np.searchsorted(held, query)] == query
+    rebuilt, codes = heads[gapped] * n + tails[gapped], codes[gapped]  # sorted, as _incidence_edges gives them
+    missing = rebuilt[_code_at(keys, labels, rebuilt) < 0]
     bad = np.sort(np.concatenate([keys[_code_at(rebuilt, codes, keys) != labels], missing]))
     bad = bad[~(dirty[bad // n] | dirty[bad % n])]
 
@@ -545,11 +547,11 @@ def reconstruct(
 def save_edge_labelled(g: EdgeLabelledTeg, stream: TextIO) -> None:
     """JSON dump; tau values survive a round-trip bit-exactly. Rows are
     written a bounded chunk at a time."""
-    edges = _json_rows(_EDGE_ROW, g.heads, g.tails, g.taus, _MOTIF_NAMES[g.codes])
-    fields = {"vertex_count": str(g.vertex_count), "edges": ("[]", edges)}
+    edges = ("[]", _EDGE_ROW, g.heads, g.tails, g.taus, (_MOTIF_NAMES.take, g.codes))
+    fields = {"vertex_count": g.vertex_count, "edges": edges}
     if len(g.anchor_vertices):
-        fields["anchors"] = ("{}", _json_rows(_ANCHOR_ROW, g.anchor_vertices, g.anchor_times))
-    _write_json(stream, fields)
+        fields["anchors"] = ("{}", _ANCHOR_ROW, g.anchor_vertices, g.anchor_times)
+    stream.writelines(_text.json_object(fields))
 
 
 _NUMBER = {int, float}  # JSON true and false load as bool, which is neither
@@ -594,38 +596,7 @@ _EDGE_ROW = '  {\n   "i": %d,\n   "j": %d,\n   "tau": %r,\n   "motif": "%s"\n  }
 _ANCHOR_ROW = '  "%d": %r'
 _HEAD, _END = '{\n "vertex_count": ', "\n}\n"
 _NO_EDGES, _EDGES, _ANCHORS = ',\n "edges": []', ',\n "edges": [\n', ',\n "anchors": {\n'
-# what a value can hold: digits, the signs of a JSON number and motif letters;
-# the rows' own text holds none of them
-_VALUE_CHARS = b"0123456789.eE+-ABC"
-_TOKENS = bytes(c if c in _VALUE_CHARS else 32 for c in range(256))  # the rest to spaces
 _MOTIF_BYTES = {m.value.encode(): c for c, m in enumerate(MOTIFS)}
-
-
-def _layout_rows(text: str, start: int, stop: int, row: str):
-    """The value tokens of the rows ``text[start:stop]``, laid out as the
-    writer lays out ``row``, as one list of tokens per value, a bounded chunk
-    of rows at a time; raises ValueError where the text differs.
-
-    A chunk is that layout when deleting every value character leaves the
-    rows' own text, no value is empty (the writer quotes each value, or puts
-    it between ": " and a comma or the end), and the value characters form
-    one token per value. The tokens are isolated, not read: ``_values``
-    reads them.
-    """
-    width, joint = row.count("%"), ",\n" + row[: row.index("%")]
-    bare = row.replace("%d", "").replace("%r", "").replace("%s", "").encode()
-    while start < stop:
-        cut = text.find(joint, start + _CHUNK, stop)
-        cut = stop if cut < 0 else cut
-        chunk = text[start:cut].encode("ascii")
-        tokens = chunk.translate(_TOKENS).split()
-        rows, extra = divmod(len(tokens), width)
-        if extra or chunk.translate(None, _VALUE_CHARS) != b",\n".join([bare] * rows):
-            raise ValueError("not the writer's layout")
-        if b'""' in chunk or b": ," in chunk or chunk.endswith(b": "):
-            raise ValueError("not the writer's layout")
-        yield [tokens[k::width] for k in range(width)]
-        start = cut + 2
 
 
 def _values(tokens: list[bytes], types, dtype) -> np.ndarray:
@@ -657,7 +628,7 @@ def _layout_columns(text: str):
             at += len(_NO_EDGES)
         elif text.startswith(_EDGES, at):
             stop = text.find("\n ]", at)
-            for i, j, tau, names in _layout_rows(text, at + len(_EDGES), stop, _EDGE_ROW):
+            for i, j, tau, names in _text.layout_rows(text, at + len(_EDGES), stop, _EDGE_ROW):
                 edges[0].append(_values(i, {int}, np.int64))
                 edges[1].append(_values(j, {int}, np.int64))
                 edges[2].append(_values(tau, _NUMBER, np.float64))
@@ -667,7 +638,7 @@ def _layout_columns(text: str):
             return None
         if text.startswith(_ANCHORS, at):
             stop = text.find("\n }", at)
-            for vertices, times in _layout_rows(text, at + len(_ANCHORS), stop, _ANCHOR_ROW):
+            for vertices, times in _text.layout_rows(text, at + len(_ANCHORS), stop, _ANCHOR_ROW):
                 if not b"".join(vertices).isdigit():  # a key is a JSON string: "-0" is not vertex 0
                     return None
                 anchors[0].append(_values(vertices, {int}, np.int64))

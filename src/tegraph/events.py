@@ -18,6 +18,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
+from . import _text
+
 TIE_REJECT = "reject"
 TIE_STABLE = "stable_order"
 _TIE_POLICIES = (TIE_REJECT, TIE_STABLE)
@@ -247,26 +249,12 @@ def canonicalize(net: TemporalNetwork) -> TemporalNetwork:
     return TemporalNetwork._from_columns(sources, targets, net.times - net.times[0], node_ids)
 
 
-def _time_strings(times: np.ndarray) -> list[str]:
-    """Each time as text: an integer-valued time under 2**53 in magnitude as
-    that integer, any other by ``repr``. Numpy picks out and converts the
-    integer-valued ones in one pass."""
-    whole = (times == np.trunc(times)) & (np.abs(times) < 2**53)
-    strings = np.empty(len(times), dtype=object)
-    strings[whole] = list(map(str, times[whole].astype(np.int64).tolist()))
-    strings[~whole] = list(map(repr, times[~whole].tolist()))
-    return strings.tolist()
-
-
-def events_to_text(net: TemporalNetwork) -> str:
-    """One ``source target time`` line per event (lossless)."""
-    ids = net.node_ids
-    columns = ids[net.sources].tolist(), ids[net.targets].tolist(), _time_strings(net.times)
-    return "".join(f"{s} {t} {x}\n" for s, t, x in zip(*columns))
-
-
 def write_events(net: TemporalNetwork, stream: TextIO) -> None:
-    stream.write(events_to_text(net))
+    """One ``source target time`` line per event, lossless (``_text.time_strings``),
+    written a bounded chunk of rows at a time."""
+    ids = net.node_ids.take
+    columns = (ids, net.sources), (ids, net.targets), (_text.time_strings, net.times)
+    stream.writelines(_text.rows("%d %d %s\n", *columns))
 
 
 _ROW = np.dtype([("source", np.int64), ("target", np.int64), ("time", np.float64)])
@@ -274,16 +262,6 @@ _ROW = np.dtype([("source", np.int64), ("target", np.int64), ("time", np.float64
 _PLAIN = b"\t\n" + bytes(range(0x20, 0x7F))
 # "#" as the first non-blank character; a "#" anywhere else is data
 _COMMENT_LINE = re.compile(r"^[\t ]*#.*\n?", re.MULTILINE)
-_CHUNK = 1 << 16  # characters split into lines at a time, so no list of every line is held
-
-
-def _lines(text: str):
-    """The lines of a plain ``text``, split a bounded chunk at a time."""
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
-        yield from text[start:stop].splitlines()
-        start = stop
 
 
 def _tokenized(text: str, delimiter, usecols, on_self_loop):
@@ -299,7 +277,7 @@ def _tokenized(text: str, delimiter, usecols, on_self_loop):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             rows = np.loadtxt(
-                _lines(text), _ROW, comments=None, delimiter=delimiter, usecols=usecols, ndmin=1
+                _text.lines(text), _ROW, comments=None, delimiter=delimiter, usecols=usecols, ndmin=1
             )
     except (ValueError, TypeError):
         return None

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _text
 from .components import EmpiricalCcdf
-from .teg import _ROWS
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -123,8 +123,8 @@ def barcode_svg(
         xs = x_of(row)
         mid = f'" y1="{y_top + 2}" x2="'
         end = f'" y2="{y_top + row_height - 2}" stroke="{color}" stroke-width="1"/>\n'
-        for start in range(0, len(xs), _ROWS):
-            x = _fmt_column(xs[start : start + _ROWS])
+        for start in range(0, len(xs), _text.ROWS):
+            x = _fmt_column(xs[start : start + _text.ROWS])
             parts.append(_joined('<line x1="', x, mid, x, end)[:-1])
     axis_y = height - margin
     parts.append(
@@ -187,8 +187,8 @@ def ccdf_svg(
         xs = np.concatenate((xs[:1], xs))
         ys = np.repeat(y_of(np.concatenate(([1.0], ccdf.tails))), 2)[:-1]
         points = "".join(
-            _joined(_fmt_column(xs[k : k + _ROWS]), ",", _fmt_column(ys[k : k + _ROWS]), " ")
-            for k in range(0, len(xs), _ROWS)
+            _joined(_fmt_column(xs[k : k + _text.ROWS]), ",", _fmt_column(ys[k : k + _text.ROWS]), " ")
+            for k in range(0, len(xs), _text.ROWS)
         )
         parts.append(
             f'<polyline points="{points[:-1]}" fill="none" stroke="{color}" stroke-width="1.5"/>'

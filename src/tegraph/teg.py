@@ -17,12 +17,12 @@ The graph is stored as four numpy columns, one entry per edge, sorted by
 
 from __future__ import annotations
 
-import json
 from math import inf, isnan
 from typing import TextIO
 
 import numpy as np
 
+from . import _text
 from .events import Event, TemporalNetwork, _readonly, _stable_sort, _starts
 from .motifs import MOTIFS
 
@@ -140,38 +140,7 @@ def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
     return Teg(net, delta_t, heads, tails, times[tails] - times[heads], codes)
 
 
-_ROWS = 1 << 12  # rows rendered at a time, so no list of every row is held
 _MOTIF_NAMES = np.array([m.value for m in MOTIFS], dtype=object)
-
-
-def _json_rows(row: str, *columns):
-    """``row % values`` for the values of ``columns`` at each index, joined
-    by ",\\n" a bounded chunk of rows at a time: the items of a JSON array or
-    object at depth 2, as ``json.dump(indent=1)`` lays them out."""
-    for start in range(0, len(columns[0]), _ROWS):
-        values = zip(*(column[start : start + _ROWS].tolist() for column in columns))
-        yield ",\n".join(row % items for items in values)
-
-
-def _write_json(stream: TextIO, fields: dict) -> None:
-    """Write the object of rendered ``fields`` byte for byte as ``json.dump(indent=1)``
-    and a newline would, without its pure-Python encoder (several times slower).
-    A field is a rendered value, or a pair of its empty value (``"[]"`` or
-    ``"{}"``) and the chunks of its items (``_json_rows``), written as they come."""
-    opening = "{"
-    for name, value in fields.items():
-        stream.write(f'{opening}\n "{name}": ')
-        opening = ","
-        if isinstance(value, str):
-            stream.write(value)
-            continue
-        empty, chunks = value
-        written = False
-        for chunk in chunks:
-            stream.write(",\n" + chunk if written else empty[0] + "\n" + chunk)
-            written = True
-        stream.write(f"\n {empty[1]}" if written else empty)
-    stream.write("\n}\n")
 
 
 def write_teg_json(teg: Teg, stream: TextIO) -> None:
@@ -181,6 +150,6 @@ def write_teg_json(teg: Teg, stream: TextIO) -> None:
     The dump is for downstream tools: the package has no reader for it.
     """
     row = '  [\n   %d,\n   %d,\n   %r,\n   "%s"\n  ]'
-    rows = _json_rows(row, teg.heads, teg.tails, teg.iets, _MOTIF_NAMES[teg.codes])
-    delta_t = json.dumps("inf" if teg.delta_t == inf else teg.delta_t)
-    _write_json(stream, {"delta_t": delta_t, "event_count": str(teg.vertex_count), "edges": ("[]", rows)})
+    edges = ("[]", row, teg.heads, teg.tails, teg.iets, (_MOTIF_NAMES.take, teg.codes))
+    delta_t = "inf" if teg.delta_t == inf else teg.delta_t
+    stream.writelines(_text.json_object({"delta_t": delta_t, "event_count": teg.vertex_count, "edges": edges}))

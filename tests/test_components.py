@@ -727,3 +727,43 @@ def test_component_outputs_match_recorded_digests(tmp_path):
             assert main(argv) == 0
         produced = csv if name == "barcode" else out
         assert hashlib.sha256(produced.read_bytes()).hexdigest() == _DIGESTS[name], name
+
+
+def _real_time_event_file(path, seed=5, m=400, nodes=25):
+    """Times with three decimals: gaps and window edges are not dyadic."""
+    rng = np.random.default_rng(seed)
+    times = np.round(np.sort(rng.uniform(0, 60, m)), 3)
+    src = rng.integers(0, nodes, m)
+    dst = (src + rng.integers(1, nodes, m)) % nodes
+    rows = zip(src.tolist(), dst.tolist(), times.tolist())
+    path.write_text("".join(f"{s} {d} {t!r}\n" for s, d, t in rows))
+
+
+# sha256 of outputs that no digest above covers, recorded while the CLI
+# still built each output as one text
+_ROUTED_DIGESTS = {
+    "components_top": "9681cbec82b3a7e4bb1cb425a767e3c45ce61b6559b0ccc03486415a5ad772c3",
+    "components_empty": "00adaf74cdb69701c2f577b7e49df44a4f48fcb0eed74fedfa4da339be40a4ae",
+    "iets_motif": "608413f2780c0772a9d771795a72224731c518f34ee9da24daec599092e332bf",
+    "sweep_real": "60f97858e5a6efbe9ef39eb3dbb3261a6acbc083b744c2aa1890dedf30802815",
+}
+
+
+def test_routed_outputs_match_recorded_digests(tmp_path):
+    tied, real, empty = tmp_path / "tied.txt", tmp_path / "real.txt", tmp_path / "empty.txt"
+    _tied_event_file(tied)
+    _real_time_event_file(real)
+    empty.write_text("")
+    runs = {
+        "components_top": ("components", tied, "--dt", "3", "--top", "3"),
+        "components_empty": ("components", empty, "--dt", "3"),
+        "iets_motif": ("iets", tied, "--dt", "20", "--motif", "ABCA"),
+        "sweep_real": ("sweep", real, "--dt-grid", "0.05,0.3,1.1,2.5,7"),
+    }
+    for name, (command, events, *opts) in runs.items():
+        out = tmp_path / f"{name}.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([command, "--input", str(events), *opts, "--output", str(out)]) == 0, name
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _ROUTED_DIGESTS[name], name
+    assert '"components": []' in (tmp_path / "components_empty.out").read_text()

@@ -4,7 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,14 +26,17 @@ from tegraph import (
     canonicalize,
     check_consistency,
     load_edge_labelled,
+    load_events,
     reconstruct,
     save_edge_labelled,
+    save_events,
     strip_events,
     weakly_connected_components,
     write_teg_json,
 )
+from tegraph.events import write_events
 from tegraph import cli, duality
-from tegraph import teg as teg_module
+from tegraph import _text
 from tegraph.generators import (
     DeterministicIets,
     ExponentialIets,
@@ -966,7 +971,7 @@ def _pinned_graphs():
 def test_writers_keep_their_bytes():
     # digests of the writers' output before rows were written in chunks
     teg, bare, anchored = _pinned_graphs()
-    assert teg.edge_count > 2 * teg_module._ROWS
+    assert teg.edge_count > 2 * _text.ROWS
     buf = io.StringIO()
     write_teg_json(teg, buf)
     texts = (_written(bare), _written(anchored), buf.getvalue())
@@ -978,7 +983,7 @@ def test_writers_keep_their_bytes():
     ]
 
 
-@pytest.mark.parametrize("edges", (0, 1, 2, teg_module._ROWS, teg_module._ROWS + 1, 9000))
+@pytest.mark.parametrize("edges", (0, 1, 2, _text.ROWS, _text.ROWS + 1, 9000))
 @pytest.mark.parametrize("keep_anchors", (False, True))
 def test_chunked_writer_matches_json_dump(edges, keep_anchors):
     _, _, g = _pinned_graphs()
@@ -997,6 +1002,67 @@ def test_chunked_writer_matches_json_dump(edges, keep_anchors):
     text = _written(g)
     assert text == json.dumps(doc, indent=1) + "\n"
     assert _load_outcome(text, fast=True) == _load_outcome(text, fast=False)
+
+
+@pytest.mark.parametrize("rows", (0, 1, _text.ROWS, _text.ROWS + 1))
+def test_chunked_components_writer_matches_json_dump(tmp_path, rows):
+    # at this window the pinned network has 4,478 components, 454 of them
+    # with more than one event, so --top sets the row count
+    path, out = tmp_path / "events.txt", tmp_path / "components.json"
+    net = _pinned_graphs()[0].network if rows else TemporalNetwork(())
+    dt = 1.0
+    save_events(net, str(path))
+    argv = ["components", "--input", str(path), "--dt", repr(dt), "--output", str(out)]
+    assert cli.main(argv + (["--top", str(rows)] if rows else [])) == 0
+    cs = weakly_connected_components(build_teg(load_events(str(path)), dt))
+    components = [
+        {
+            "rank": k,
+            "size": c.size,
+            "node_count": len(c.nodes),
+            "start": c.start,
+            "end": c.end,
+            "first_event": c.events[0],
+        }
+        for k, c in zip(range(rows), cs)
+    ]
+    assert len(components) == rows
+    doc = {
+        "delta_t": dt,
+        "event_count": len(net),
+        "component_count": len(cs),
+        "largest_fraction": cs.largest_fraction,
+        "components": components,
+    }
+    assert out.read_text() == json.dumps(doc, indent=1) + "\n"
+
+
+def test_writers_hold_a_bounded_chunk_of_rows():
+    # tracemalloc peaks of each writer into a discarding stream at 2e4 and
+    # 2e5 events: a writer that renders a bounded chunk at a time peaks about
+    # alike at both sizes
+    peaks = {}
+    for m in (20_000, 200_000):
+        net = generate_random(GeneratorConfig(m // 20, m, parse_iet_sampler("power_law:0.2"), 1))
+        teg = build_teg(net, math.inf)
+        g = strip_events(teg, keep_anchors=True)
+        writers = {
+            "write_events": lambda stream: write_events(net, stream),
+            "save_edge_labelled": lambda stream: save_edge_labelled(g, stream),
+            "write_teg_json": lambda stream: write_teg_json(teg, stream),
+        }
+        tracemalloc.start()
+        try:
+            for name, write in writers.items():
+                with open(os.devnull, "w") as sink:
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    write(sink)
+                    peaks.setdefault(name, []).append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    for name, (small, large) in peaks.items():
+        assert large < 2 * small, (name, small, large)
 
 
 def test_constructor_converts_to_the_same_columns_and_names_the_first_offender():

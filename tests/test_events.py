@@ -31,7 +31,8 @@ from tegraph import (
     time_shuffle,
 )
 from _oracles import format_time, stable_fill
-from tegraph.events import _stable_sort, events_to_text, load_events, save_events, write_events
+from tegraph import _text
+from tegraph.events import _stable_sort, load_events, save_events, write_events
 
 
 @pytest.mark.parametrize(
@@ -113,9 +114,15 @@ def test_canonicalize_empty_rejected():
         canonicalize(TemporalNetwork(()))
 
 
+def _event_text(net):
+    buf = io.StringIO()
+    write_events(net, buf)
+    return buf.getvalue()
+
+
 def test_text_round_trip_is_lossless():
     net = TemporalNetwork([Event(0, 1, 3.0), Event(5, 2, 3.0000000000000004)])
-    text = events_to_text(net)
+    text = _event_text(net)
     # integral times print bare, others with full precision
     assert text == "0 1 3\n5 2 3.0000000000000004\n"
     assert parse_events(io.StringIO(text)) == net
@@ -237,8 +244,9 @@ def test_write_events_stream():
         [2.0**53 - 1, 2.0**53, -(2.0**53), -(2.0**53) + 1, 2.0**53 + 2],
         [1e16, 1e300, 1.7976931348623157e308, 5e-324, 123456789.0, 0.1],
         [float(k) for k in range(50)] + [k + 0.5 for k in range(50)],
+        [k / 3 if k % 5 else float(k) for k in range(2 * _text.ROWS + 3)],
     ],
-    ids=("signed-zero", "two-to-53", "large-floats", "mixed"),
+    ids=("signed-zero", "two-to-53", "large-floats", "mixed", "three-chunks"),
 )
 @pytest.mark.filterwarnings("ignore:.*equal-timestamp")  # -0.0 ties 0.0
 def test_event_text_matches_one_float_at_a_time(times):
@@ -247,10 +255,7 @@ def test_event_text_matches_one_float_at_a_time(times):
     net = TemporalNetwork._from_columns(np.arange(n) % 7, np.arange(n) % 7 + 1, np.array(times))
     columns = (net.node_ids[net.sources].tolist(), net.node_ids[net.targets].tolist(), net.times.tolist())
     expected = "".join(f"{s} {t} {format_time(x)}\n" for s, t, x in zip(*columns))
-    assert events_to_text(net) == expected
-    buf = io.StringIO()
-    write_events(net, buf)
-    assert buf.getvalue() == expected
+    assert _event_text(net) == expected
 
 
 def _event_lists():
@@ -324,7 +329,7 @@ def test_library_paths_build_no_events(tmp_path, monkeypatch):
             barcode_rows(cs, top=3)
             motif_counts(teg)
             sweep_largest_component(net, [0.5, 2.0, 8.0])
-            events_to_text(net)
+            write_events(net, io.StringIO())
             save_events(net, str(tmp_path / "out.txt"))
         rebuilt = reconstruct(strip_events(build_teg(plain, math.inf), keep_anchors=True))
         assert np.array_equal(rebuilt.times, plain.times)
