@@ -53,7 +53,7 @@ from .generators import (
     parse_iet_sampler,
     time_shuffle,
 )
-from .motifs import MOTIFS, Motif
+from .motifs import _NAMES, MOTIFS, Motif
 from .svgrender import barcode_svg, ccdf_svg
 from .teg import build_teg, write_teg_json
 
@@ -301,7 +301,7 @@ _MOTIF_ROW = "%s,%d" + ",%.17g" * len(MOTIFS) + "\n"
 def _cmd_motifs(args):
     net = _read_events(args)
     teg = build_teg(net, args.dt)
-    header = "scope,edges," + ",".join(m.value for m in MOTIFS) + "\n"
+    header = "scope,edges," + ",".join(_NAMES) + "\n"
     blocks = [[header, _MOTIF_ROW % ("all", teg.edge_count, *motif_distribution(teg).masses)]]
     if args.per_component:
         # every edge lies inside its head's component
@@ -496,7 +496,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("iets", help="inter-event-time CCDFs")
     _add_event_input(p)
     p.add_argument("--dt", required=True, type=_duration_arg)
-    p.add_argument("--motif", choices=[m.value for m in MOTIFS], default=None)
+    p.add_argument("--motif", choices=_NAMES.tolist(), default=None)
     p.add_argument("--svg", default=None, help="also render curves to SVG")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_iets)

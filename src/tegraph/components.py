@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .events import _MAX_IDS, TemporalNetwork, _inverse, _readonly, _stable_sort, _starts
-from .motifs import MOTIFS, Motif
+from .motifs import _CODES, MOTIFS, Motif
 from .teg import Teg, build_teg, check_window
 
 
@@ -46,9 +46,9 @@ def _component_columns(teg: Teg):
     label = _labels(m, teg.heads, teg.tails)
     firsts = np.flatnonzero(label == np.arange(m))
     sizes = np.bincount(label, minlength=m)[firsts]
-    # components are indexed by first event, so the stable sort breaks
-    # (size, start) ties by first event
-    order = np.lexsort((times[firsts], -sizes))
+    # largest first: the first events ascend, and so do their times, so the
+    # stable sort breaks size ties by start and then by first event
+    order = _stable_sort(m - sizes)[1]
     assignment = _inverse(order)[firsts.searchsorted(label)]
     # every rank's events, ascending, one run per rank
     _, members = _stable_sort(assignment)
@@ -109,9 +109,9 @@ class ComponentSet:
 
     def __getitem__(self, rank: int) -> Component:
         rank = range(len(self))[rank]
-        members = self._members[self._bounds[rank] : self._bounds[rank + 1]]
-        sources, targets, _ = self.teg.network._lists(members)
-        nodes = frozenset(sources).union(targets)
+        net, members = self.teg.network, self._members[self._bounds[rank] : self._bounds[rank + 1]]
+        ends = np.sort(np.concatenate((net.sources[members], net.targets[members])))
+        nodes = frozenset(net.node_ids[ends[_starts(ends)]].tolist())
         return Component(tuple(members.tolist()), nodes, float(self.starts[rank]), float(self.ends[rank]))
 
     @property
@@ -301,10 +301,7 @@ class EmpiricalCcdf:
 
 def iet_ccdf(teg: Teg, motif: Motif | None = None) -> EmpiricalCcdf:
     """CCDF of edge inter-event times, optionally for one motif class."""
-    if motif is None:
-        taus = teg.iets
-    else:
-        taus = teg.iets[teg.codes == MOTIFS.index(motif)]
+    taus = teg.iets if motif is None else teg.iets[teg.codes == _CODES[motif]]
     if not len(taus):
         scope = "any motif" if motif is None else str(motif)
         raise ValueError(f"no edges in scope ({scope}): CCDF undefined")

@@ -44,16 +44,9 @@ import numpy as np
 from . import _text
 from .components import _labels
 from .events import _MAX_IDS, TemporalNetwork, _first_seen, _id_array, _inverse, _readonly, _stable_sort, _starts
-from .motifs import MOTIFS, Motif, prescribed_nodes
-from .teg import _MOTIF_NAMES, Teg, _incidence_edges
+from .motifs import _CODES, _NAMES, _SLOTS, _XI_IN, _XI_OUT, MOTIFS, Motif
+from .teg import Teg, _incidence_edges
 
-# per motif code, an id of its xi_out / xi_in label: equal ids, equal labels
-_XI_OUT = np.unique([m.xi_out for m in MOTIFS], return_inverse=True)[1]
-_XI_IN = np.unique([m.xi_in for m in MOTIFS], return_inverse=True)[1]
-# per motif code, the later event's (source, target) as slots of the earlier
-# event: 0 its source, 1 its target, -1 a new node
-_SLOTS = np.array([[-1 if s is None else s for s in prescribed_nodes(m, 0, 1)] for m in MOTIFS])
-_MOTIF_CODE = {m.value: c for c, m in enumerate(MOTIFS)}
 _REAL = (int, float, np.integer, np.floating)  # bool is an int, and rejected apart
 
 
@@ -139,7 +132,7 @@ class EdgeLabelledTeg:
             if type(t) is bool or not isinstance(t, _REAL):
                 raise ValueError(f"anchor time for vertex {v} must be finite, got {t}")
         keys = list(tau)
-        codes = [MOTIFS.index(mu[key]) for key in keys]
+        codes = [_CODES[mu[key]] for key in keys]
         heads, tails = [i for i, _ in keys], [j for _, j in keys]
         self._fill(vertex_count, heads, tails, list(tau.values()), codes, list(anchors), list(anchors.values()))
 
@@ -547,7 +540,7 @@ def reconstruct(
 def save_edge_labelled(g: EdgeLabelledTeg, stream: TextIO) -> None:
     """JSON dump; tau values survive a round-trip bit-exactly. Rows are
     written a bounded chunk at a time."""
-    edges = ("[]", _EDGE_ROW, g.heads, g.tails, g.taus, (_MOTIF_NAMES.take, g.codes))
+    edges = ("[]", _EDGE_ROW, g.heads, g.tails, g.taus, (_NAMES.take, g.codes))
     fields = {"vertex_count": g.vertex_count, "edges": edges}
     if len(g.anchor_vertices):
         fields["anchors"] = ("{}", _ANCHOR_ROW, g.anchor_vertices, g.anchor_times)
@@ -572,7 +565,7 @@ def _json_columns(text: str):
             if type(i) is not int or type(j) is not int or type(t) not in _NUMBER:
                 raise ValueError(f"edge {k} needs integer i and j and a numeric tau, got {edges[k]!r}")
         try:
-            codes = [_MOTIF_CODE[name] for name in names]
+            codes = [_CODES[name] for name in names]
         except (KeyError, TypeError):
             codes = [Motif(name) for name in names]  # raises for the first bad name
         taus = np.array(taus, np.float64)
@@ -596,7 +589,6 @@ _EDGE_ROW = '  {\n   "i": %d,\n   "j": %d,\n   "tau": %r,\n   "motif": "%s"\n  }
 _ANCHOR_ROW = '  "%d": %r'
 _HEAD, _END = '{\n "vertex_count": ', "\n}\n"
 _NO_EDGES, _EDGES, _ANCHORS = ',\n "edges": []', ',\n "edges": [\n', ',\n "anchors": {\n'
-_MOTIF_BYTES = {m.value.encode(): c for c, m in enumerate(MOTIFS)}
 
 
 def _values(tokens: list[bytes], types, dtype) -> np.ndarray:
@@ -632,7 +624,7 @@ def _layout_columns(text: str):
                 edges[0].append(_values(i, {int}, np.int64))
                 edges[1].append(_values(j, {int}, np.int64))
                 edges[2].append(_values(tau, _NUMBER, np.float64))
-                edges[3].append(np.array([_MOTIF_BYTES[name] for name in names], np.uint8))
+                edges[3].append(np.array([_CODES[name] for name in names], np.uint8))
             at = stop + 3
         else:
             return None

@@ -117,9 +117,13 @@ def _first_seen(sources: np.ndarray, targets: np.ndarray):
     """Node columns renumbered 0, 1, ... by first appearance, scanning the
     events in order, source before target; and the new node ids."""
     ends = np.stack((sources, targets), 1).ravel()
-    _, firsts, positions = np.unique(ends, return_index=True, return_inverse=True)
-    ends = _inverse(np.argsort(firsts))[positions]
-    return ends[0::2], ends[1::2], np.arange(len(firsts))
+    grouped, order = _stable_sort(ends)
+    new = _starts(grouped)
+    seen = np.zeros(len(ends), bool)
+    seen[order[new]] = True  # a stable sort lists each node's first appearance first
+    # a node's new id counts the first appearances before its own
+    ends[order] = (np.cumsum(seen) - 1)[order[new]][np.cumsum(new) - 1]
+    return ends[0::2], ends[1::2], np.arange(np.count_nonzero(new))
 
 
 class TemporalNetwork:

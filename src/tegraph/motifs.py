@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+import numpy as np
+
 from .events import Event
 
 
@@ -62,7 +64,7 @@ _ATTRS = {
     Motif.ABCB: ("B", "B", +1),
 }
 
-# canonical order: the order of definition
+# canonical order: the order of definition; a motif's code is its index here
 MOTIFS: tuple[Motif, ...] = tuple(Motif)
 
 
@@ -101,3 +103,27 @@ def prescribed_nodes(motif: Motif, u_i: int, v_i: int) -> tuple[int | None, int 
     known = {"A": u_i, "B": v_i}
     pattern = motif.value
     return (known.get(pattern[2]), known.get(pattern[3]))
+
+
+def _equality_bits(u_i, v_i, u_j, v_j) -> np.ndarray:
+    """Bits 0-3 of u_j == u_i, v_j == v_i, u_j == v_i and v_j == u_i, over
+    columns of earlier pairs (u_i, v_i) and later pairs (u_j, v_j)."""
+    bits = (u_j == u_i).view(np.uint8)
+    for shift, same in enumerate((v_j == v_i, u_j == v_i, v_j == u_i), 1):
+        bits |= same.view(np.uint8) << shift
+    return bits
+
+
+# a name is its pair's node pattern, so the bits of its letters index its
+# code; no edge has the ten other patterns (no shared node, or a self-loop)
+_CODE_OF_BITS = np.zeros(16, np.uint8)
+_CODE_OF_BITS[_equality_bits(*np.array([list(m.value) for m in MOTIFS]).T)] = range(len(MOTIFS))
+# code by the name's bytes (first: they hash as the name and motif do), name and motif; name by code
+_CODES = {key: c for c, m in enumerate(MOTIFS) for key in (m.value.encode(), m.value, m)}
+_NAMES = np.array([m.value for m in MOTIFS], dtype=object)
+# per code, an id of its xi_out / xi_in label: equal ids, equal labels
+_XI_OUT = np.unique([m.xi_out for m in MOTIFS], return_inverse=True)[1]
+_XI_IN = np.unique([m.xi_in for m in MOTIFS], return_inverse=True)[1]
+# per code, the later event's (source, target) as slots of the earlier
+# event: 0 its source, 1 its target, -1 a new node
+_SLOTS = np.array([[-1 if s is None else s for s in prescribed_nodes(m, 0, 1)] for m in MOTIFS])

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _text
 from .events import Event, TemporalNetwork, _readonly, _stable_sort, _starts
-from .motifs import MOTIFS
+from .motifs import _CODE_OF_BITS, _NAMES, _equality_bits
 
 
 def check_window(delta_t: float) -> None:
@@ -79,19 +79,6 @@ def is_dt_adjacent(first: Event, second: Event, delta_t: float) -> bool:
     return 0 < gap < delta_t
 
 
-def _motif_table() -> np.ndarray:
-    """Motif code by the four node equalities u_j == u_i, v_j == v_i, u_j == v_i
-    and v_j == u_i of events (u_i, v_i) then (u_j, v_j), as bits 0-3 of the index."""
-    bits = np.arange(16)
-    same_u, same_v, u_is_v, v_is_u = (bits >> k & 1 == 1 for k in range(4))
-    # first match wins, in MOTIFS order: ABAB, ABBA, ABAC, ABCA, ABBC, ABCB
-    conditions = [same_u & same_v, u_is_v & v_is_u, same_u, v_is_u, u_is_v, same_v]
-    return np.select(conditions, range(len(MOTIFS))).astype(np.uint8)
-
-
-_MOTIF_OF_BITS = _motif_table()
-
-
 def _incidence_edges(sources, targets, times, delta_t: float):
     """Event-graph edges of the events ``(sources[e], targets[e], times[e])``.
 
@@ -114,11 +101,8 @@ def _incidence_edges(sources, targets, times, delta_t: float):
     del order, grouped, follows, first, second, gaps, inside
     heads, tails = np.divmod(pairs, m)
     del pairs
-    u_i, v_i, u_j, v_j = sources[heads], targets[heads], sources[tails], targets[tails]
-    bits = (u_j == u_i).view(np.uint8)
-    for shift, same in enumerate((v_j == v_i, u_j == v_i, v_j == u_i), 1):
-        bits |= same.view(np.uint8) << shift
-    return heads, tails, _MOTIF_OF_BITS[bits]
+    bits = _equality_bits(sources[heads], targets[heads], sources[tails], targets[tails])
+    return heads, tails, _CODE_OF_BITS[bits]
 
 
 def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
@@ -140,9 +124,6 @@ def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
     return Teg(net, delta_t, heads, tails, times[tails] - times[heads], codes)
 
 
-_MOTIF_NAMES = np.array([m.value for m in MOTIFS], dtype=object)
-
-
 def write_teg_json(teg: Teg, stream: TextIO) -> None:
     """Dump the edge list with its header; inter-event times are lossless.
     Rows are written a bounded chunk at a time.
@@ -150,6 +131,6 @@ def write_teg_json(teg: Teg, stream: TextIO) -> None:
     The dump is for downstream tools: the package has no reader for it.
     """
     row = '  [\n   %d,\n   %d,\n   %r,\n   "%s"\n  ]'
-    edges = ("[]", row, teg.heads, teg.tails, teg.iets, (_MOTIF_NAMES.take, teg.codes))
+    edges = ("[]", row, teg.heads, teg.tails, teg.iets, (_NAMES.take, teg.codes))
     delta_t = "inf" if teg.delta_t == inf else teg.delta_t
     stream.writelines(_text.json_object({"delta_t": delta_t, "event_count": teg.vertex_count, "edges": edges}))

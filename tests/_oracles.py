@@ -85,3 +85,12 @@ def stable_fill(sources, targets, times, node_ids=None):
         sources, targets = ends[0::2], ends[1::2]
     order = np.argsort(times, kind="stable")
     return sources[order], targets[order], times[order], node_ids
+
+
+def first_seen(sources, targets):
+    """Node columns renumbered 0, 1, ... by first appearance, source before
+    target, and the new node ids, by ``np.unique``'s first indices."""
+    ends = np.stack((sources, targets), 1).ravel()
+    _, firsts, positions = np.unique(ends, return_index=True, return_inverse=True)
+    ends = np.argsort(np.argsort(firsts))[positions]
+    return ends[0::2], ends[1::2], np.arange(len(firsts))

@@ -551,6 +551,8 @@ def test_aggregate_counts_match_networkx(seed, ids):
     for rank in range(len(cs)):
         members = [net[i] for i in cs[rank].events]
         _assert_aggregate_matches_networkx(aggregate_component(cs, rank), members)
+        assert cs[rank].nodes == {node for e in members for node in e.nodes}
+        assert {type(node) for node in cs[rank].nodes} == {int}
 
 
 def test_aggregate_equality_and_hash_are_those_of_the_sets():

@@ -924,6 +924,8 @@ def _documents():
         ('"vertex_count": ', '"vertex_count": 0'),
         ('"anchors": {\n  "0"', '"anchors": {\n  "1"'),
         ('"motif": "', '"motif": "\\u0041'),
+        (f'"motif": "{name}"', '"motif": "ABCD"'),
+        (f'"motif": "{name}"', '"motif": "abab"'),
         ("\n}\n", "\n}\n\n"),
         ("\n}\n", "\n} \n"),
         ("\n}\n", "\n}"),
@@ -957,6 +959,8 @@ def test_layout_reader_matches_the_json_reader():
         assert taken[name] == {False}
     assert taken["mutation"] == {True, False}
     assert taken["moved i"] == taken["moved motif"] == taken["moved anchor"] == {False}
+    for name in ("ABCD", "abab"):
+        assert taken[f"edit '\"motif\": \"{name}\"'"] == {False}
     # JSON numbers in the writer's own form are read on the fast path
     assert taken["edit '\"tau\": 1E5'"] == {True}
     assert taken["edit '\"tau\": 1e-05'"] == {True}

@@ -30,9 +30,9 @@ from tegraph import (
     sweep_largest_component,
     time_shuffle,
 )
-from _oracles import format_time, stable_fill
+from _oracles import first_seen, format_time, stable_fill
 from tegraph import _text
-from tegraph.events import _stable_sort, load_events, save_events, write_events
+from tegraph.events import _first_seen, _stable_sort, load_events, save_events, write_events
 
 
 @pytest.mark.parametrize(
@@ -596,6 +596,13 @@ def test_stable_sort_matches_numpy(name, keys, monkeypatch):
     assert ordered.tobytes() == np.sort(keys).tobytes()
     # only a packed key past int64 falls back to the stable argsort
     assert calls == ([{"kind": "stable"}] if name.endswith("past_the_limit") else [])
+
+
+@pytest.mark.parametrize("name,keys", _sort_cases(), ids=[c[0] for c in _sort_cases()])
+def test_first_seen_matches_unique(name, keys):
+    ends = np.append(keys, keys[: len(keys) % 2])  # (source, target) pairs
+    for got, expected in zip(_first_seen(ends[0::2], ends[1::2]), first_seen(ends[0::2], ends[1::2])):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def _fill_cases():
