@@ -19,7 +19,9 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from functools import reduce
 from math import inf
+from operator import add
 
 import numpy as np
 
@@ -239,12 +241,8 @@ def _cmd_validate(args):
 def _cmd_reconstruct(args):
     with open(args.input, "r", encoding="utf-8") as fh:
         g = load_edge_labelled(fh)
-    net = reconstruct(
-        g,
-        rel_tol=args.rel_tol,
-        layout=args.layout.replace("-", "_"),
-        spacing=args.spacing,
-    )
+    layout = args.layout.replace("-", "_")
+    net = reconstruct(g, rel_tol=args.rel_tol, layout=layout, spacing=args.spacing)
     save_events(net, args.output)
     return 0
 
@@ -316,11 +314,12 @@ def _cmd_motifs(args):
     if args.ensemble:
         jobs = [(net, args.dt, s) for s in ensemble_seeds(args.seed, args.ensemble)]
         if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                freqs = list(pool.map(_shuffle_frequencies, jobs, chunksize=8))
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:  # one chunk per worker
+                freqs = list(pool.map(_shuffle_frequencies, jobs, chunksize=-(-len(jobs) // args.workers)))
         else:
             freqs = [_shuffle_frequencies(job) for job in jobs]
-        mean = [sum(col) / len(freqs) for col in zip(*freqs)]
+        # added in order: sum() compensates float rounding from Python 3.12 on
+        mean = [reduce(add, col) / len(freqs) for col in zip(*freqs)]
         blocks.append([_MOTIF_ROW % (f"shuffle_mean:{args.ensemble}", teg.edge_count, *mean)])
     _write(args.output, *blocks)
     return 0

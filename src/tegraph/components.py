@@ -12,7 +12,9 @@ plotting, and the time-aggregated static graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import inf, log2
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -116,6 +118,7 @@ class ComponentSet:
 
     @property
     def components(self) -> tuple[Component, ...]:
+        """Every ``Component``, built anew on each access: bind it once, or index the columns."""
         return tuple(self)
 
     @property
@@ -160,9 +163,7 @@ def sweep_largest_component(
     # edges[:stops[k]] of the sorted list are those with a gap below delta_ts[k]
     stops = np.searchsorted(full.iets[order], delta_ts).tolist()
     edges = np.stack((full.heads[order], full.tails[order]), axis=1)
-    parent = np.arange(m, dtype=np.int64)
-    size = np.ones(m, dtype=np.int64)
-    slot = np.empty(m, dtype=np.int64)
+    parent, size, slot = np.arange(m, dtype=np.int64), np.ones(m, np.int64), np.empty(m, np.int64)
     largest, k, out = 1, 0, []
     for dt, stop in zip(delta_ts, stops):
         if stop > k:
@@ -246,9 +247,8 @@ class EmpiricalCcdf:
 
     ``support`` holds the distinct sample values ascending and ``tails[k]``
     the fraction of the sample strictly greater than ``support[k]`` (so the
-    last entry is 0), as read-only float64 columns. ``values`` and ``tail``
-    build them as new tuples on each access; equality and hashing are those
-    of the two tuples and ``sample_count``.
+    last entry is 0), as read-only float64 columns. Equality and hashing
+    are those of ``values``, ``tail`` and ``sample_count``.
     """
 
     __slots__ = ("support", "tails", "sample_count")
@@ -276,10 +276,12 @@ class EmpiricalCcdf:
 
     @property
     def values(self) -> tuple[float, ...]:
+        """``support``, as a new tuple on each access: bind it once, or index the column."""
         return tuple(self.support.tolist())
 
     @property
     def tail(self) -> tuple[float, ...]:
+        """``tails``, as a new tuple on each access: bind it once, or index the column."""
         return tuple(self.tails.tolist())
 
     def __eq__(self, other) -> bool:
@@ -309,9 +311,10 @@ def iet_ccdf(teg: Teg, motif: Motif | None = None) -> EmpiricalCcdf:
 
 
 def shannon_entropy(dist: DiscreteDistribution | Iterable[float]) -> float:
-    """Entropy in bits; zero masses contribute nothing."""
+    """Entropy in bits; zero masses contribute nothing. The terms are added
+    in order, as ``sum()`` compensates float rounding from Python 3.12 on."""
     masses = dist.masses if isinstance(dist, DiscreteDistribution) else tuple(dist)
-    return -sum(p * log2(p) for p in masses if p > 0)
+    return -reduce(add, (p * log2(p) for p in masses if p > 0), 0)
 
 
 def cumulative_residual_entropy(ccdf: EmpiricalCcdf) -> float:
@@ -352,9 +355,8 @@ class AggregateGraph:
     Built from event columns ``sources`` and ``targets`` (positions into
     ``node_ids``). ``sources`` and ``targets`` then hold each interacting
     ordered pair once, sorted; ``present`` marks the nodes of ``node_ids``
-    that take part. All are read-only numpy columns. ``nodes`` and ``edges``
-    build frozensets of node ids on demand; equality and hashing are those
-    of the two sets.
+    that take part. All are read-only numpy columns. Equality and hashing
+    are those of ``nodes`` and ``edges``.
     """
 
     __slots__ = ("node_ids", "present", "sources", "targets")
@@ -374,10 +376,12 @@ class AggregateGraph:
 
     @property
     def nodes(self) -> frozenset[int]:
+        """Node ids, as a new frozenset on each access: bind it once, or index the columns."""
         return frozenset(self.node_ids[self.present].tolist())
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
+        """Node id pairs, as a new frozenset on each access: bind it once, or index the columns."""
         ids = self.node_ids
         return frozenset(zip(ids[self.sources].tolist(), ids[self.targets].tolist()))
 

@@ -102,8 +102,7 @@ class EdgeLabelledTeg:
     edges are unique and sorted by (head, tail). ``anchor_vertices``
     (ascending) and ``anchor_times`` optionally pin vertices to absolute
     times. The constructor takes ``tau`` and ``mu`` over the same pairs
-    (i, j), and ``anchors``, as mappings; the properties of those names
-    build new dicts on each access.
+    (i, j), and ``anchors``, as mappings.
     """
 
     __slots__ = ("vertex_count", "heads", "tails", "taus", "codes", "anchor_vertices", "anchor_times")
@@ -178,14 +177,17 @@ class EdgeLabelledTeg:
 
     @property
     def tau(self) -> dict[tuple[int, int], float]:
+        """``taus`` by key (i, j), as a new dict on each access: bind it once, or index the columns."""
         return dict(zip(zip(self.heads.tolist(), self.tails.tolist()), self.taus.tolist()))
 
     @property
     def mu(self) -> dict[tuple[int, int], Motif]:
+        """Motifs by key (i, j), as a new dict on each access: bind it once, or index the columns."""
         return dict(zip(zip(self.heads.tolist(), self.tails.tolist()), [MOTIFS[c] for c in self.codes.tolist()]))
 
     @property
     def anchors(self) -> dict[int, float] | None:
+        """Anchor times by vertex, None without anchors, as a new dict on each access: bind it once."""
         return dict(zip(self.anchor_vertices.tolist(), self.anchor_times.tolist())) or None
 
     def __repr__(self) -> str:
@@ -224,33 +226,25 @@ def _fifo(queue, pot, ptr, ends, steps, seen):
                 queue.append(w)
 
 
-def _potentials(n, heads, tails, taus, out_ptr, in_heads, in_tails, in_taus, in_ptr):
-    """Every vertex's time relative to the first vertex of its weakly
-    connected component, the vertices in visiting order and where each
-    component starts in it.
+def _potentials(roots, ptr, ends, steps):
+    """Every vertex's time relative to its weakly connected component's
+    smallest vertex, one of the ascending ``roots``, over the merged
+    adjacency ``ptr``, ``ends``, ``steps``: each vertex's out-edges by tail,
+    then its in-edges by head, an in-edge stepping by its negated tau.
 
-    A breadth-first search from each component's smallest vertex sums tau
-    along the edges it crosses, scanning a vertex's out-edges by tail and
-    then its in-edges by head (an in-edge adds its negated tau). Every
-    component is searched at once, one level per numpy round: the round
-    expands the whole frontier and keeps each new vertex's first occurrence
-    in frontier order and then adjacency order, which is the discoverer a
-    FIFO queue gives it. After ``_DEEP`` narrow levels in a row (a long
-    path) the remaining queue goes to the FIFO loop, ``_fifo``, which
-    continues it exactly. So every vertex gets the potential, to the bit, of
-    one FIFO search per component, and ``order`` lists each component's
-    vertices in that search's visiting order.
+    A breadth-first search sums the steps along the edges it crosses.
+    Every component is searched at once, one level per numpy round: the
+    round expands the whole frontier and keeps each new vertex's first
+    occurrence in frontier order and then adjacency order, which is the
+    discoverer a FIFO queue gives it. After ``_DEEP`` narrow levels in a row
+    (a long path) the remaining queue goes to the FIFO loop, ``_fifo``,
+    which continues it exactly. So every vertex gets the potential, to the
+    bit, of one FIFO search per component.
     """
-    ptr = out_ptr + in_ptr  # each vertex's out-edges, then its in-edges
-    ends, steps = np.empty(2 * len(heads), np.int64), np.empty(2 * len(heads))
-    at_out, at_in = np.arange(len(heads)) + in_ptr[heads], np.arange(len(heads)) + out_ptr[in_tails + 1]
-    ends[at_out], ends[at_in], steps[at_out], steps[at_in] = tails, in_heads, taus, -in_taus
-    root = _labels(n, heads, tails)
-    roots = np.flatnonzero(root == np.arange(n))
-    pot, seen = np.zeros(n), bytearray(n)
+    pot, seen = np.zeros(len(ptr) - 1), bytearray(len(ptr) - 1)
     reached = np.frombuffer(seen, np.bool_)
     reached[roots] = True
-    visited, frontier, narrow = [roots], roots, 0
+    frontier, narrow = roots, 0
     while len(frontier) and narrow < _DEEP:
         degree = ptr[frontier + 1] - ptr[frontier]
         entries = np.arange(degree.sum()) + np.repeat(ptr[frontier] - (np.cumsum(degree) - degree), degree)
@@ -263,16 +257,12 @@ def _potentials(n, heads, tails, taus, out_ptr, in_heads, in_tails, in_taus, in_
         frontier = found[first]
         pot[frontier] = pot[parents[first]] + steps[entries[first]]
         reached[frontier] = True
-        visited.append(frontier)
         narrow = narrow + 1 if len(frontier) < _NARROW else 0
     if len(frontier):
-        queue, potentials = frontier.tolist(), pot.tolist()
-        _fifo(queue, potentials, ptr.tolist(), ends.tolist(), steps.tolist(), seen)
+        potentials = pot.tolist()
+        _fifo(frontier.tolist(), potentials, ptr.tolist(), ends.tolist(), steps.tolist(), seen)
         pot = np.array(potentials)
-        visited.append(np.array(queue[len(frontier) :], np.int64))
-    visited = np.concatenate(visited)
-    order = visited[_stable_sort(root[visited])[1]]
-    return pot, order, np.searchsorted(root[order], roots)
+    return pot
 
 
 def _resolve_nodes(n, heads, tails, codes):
@@ -298,9 +288,10 @@ def _resolve_nodes(n, heads, tails, codes):
 class _Pass:
     """One pass over a labelled graph, shared by the check and the
     reconstruction: compressed out- and in-adjacency over the sorted edge
-    columns (numpy arrays), components with their relative times from one
-    level-synchronous search (``_potentials``), and node resolution.
-    Components are numbered by first vertex."""
+    columns (numpy arrays), the weakly connected components, numbered by
+    first vertex, with ``order`` listing each one's vertices ascending from
+    ``starts`` on, their relative times from one level-synchronous search
+    (``_potentials``), and node resolution."""
 
     def __init__(self, g: EdgeLabelledTeg):
         n = self.n = g.vertex_count
@@ -309,11 +300,16 @@ class _Pass:
         self.in_heads, self.in_codes = g.heads[by_tail], g.codes[by_tail]
         self.out_ptr = np.searchsorted(g.heads, np.arange(n + 1))
         self.in_ptr = np.searchsorted(self.in_tails, np.arange(n + 1))
-        self.pot, self.order, self.starts = _potentials(
-            n, g.heads, g.tails, g.taus, self.out_ptr, self.in_heads, self.in_tails, g.taus[by_tail], self.in_ptr
-        )
-        self.label = np.empty(n, np.int64)
-        self.label[self.order] = np.repeat(np.arange(len(self.starts)), np.diff(self.starts, append=n))
+        grouped, self.order = _stable_sort(_labels(n, g.heads, g.tails))  # by root, the smallest vertex
+        first = _starts(grouped)
+        self.starts, self.label = np.flatnonzero(first), np.empty(n, np.int64)
+        self.label[self.order] = np.cumsum(first) - 1
+        ptr = self.out_ptr + self.in_ptr  # each vertex's out-edges, then its in-edges
+        edges = np.arange(g.edge_count)
+        ends, steps = np.empty(2 * len(edges), np.int64), np.empty(2 * len(edges))
+        at_out, at_in = edges + self.in_ptr[g.heads], edges + self.out_ptr[self.in_tails + 1]
+        ends[at_out], ends[at_in], steps[at_out], steps[at_in] = g.tails, self.in_heads, g.taus, -g.taus[by_tail]
+        self.pot = _potentials(self.order[self.starts], ptr, ends, steps)
         self.low, self.high = self.reduce(np.minimum, self.pot), self.reduce(np.maximum, self.pot)
         self.sources, self.targets, self.collapsed = _resolve_nodes(n, g.heads, g.tails, g.codes)
 
@@ -523,7 +519,7 @@ def reconstruct(
         raise InconsistentGraphError(report)
 
     times, start = _absolute_times(g, p, rel_tol)
-    placed = np.lexsort((p.order[p.starts], start))  # by (start time, first vertex)
+    placed = np.argsort(start, kind="stable")  # by start time, then number: first vertex
     rank = _inverse(placed)
     if layout == "end_to_end":
         widths = (p.reduce(np.maximum, times) - start).tolist()

@@ -199,7 +199,7 @@ class TemporalNetwork:
 
     @property
     def events(self) -> tuple[Event, ...]:
-        """The events as a new tuple on each access."""
+        """The events, as a new tuple on each access: bind it once, or index the columns."""
         return tuple(self)
 
     @property

@@ -1,5 +1,6 @@
 """End-to-end runs of the ``teg`` command line, in process."""
 
+import builtins
 import hashlib
 import json
 import math
@@ -16,6 +17,7 @@ from tegraph import (
     load_events,
     save_edge_labelled,
 )
+from tegraph import cli
 from tegraph.cli import main, parse_duration, parse_grid
 from tegraph.duality import EdgeLabelledTeg
 
@@ -343,6 +345,31 @@ def test_motif_workers_agree(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_ensemble_gives_each_worker_one_chunk(tmp_path, monkeypatch):
+    chunks = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            chunks.append(chunksize)
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    events = _generate(tmp_path, nodes=8, events=80, iets="exponential:1", seed=3)
+    for members, workers in ((8, 2), (9, 2), (3, 4), (32, 2)):
+        argv = ("--ensemble", members, "--workers", workers, "--output", tmp_path / "motifs.csv")
+        assert run("motifs", "--input", events, "--dt", "inf", *argv) == 0
+    assert chunks == [4, 5, 1, 16]
+
+
 def test_iets_csv_and_svg(tmp_path):
     events = _generate(tmp_path, nodes=6, events=60, iets="exponential:1", seed=8)
     out = tmp_path / "iets.csv"
@@ -535,6 +562,37 @@ def test_motif_ensemble_matches_recorded_digest(tmp_path, workers):
         warnings.simplefilter("ignore")
         assert run(*argv, "--output", out) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _EVENT_TABLE_DIGESTS["motifs_ensemble"]
+
+
+def _compensated_sum(values, start=0):
+    """Neumaier's compensated sum, as ``sum()`` adds floats from Python 3.12 on."""
+    total, carry = start, 0.0
+    for x in values:
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + carry if carry else total
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("motifs_ensemble", ("motifs", "--dt", "3", "--ensemble", "8", "--seed", "5", "--workers", "1")),
+        ("entropy_components", ("entropy", "--dt", "3", "--per-component")),
+    ],
+)
+def test_float_sums_keep_their_bytes_under_a_compensated_sum(tmp_path, monkeypatch, name, argv):
+    # floats are added in order, so a compensating builtin sum() changes no byte
+    events = tmp_path / "events.txt"
+    _big_id_event_file(events)
+    assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # the patch compensates
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(*argv, "--input", events, "--output", out) == 0
+    digests = {**_EVENT_TABLE_DIGESTS, **_STATS_DIGESTS}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name]
 
 
 def _eighth_step_event_file(path, seed=3, m=300, nodes=12):

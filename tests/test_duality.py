@@ -776,7 +776,8 @@ def _potential_shapes():
     """Labelled graphs the level-synchronous search has to get bit-exact:
     seeded multi-component networks, many three-event components, isolated
     vertices, no vertices, and two-node chains deeper than the hand-off to
-    the FIFO loop, alone, beside a wide component and leading into one."""
+    the FIFO loop, alone, beside a wide component, leading into one, and 32
+    side by side, handed off together."""
     for seed, law in enumerate(("power_law:0.2", "exponential:1.0", "power_law:0.5")):
         net = generate_random(GeneratorConfig(60, 3000, parse_iet_sampler(law), seed))
         for dt in (0.05, 0.5, 3.0, 50.0, math.inf):
@@ -803,6 +804,9 @@ def _potential_shapes():
         np.concatenate([1 - chain, v % 20 + 20]),
         np.concatenate([gaps, gaps[-1] + 1 + wide_times]),
     )
+    k = np.arange(1, 32 * m + 1)
+    flip = k // 32 % 2
+    yield "parallel-chains", _columns_graph(2 * (k % 32) + flip, 2 * (k % 32) + 1 - flip, k)
 
 
 @pytest.mark.filterwarnings("ignore:.*equal-timestamp")
@@ -819,14 +823,16 @@ def test_potentials_match_one_fifo_search_per_component(name, g):
         g.taus[np.argsort(g.tails, kind="stable")].tolist(),
     )
     assert p.pot.tobytes() == np.array(pot, np.float64).tobytes()
-    assert p.order.tolist() == order
+    components = [sorted(order[a:b]) for a, b in zip(starts, starts[1:] + [len(order)])]
+    assert p.order.tolist() == [v for component in components for v in component]
     assert p.starts.tolist() == starts
 
 
 def test_deep_chain_reaches_the_fifo_loop(monkeypatch):
-    scanned = []
+    handed, scanned = [], []
 
     def counted(queue, *args, _original=duality._fifo):
+        handed.append(len(queue))
         _original(queue, *args)
         scanned.append(len(queue))
 
@@ -834,6 +840,10 @@ def test_deep_chain_reaches_the_fifo_loop(monkeypatch):
     shapes = dict(_potential_shapes())
     duality._Pass(shapes["chain"])
     assert scanned and scanned[0] > 2 * duality._DEEP
+    handed.clear()
+    scanned.clear()
+    duality._Pass(shapes["parallel-chains"])  # one hand-off of all 32 components
+    assert handed == [32] and scanned == [shapes["parallel-chains"].vertex_count - 32 * duality._DEEP]
     scanned.clear()
     duality._Pass(shapes["reply-pairs"])
     assert not scanned  # wide levels only
