@@ -18,8 +18,8 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from functools import reduce
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial, reduce
 from math import inf
 from operator import add
 
@@ -281,12 +281,8 @@ def _cmd_sweep(args):
     return 0
 
 
-def _shuffle_frequencies(job):
-    net, dt, seed = job
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        shuffled = time_shuffle(net, seed)
-    counts = motif_counts(build_teg(shuffled, dt))
+def _shuffle_frequencies(net, dt, seed):
+    counts = motif_counts(build_teg(time_shuffle(net, seed), dt))
     total = sum(counts.values())
     if total == 0:
         raise ValueError(f"shuffle seed {seed}: event graph has no edges at this window")
@@ -312,12 +308,14 @@ def _cmd_motifs(args):
         masses = counts[kept] / totals[kept, None]
         blocks.append(_text.rows("component:" + _MOTIF_ROW, kept, totals[kept], *masses.T))
     if args.ensemble:
-        jobs = [(net, args.dt, s) for s in ensemble_seeds(args.seed, args.ensemble)]
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:  # one chunk per worker
-                freqs = list(pool.map(_shuffle_frequencies, jobs, chunksize=-(-len(jobs) // args.workers)))
-        else:
-            freqs = [_shuffle_frequencies(job) for job in jobs]
+        # members share the read-only network; numpy releases the GIL in their
+        # sorts and gathers. Warning filters are process-wide and not
+        # thread-safe to change, so the tie warnings of shuffled members are
+        # silenced once, here, around the whole pool.
+        with warnings.catch_warnings(), ThreadPoolExecutor(max_workers=args.workers) as pool:
+            warnings.simplefilter("ignore")
+            member = partial(_shuffle_frequencies, net, args.dt)
+            freqs = list(pool.map(member, ensemble_seeds(args.seed, args.ensemble)))
         # added in order: sum() compensates float rounding from Python 3.12 on
         mean = [reduce(add, col) / len(freqs) for col in zip(*freqs)]
         blocks.append([_MOTIF_ROW % (f"shuffle_mean:{args.ensemble}", teg.edge_count, *mean)])
@@ -487,7 +485,7 @@ def _build_parser() -> _Parser:
         "--workers",
         type=_count_arg(1),
         default=os.environ.get("TEG_WORKERS", "1"),
-        help="parallel shuffle workers (default: TEG_WORKERS or 1)",
+        help="parallel shuffle threads (default: TEG_WORKERS or 1)",
     )
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_motifs)

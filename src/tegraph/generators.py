@@ -16,7 +16,7 @@ from math import isfinite
 
 import numpy as np
 
-from .events import TemporalNetwork
+from .events import TemporalNetwork, _inverse
 from .motifs import MOTIFS
 from .components import DiscreteDistribution
 
@@ -151,9 +151,18 @@ def time_shuffle(net: TemporalNetwork, seed: int) -> TemporalNetwork:
     The multiset of times and the ordered pair sequence are both kept; only
     their alignment is randomised, which destroys temporal correlations but
     preserves the aggregate graph and the activity profile.
+
+    The times are already sorted: without ties, event ``e`` takes place
+    ``perm[e]``, so the inverse permutation orders the node columns and no
+    time sort is needed. Tied times keep the stable time sort, which alone
+    puts tied events in event order. Either way the columns are those of
+    the stable time sort, bit for bit.
     """
     perm = np.random.default_rng(seed).permutation(len(net))
-    return TemporalNetwork._from_columns(net.sources, net.targets, net.times[perm], net.node_ids)
+    if net.tie_count:
+        return TemporalNetwork._from_columns(net.sources, net.targets, net.times[perm], net.node_ids)
+    order = _inverse(perm)
+    return TemporalNetwork._from_columns(net.sources[order], net.targets[order], net.times, net.node_ids)
 
 
 def analytic_motif_probabilities(node_count: int) -> DiscreteDistribution:

@@ -7,7 +7,7 @@ of the bookkeeping the production builder uses.
 
 import numpy as np
 
-from tegraph import MOTIFS, classify_pair
+from tegraph import MOTIFS, TemporalNetwork, classify_pair
 
 
 def brute_force_teg(net, delta_t):
@@ -94,3 +94,10 @@ def first_seen(sources, targets):
     _, firsts, positions = np.unique(ends, return_index=True, return_inverse=True)
     ends = np.argsort(np.argsort(firsts))[positions]
     return ends[0::2], ends[1::2], np.arange(len(firsts))
+
+
+def time_shuffle_sorted(net, seed):
+    """The time-shuffle null model by its definition: the time column
+    permuted over the events, and the network built again by a time sort."""
+    perm = np.random.default_rng(seed).permutation(len(net))
+    return TemporalNetwork._from_columns(net.sources, net.targets, net.times[perm], net.node_ids)

@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -345,29 +346,41 @@ def test_motif_workers_agree(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_ensemble_gives_each_worker_one_chunk(tmp_path, monkeypatch):
-    chunks = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize):
-            chunks.append(chunksize)
-            return map(fn, jobs)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+def test_ensemble_members_run_concurrently(tmp_path, monkeypatch):
+    # the first two members wait for each other: two threads pass together,
+    # while one thread running every member in turn breaks the barrier
     events = _generate(tmp_path, nodes=8, events=80, iets="exponential:1", seed=3)
-    for members, workers in ((8, 2), (9, 2), (3, 4), (32, 2)):
-        argv = ("--ensemble", members, "--workers", workers, "--output", tmp_path / "motifs.csv")
-        assert run("motifs", "--input", events, "--dt", "inf", *argv) == 0
-    assert chunks == [4, 5, 1, 16]
+    member = cli._shuffle_frequencies
+
+    def waiting_member(net, dt, seed):
+        if seed < 2:
+            barrier.wait()
+        return member(net, dt, seed)
+
+    monkeypatch.setattr(cli, "_shuffle_frequencies", waiting_member)
+    argv = ("motifs", "--input", events, "--dt", "inf", "--ensemble", "4", "--output", tmp_path / "m.csv")
+    barrier = threading.Barrier(2, timeout=10)
+    assert run(*argv, "--workers", "2") == 0
+    barrier = threading.Barrier(2, timeout=0.5)  # fails fast: nobody else comes
+    with pytest.raises(threading.BrokenBarrierError):
+        run(*argv, "--workers", "1")
+
+
+def test_ensemble_warns_only_of_the_parsed_ties(tmp_path, recwarn):
+    # every shuffled member of a tied file has ties too; only the parse warns
+    warnings.simplefilter("always")  # pytest's own "default" filter shows a repeat once
+    events = tmp_path / "events.txt"
+    _big_id_event_file(events)
+    argv = ("motifs", "--input", events, "--dt", "inf", "--output", tmp_path / "m.csv")
+    assert run(*argv) == 0
+    parsed = [str(w.message) for w in recwarn]
+    recwarn.clear()
+    filters = list(warnings.filters)
+    assert run(*argv, "--ensemble", "4", "--workers", "2") == 0
+    messages = [str(w.message) for w in recwarn]
+    assert messages == parsed
+    assert sum("equal-timestamp adjacencies" in m for m in messages) == 1
+    assert warnings.filters == filters
 
 
 def test_iets_csv_and_svg(tmp_path):

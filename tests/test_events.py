@@ -30,7 +30,7 @@ from tegraph import (
     sweep_largest_component,
     time_shuffle,
 )
-from _oracles import first_seen, format_time, stable_fill
+from _oracles import first_seen, format_time, stable_fill, time_shuffle_sorted
 from tegraph import _text
 from tegraph.events import _first_seen, _stable_sort, load_events, save_events, write_events
 
@@ -658,3 +658,35 @@ def test_time_shuffle_matches_the_stable_sort_bit_for_bit(name, sources, targets
         perm = np.random.default_rng(seed).permutation(len(net))
         expected = stable_fill(net.sources, net.targets, net.times[perm], net.node_ids)
         _assert_columns(time_shuffle(net, seed), expected)
+
+
+def _shuffle_cases():
+    """(name, network): untied networks take the inverse-permutation path
+    of ``time_shuffle``, tied ones its time sort."""
+    rng = np.random.default_rng(20)
+
+    def network(times, offset=0):
+        sources = rng.integers(0, 12, len(times))
+        targets = (sources + rng.integers(1, 12, len(times))) % 12
+        return TemporalNetwork._from_columns(sources + offset, targets + offset, np.asarray(times, float))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [
+            ("distinct", network(rng.random(3000))),
+            ("integer_ties", network(rng.integers(0, 100, 3000))),
+            ("all_equal", network(np.full(500, 7.0))),
+            ("signed_zeros", network(rng.choice([-0.0, 0.0], 400))),
+            ("signed_zeros_and_ones", network(np.sort(rng.choice([-0.0, 0.0, 1.0], 600)))),
+            ("no_events", TemporalNetwork([])),
+            ("one_event", TemporalNetwork([Event(3, 4, 1.5)])),
+            ("big_ids", network(rng.random(800), offset=np.array(2**64, dtype=object))),
+            ("big_ids_tied", network(rng.integers(0, 50, 800), offset=np.array(2**64, dtype=object))),
+        ]
+
+
+@pytest.mark.parametrize("name,net", _shuffle_cases(), ids=[c[0] for c in _shuffle_cases()])
+@pytest.mark.filterwarnings("ignore:.*equal-timestamp")
+def test_time_shuffle_matches_the_sorting_oracle(name, net):
+    for seed in range(5):
+        _assert_columns(time_shuffle(net, seed), time_shuffle_sorted(net, seed).__getstate__())
