@@ -1,8 +1,9 @@
 """Event-free edge-labelled event graphs and the inverse map back to events.
 
 An edge-labelled event graph keeps only the structure of an event graph:
-vertex count, upper-triangular sparse inter-event times (tau) and motif
-labels (mu), plus optional anchors pinning vertices to absolute times.
+the vertex count and, per edge (i, j) with i < j, its inter-event time (tau)
+and motif label (mu), held as columns, plus optional anchors pinning
+vertices to absolute times.
 Four conditions characterise the graphs that arise from a real event
 sequence:
 
@@ -37,17 +38,15 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf, isfinite
-from typing import Mapping, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from . import _text
 from .components import _labels
-from .events import _MAX_IDS, TemporalNetwork, _first_seen, _id_array, _inverse, _readonly, _stable_sort, _starts
+from .events import _MAX_IDS, TemporalNetwork, _first_seen, _inverse, _readonly, _stable_sort, _starts
 from .motifs import _CODES, _NAMES, _SLOTS, _XI_IN, _XI_OUT, MOTIFS, Motif
 from .teg import Teg, _incidence_edges
-
-_REAL = (int, float, np.integer, np.floating)  # bool is an int, and rejected apart
 
 
 class InconsistentGraphError(ValueError):
@@ -94,6 +93,27 @@ class ConsistencyReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+def _column(values, kinds: str, fault: str) -> np.ndarray:
+    """``values`` as a one-dimensional array of a dtype kind in ``kinds``, where
+    "O" stands for Python ints past int64; an empty one passes as any kind.
+    ValueError, ``fault`` and the array's dtype and shape, otherwise."""
+    column = np.asarray(values)
+    kind = column.dtype.kind
+    if kind == "O" and not all(type(v) is int for v in column.flat):
+        kind = "?"
+    if column.ndim != 1 or (len(column) and kind not in kinds):
+        raise ValueError(f"{fault}, got {column.dtype} of shape {column.shape}")
+    return column
+
+
+def _sorting_order(keys: np.ndarray):
+    """The stable order that sorts the non-negative int64 ``keys``, and the
+    first row in the given order that repeats an earlier row's key, else -1."""
+    grouped, order = _stable_sort(keys)
+    repeats = order[1:][grouped[1:] == grouped[:-1]]
+    return order, int(repeats.min()) if len(repeats) else -1
+
+
 class EdgeLabelledTeg:
     """Event graph stripped of its events, as read-only numpy columns.
 
@@ -101,62 +121,39 @@ class EdgeLabelledTeg:
     positive inter-event time ``taus[k]`` and motif ``MOTIFS[codes[k]]``;
     edges are unique and sorted by (head, tail). ``anchor_vertices``
     (ascending) and ``anchor_times`` optionally pin vertices to absolute
-    times. The constructor takes ``tau`` and ``mu`` over the same pairs
-    (i, j), and ``anchors``, as mappings.
+    times. The constructor takes these columns in any row order and checks
+    them; an error names the first offending edge or anchor in that order.
     """
 
     __slots__ = ("vertex_count", "heads", "tails", "taus", "codes", "anchor_vertices", "anchor_times")
 
-    def __init__(
-        self,
-        vertex_count: int,
-        tau: Mapping[tuple[int, int], float],
-        mu: Mapping[tuple[int, int], Motif],
-        anchors: Mapping[int, float] | None = None,
-    ):
-        if set(tau) != set(mu):
-            extra = set(tau) ^ set(mu)
-            raise ValueError(f"tau and mu must label identical edges, mismatch at {sorted(extra)}")
-        for (i, j), t in tau.items():
-            if bool in (type(i), type(j)) or not (isinstance(i, int) and isinstance(j, int)):
-                raise ValueError(f"edge key ({i},{j}) must satisfy 0 <= i < j < {vertex_count}")
-            if type(t) is bool or not isinstance(t, _REAL):
-                raise ValueError(f"tau[{i},{j}] must be positive and finite, got {t}")
-            if not isinstance(mu[i, j], Motif):
-                raise ValueError(f"mu[{(i, j)}] must be a Motif, got {mu[i, j]!r}")
-        anchors = anchors or {}
-        for v, t in anchors.items():
-            if type(v) is bool or not isinstance(v, int):
-                raise ValueError(f"anchor vertex {v!r} out of range")
-            if type(t) is bool or not isinstance(t, _REAL):
-                raise ValueError(f"anchor time for vertex {v} must be finite, got {t}")
-        keys = list(tau)
-        codes = [_CODES[mu[key]] for key in keys]
-        heads, tails = [i for i, _ in keys], [j for _, j in keys]
-        self._fill(vertex_count, heads, tails, list(tau.values()), codes, list(anchors), list(anchors.values()))
-
-    @classmethod
-    def _from_columns(cls, vertex_count, heads, tails, taus, codes, anchor_vertices=(), anchor_times=()):
-        """Graph of unique edge columns in any order, checked as the constructor
-        checks its mappings; an error names the first offending edge or anchor."""
-        g = cls.__new__(cls)
-        g._fill(vertex_count, heads, tails, taus, codes, anchor_vertices, anchor_times)
-        return g
-
-    def _fill(self, n, heads, tails, taus, codes, anchor_vertices, anchor_times):
+    def __init__(self, vertex_count: int, heads, tails, taus, codes, anchor_vertices=(), anchor_times=()):
+        n = vertex_count
         if type(n) is bool or not isinstance(n, int) or n > _MAX_IDS:
             raise ValueError(f"vertex_count must be an integer of at most {_MAX_IDS}, got {n!r}")
         if n < 0:
             raise ValueError(f"vertex_count must be non-negative, got {n}")
-        heads, tails, taus = _id_array(heads), _id_array(tails), np.asarray(taus, np.float64)
+        key_fault = f"edge keys must be integers with 0 <= i < j < {n}"
+        heads, tails = _column(heads, "iuO", key_fault), _column(tails, "iuO", key_fault)
+        taus = _column(taus, "iuf", "taus must be positive and finite numbers")
+        codes = _column(codes, "iu", f"motif codes must be integers in 0..{len(MOTIFS) - 1}")
+        if not len(heads) == len(tails) == len(taus) == len(codes):
+            lengths = tuple(map(len, (heads, tails, taus, codes)))
+            raise ValueError(f"heads, tails, taus and codes have unequal lengths {lengths}")
         bad_key = ~((0 <= heads) & (heads < tails) & (tails < n))
-        bad = np.flatnonzero(bad_key | ~((taus > 0) & (taus < inf)))
+        bad_tau = ~((taus > 0) & (taus < inf))
+        bad = np.flatnonzero(bad_key | bad_tau | (codes < 0) | (codes >= len(MOTIFS)))
         if len(bad):
             i, j, k = int(heads[bad[0]]), int(tails[bad[0]]), bad[0]
             if bad_key[k]:
                 raise ValueError(f"edge key ({i},{j}) must satisfy 0 <= i < j < {n}")
-            raise ValueError(f"tau[{i},{j}] must be positive and finite, got {float(taus[k])}")
-        vertices, times = _id_array(anchor_vertices), np.asarray(anchor_times, np.float64)
+            if bad_tau[k]:
+                raise ValueError(f"tau[{i},{j}] must be positive and finite, got {float(taus[k])}")
+            raise ValueError(f"motif code out of range 0..{len(MOTIFS) - 1} at edge ({i},{j}): {int(codes[k])}")
+        vertices = _column(anchor_vertices, "iuO", f"anchor vertices out of range: integers in 0..{n - 1} only")
+        times = _column(anchor_times, "iuf", "anchor times must be finite numbers")
+        if len(vertices) != len(times):
+            raise ValueError(f"anchor_vertices and anchor_times have unequal lengths {len(vertices), len(times)}")
         bad_vertex = ~((0 <= vertices) & (vertices < n))
         bad = np.flatnonzero(bad_vertex | ~np.isfinite(times))
         if len(bad):
@@ -164,12 +161,17 @@ class EdgeLabelledTeg:
             if bad_vertex[k]:
                 raise ValueError(f"anchor vertex {v!r} out of range")
             raise ValueError(f"anchor time for vertex {v} must be finite, got {float(times[k])}")
-        order = np.argsort(heads * n + tails)  # unique keys, so any sort is stable
+        heads, tails, vertices = (column.astype(np.int64, copy=False) for column in (heads, tails, vertices))
+        order, k = _sorting_order(heads * n + tails)
+        if k >= 0:
+            raise ValueError(f"duplicate edge {(int(heads[k]), int(tails[k]))}")
         self.vertex_count = n
         self.heads, self.tails = _readonly(heads[order]), _readonly(tails[order])
-        self.taus, self.codes = _readonly(taus[order]), _readonly(np.asarray(codes, np.uint8)[order])
-        order = np.argsort(vertices)
-        self.anchor_vertices, self.anchor_times = _readonly(vertices[order], np.int64), _readonly(times[order])
+        self.taus, self.codes = _readonly(taus[order], np.float64), _readonly(codes[order], np.uint8)
+        order, k = _sorting_order(vertices)
+        if k >= 0:
+            raise ValueError(f"duplicate anchor vertex {int(vertices[k])}")
+        self.anchor_vertices, self.anchor_times = _readonly(vertices[order]), _readonly(times[order], np.float64)
 
     @property
     def edge_count(self) -> int:
@@ -202,7 +204,7 @@ def strip_events(teg: Teg, keep_anchors: bool = False) -> EdgeLabelledTeg:
     time, so reconstruction recovers absolute times in every component.
     """
     anchors = (np.arange(teg.vertex_count), teg.network.times) if keep_anchors else ()
-    return EdgeLabelledTeg._from_columns(teg.vertex_count, teg.heads, teg.tails, teg.iets, teg.codes, *anchors)
+    return EdgeLabelledTeg(teg.vertex_count, teg.heads, teg.tails, teg.iets, teg.codes, *anchors)
 
 
 # _DEEP levels in a row narrower than _NARROW vertices (a long path) go to the
@@ -309,7 +311,9 @@ class _Pass:
         ends, steps = np.empty(2 * len(edges), np.int64), np.empty(2 * len(edges))
         at_out, at_in = edges + self.in_ptr[g.heads], edges + self.out_ptr[self.in_tails + 1]
         ends[at_out], ends[at_in], steps[at_out], steps[at_in] = g.tails, self.in_heads, g.taus, -g.taus[by_tail]
+        del edges, at_out, at_in, by_tail, grouped, first  # dead during the search
         self.pot = _potentials(self.order[self.starts], ptr, ends, steps)
+        del ptr, ends, steps  # and during node resolution
         self.low, self.high = self.reduce(np.minimum, self.pot), self.reduce(np.maximum, self.pot)
         self.sources, self.targets, self.collapsed = _resolve_nodes(n, g.heads, g.tails, g.codes)
 
@@ -575,8 +579,8 @@ def _json_columns(text: str):
             if type(t) not in _NUMBER:
                 raise ValueError(f"anchor of vertex {key} must be a JSON number, got {t!r}")
         times = np.array(list(anchors.values()), np.float64)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed edge-labelled graph JSON: {exc}") from None
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(exc) from None
     return count, heads, tails, taus, codes, vertices, times
 
 
@@ -653,12 +657,7 @@ def load_edge_labelled(stream: TextIO) -> EdgeLabelledTeg:
     numbers, so both give the same columns.
     """
     text = stream.read()
-    count, heads, tails, taus, codes, vertices, times = _layout_columns(text) or _json_columns(text)
-    g = EdgeLabelledTeg._from_columns(count, heads, tails, taus, codes, vertices, times)
-    keys = g.heads * count + g.tails
-    if np.any(keys[1:] == keys[:-1]):  # name the first duplicate in file order
-        keys = np.array(heads, np.int64) * count + tails
-        keys, order = _stable_sort(keys)
-        k = order[1:][keys[1:] == keys[:-1]].min()
-        raise ValueError(f"malformed edge-labelled graph JSON: duplicate edge {(int(heads[k]), int(tails[k]))}")
-    return g
+    try:
+        return EdgeLabelledTeg(*(_layout_columns(text) or _json_columns(text)))
+    except ValueError as exc:
+        raise ValueError(f"malformed edge-labelled graph JSON: {exc}") from None

@@ -224,9 +224,8 @@ def test_criterion_5_sigmoid_transition():
 
 
 def _graph(vertex_count, edges):
-    tau = {(i, j): t for i, j, t, _ in edges}
-    mu = {(i, j): m for i, j, _, m in edges}
-    return EdgeLabelledTeg(vertex_count, tau, mu)
+    heads, tails, taus, motifs = zip(*edges)
+    return EdgeLabelledTeg(vertex_count, heads, tails, taus, [MOTIFS.index(m) for m in motifs])
 
 
 # each fixture violates exactly one condition: duplicated out-roles (C2),

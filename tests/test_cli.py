@@ -24,8 +24,10 @@ from tegraph.duality import EdgeLabelledTeg
 
 BAD_TRIANGLE = EdgeLabelledTeg(
     3,
-    {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0},
-    {(0, 1): Motif.ABBC, (1, 2): Motif.ABCA, (0, 2): Motif.ABBA},
+    [0, 1, 0],
+    [1, 2, 2],
+    [1.0, 1.0, 2.0],
+    [MOTIFS.index(m) for m in (Motif.ABBC, Motif.ABCA, Motif.ABBA)],
 )
 
 

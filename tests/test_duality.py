@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -50,9 +51,20 @@ AC, CA, BC, CB = Motif.ABAC, Motif.ABCA, Motif.ABBC, Motif.ABCB
 
 
 def _graph(n, edges):
-    tau = {(i, j): t for i, j, t, _ in edges}
-    mu = {(i, j): m for i, j, _, m in edges}
-    return EdgeLabelledTeg(n, tau, mu)
+    """The labelled graph of ``edges``, rows of (i, j, tau, motif)."""
+    heads, tails, taus, motifs = zip(*edges)
+    return EdgeLabelledTeg(n, heads, tails, taus, [MOTIFS.index(m) for m in motifs])
+
+
+def _with(g, **columns):
+    """``g`` built again with the named columns replaced."""
+    kept = {name: getattr(g, name) for name in EdgeLabelledTeg.__slots__[1:]}
+    return EdgeLabelledTeg(g.vertex_count, **{**kept, **columns})
+
+
+def _row(g, i, j):
+    """The row of edge (i, j) in ``g``'s columns."""
+    return int(np.flatnonzero((g.heads == i) & (g.tails == j))[0])
 
 
 # a valid 3-event chain: (a,b) then (b,c) then (c,a)
@@ -100,27 +112,50 @@ def test_strip_empty():
     assert len(reconstruct(g)) == 0
 
 
+def _edge(i=0, j=1, tau=1.0, code=0):
+    return dict(heads=[i], tails=[j], taus=[tau], codes=[code])
+
+
 @pytest.mark.parametrize(
     "kwargs,match",
     [
-        (dict(tau={(0, 1): 1.0}, mu={}), "identical edges"),
-        (dict(tau={(1, 0): 1.0}, mu={(1, 0): AB}), "0 <= i < j"),
-        (dict(tau={(0, 0): 1.0}, mu={(0, 0): AB}), "0 <= i < j"),
-        (dict(tau={(0, 1): 0.0}, mu={(0, 1): AB}), "positive"),
-        (dict(tau={(0, 1): 1.0}, mu={(0, 1): "ABAB"}), "Motif"),
-        (dict(tau={}, mu={}, anchors={5: 0.0}), "out of range"),
-        (dict(tau={}, mu={}, anchors={0: math.nan}), "finite"),
-        (dict(tau={(False, True): 1.0}, mu={(False, True): AB}), "0 <= i < j"),
-        (dict(tau={(0, 1): True}, mu={(0, 1): AB}), "positive"),
-        (dict(tau={(0, 1): "1.5"}, mu={(0, 1): AB}), "positive"),
-        (dict(tau={}, mu={}, anchors={True: 0.0}), "out of range"),
-        (dict(tau={}, mu={}, anchors={0: False}), "finite"),
-        (dict(tau={(False, True): True}, mu={(False, True): AB}, anchors={True: False}), "0 <= i < j"),
+        (dict(_edge(), codes=[]), "unequal lengths"),
+        (_edge(1, 0), "0 <= i < j"),
+        (_edge(0, 0), "0 <= i < j"),
+        (_edge(tau=0.0), "positive"),
+        (_edge(code=len(MOTIFS)), "code out of range"),
+        (dict(anchor_vertices=[5], anchor_times=[0.0]), "out of range"),
+        (dict(anchor_vertices=[0], anchor_times=[math.nan]), "finite"),
+        (_edge(False, True), "0 <= i < j"),
+        (_edge(tau=True), "positive"),
+        (_edge(tau="1.5"), "positive"),
+        (dict(anchor_vertices=[True], anchor_times=[0.0]), "out of range"),
+        (dict(anchor_vertices=[0], anchor_times=[False]), "finite"),
+        (dict(_edge(False, True, True), anchor_vertices=[True], anchor_times=[False]), "0 <= i < j"),
+        (_edge(0.7, 1.2), "integers"),
+        (_edge(0.0, 1.0), "integers"),
+        (_edge(code=255), "code out of range 0..5 at edge \\(0,1\\): 255"),
+        (_edge(code=-1), "code out of range 0..5 at edge \\(0,1\\): -1"),
+        (_edge(code=0.0), "integers"),
+        (dict(heads=[0, 0], tails=[1], taus=[1.0, 1.0], codes=[0, 0]), "unequal lengths"),
+        (dict(anchor_vertices=[0, 1], anchor_times=[0.0]), "unequal lengths"),
+        (dict(heads=[0, 0], tails=[1, 1], taus=[1.0, 2.0], codes=[0, 1]), "duplicate edge \\(0, 1\\)"),
+        (dict(anchor_vertices=[1, 1], anchor_times=[0.0, 0.0]), "duplicate anchor vertex 1"),
+        (_edge(0, 2**70), "edge key \\(0,1180591620717411303424\\)"),
+        (dict(heads=[[0]], tails=[[1]], taus=[[1.0]], codes=[[0]]), "integers"),
     ],
 )
 def test_graph_validation(kwargs, match):
+    no_edges = dict(heads=[], tails=[], taus=[], codes=[])
     with pytest.raises(ValueError, match=match):
-        EdgeLabelledTeg(2, **kwargs)
+        EdgeLabelledTeg(2, **{**no_edges, **kwargs})
+
+
+def test_duplicate_edges_name_the_first_repeat_in_the_given_order():
+    for rows, first in ([(2, 3), (0, 1), (0, 1), (2, 3)], (0, 1)), ([(0, 1), (2, 3), (2, 3), (0, 1)], (2, 3)):
+        heads, tails = zip(*rows)
+        with pytest.raises(ValueError, match=re.escape(f"duplicate edge {first}")):
+            EdgeLabelledTeg(4, heads, tails, [1.0] * 4, [0] * 4)
 
 
 @pytest.mark.parametrize(
@@ -135,14 +170,13 @@ def test_graph_validation(kwargs, match):
 )
 def test_vertex_count_validation(count, match):
     with pytest.raises(ValueError, match=match):
-        EdgeLabelledTeg(count, {}, {})
+        EdgeLabelledTeg(count, [], [], [], [])
     # the largest count whose edge keys i * n + j fit in int64
-    assert EdgeLabelledTeg(3_037_000_499, {}, {}).vertex_count == 3_037_000_499
+    assert EdgeLabelledTeg(3_037_000_499, [], [], [], []).vertex_count == 3_037_000_499
 
 
 def test_columns_are_sorted_and_read_only():
-    tau = {(2, 3): 1, (0, 2): 2.5, (0, 1): 1.0}
-    g = EdgeLabelledTeg(4, tau, {(2, 3): AB, (0, 2): BA, (0, 1): AC}, {3: 7, 1: 2.0})
+    g = EdgeLabelledTeg(4, [2, 0, 0], [3, 2, 1], [1, 2.5, 1.0], [0, 1, 2], [3, 1], [7, 2])
     assert g.heads.tolist() == [0, 0, 2] and g.tails.tolist() == [1, 2, 3]
     assert g.taus.tolist() == [1.0, 2.5, 1.0] and g.codes.tolist() == [2, 1, 0]
     assert g.anchor_vertices.tolist() == [1, 3] and g.anchor_times.tolist() == [2.0, 7.0]
@@ -269,9 +303,9 @@ def test_reply_pairs_validate_and_a_flipped_reply_is_c4():
     assert check_consistency(g).ok
     reply = (17, 2 * pairs + 17)  # opening of pair 17 to its reply
     assert g.mu[reply] is AB
-    mu = dict(g.mu)
-    mu[reply] = BA
-    report = check_consistency(EdgeLabelledTeg(g.vertex_count, g.tau, mu))
+    codes = g.codes.copy()
+    codes[_row(g, *reply)] = MOTIFS.index(BA)
+    report = check_consistency(_with(g, codes=codes))
     assert report.conditions == {"C4"}
 
 
@@ -281,10 +315,10 @@ def test_perturbing_any_diamond_tau_breaks_c1():
     )
     g = strip_events(build_teg(net, math.inf))
     assert check_consistency(g).ok
-    for key in g.tau:
-        tau = dict(g.tau)
-        tau[key] = tau[key] + 0.5
-        broken = EdgeLabelledTeg(g.vertex_count, tau, g.mu)
+    for k in range(g.edge_count):
+        taus = g.taus.copy()
+        taus[k] += 0.5
+        broken = _with(g, taus=taus)
         assert "C1" in check_consistency(broken).conditions
 
 
@@ -293,9 +327,9 @@ def test_duplicating_xi_out_breaks_c2():
         [Event(0, 1, 0.0), Event(0, 2, 1.0), Event(1, 2, 2.0)]
     ), math.inf))
     assert check_consistency(g).ok
-    mu = dict(g.mu)
-    mu[(0, 2)] = mu[(0, 1)]  # both out-edges of 0 now share xi_out
-    report = check_consistency(EdgeLabelledTeg(g.vertex_count, g.tau, mu))
+    codes = g.codes.copy()
+    codes[_row(g, 0, 2)] = codes[_row(g, 0, 1)]  # both out-edges of 0 now share xi_out
+    report = check_consistency(_with(g, codes=codes))
     assert "C2" in report.conditions
 
 
@@ -432,11 +466,11 @@ def _tied_networks(count):
 
 def _component(g, members):
     """The subgraph of ``g`` on the ascending ``members``, renumbered from 0."""
-    index = {v: k for k, v in enumerate(members)}
-    tau = {(index[i], index[j]): t for (i, j), t in g.tau.items() if i in index}
-    mu = {(index[i], index[j]): m for (i, j), m in g.mu.items() if i in index}
-    anchors = {index[v]: t for v, t in (g.anchors or {}).items() if v in index}
-    return EdgeLabelledTeg(len(members), tau, mu, anchors)
+    index = np.full(g.vertex_count, -1)
+    index[list(members)] = np.arange(len(members))
+    edges, anchored = index[g.heads] >= 0, index[g.anchor_vertices] >= 0
+    columns = (index[g.heads[edges]], index[g.tails[edges]], g.taus[edges], g.codes[edges])
+    return EdgeLabelledTeg(len(members), *columns, index[g.anchor_vertices[anchored]], g.anchor_times[anchored])
 
 
 @pytest.mark.filterwarnings("ignore:.*equal-timestamp")
@@ -488,19 +522,19 @@ def test_multi_component_reconstruction_layouts():
 
 
 def test_isolated_vertex_becomes_fresh_event():
-    g = EdgeLabelledTeg(1, {}, {})
+    g = EdgeLabelledTeg(1, [], [], [], [])
     assert reconstruct(g).events == (Event(0, 1, 0.0),)
-    anchored = EdgeLabelledTeg(1, {}, {}, anchors={0: 7.5})
+    anchored = _with(g, anchor_vertices=[0], anchor_times=[7.5])
     assert reconstruct(anchored).events == (Event(0, 1, 7.5),)
 
 
 def test_contradictory_anchors_raise():
     net = TemporalNetwork([Event(0, 1, 0.0), Event(1, 2, 1.0)])
     g = strip_events(build_teg(net, math.inf), keep_anchors=True)
-    bad = EdgeLabelledTeg(g.vertex_count, g.tau, g.mu, {0: 0.0, 1: 5.0})
+    bad = _with(g, anchor_vertices=[0, 1], anchor_times=[0.0, 5.0])
     with pytest.raises(AnchorError, match="disagree"):
         reconstruct(bad)
-    negative = EdgeLabelledTeg(g.vertex_count, g.tau, g.mu, {1: 0.5})
+    negative = _with(g, anchor_vertices=[1], anchor_times=[0.5])
     with pytest.raises(AnchorError, match="negative"):
         reconstruct(negative)
 
@@ -609,19 +643,20 @@ def test_json_round_trip_exact():
 
 def _graphs_to_write():
     special = (5e-324, 1e-7, 1e16, 0.1, 3.0)
-    yield EdgeLabelledTeg(0, {}, {})
-    yield EdgeLabelledTeg(3, {}, {}, {1: -0.0, 2: 1e16})
-    yield EdgeLabelledTeg(2, {(0, 1): 5e-324}, {(0, 1): BA}, {})
+    yield EdgeLabelledTeg(0, [], [], [], [])
+    yield EdgeLabelledTeg(3, [], [], [], [], [1, 2], [-0.0, 1e16])
+    yield EdgeLabelledTeg(2, [0], [1], [5e-324], [MOTIFS.index(BA)])
     rng = random.Random(4)
     for _ in range(20):
         n = rng.randrange(2, 12)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         keys = rng.sample(pairs, rng.randrange(len(pairs) + 1))
-        tau = {key: rng.choice(special + (rng.random() + 1e-3,)) for key in keys}
-        mu = {key: rng.choice(MOTIFS) for key in keys}
+        taus = [rng.choice(special + (rng.random() + 1e-3,)) for _ in keys]
+        codes = [MOTIFS.index(rng.choice(MOTIFS)) for _ in keys]
         times = special + (-0.0, 0.0, rng.uniform(-1e6, 1e6))
-        anchors = {v: rng.choice(times) for v in rng.sample(range(n), rng.randrange(n + 1))}
-        yield EdgeLabelledTeg(n, tau, mu, anchors)
+        vertices = rng.sample(range(n), rng.randrange(n + 1))
+        anchor_times = [rng.choice(times) for _ in vertices]
+        yield EdgeLabelledTeg(n, [i for i, _ in keys], [j for _, j in keys], taus, codes, vertices, anchor_times)
 
 
 @pytest.mark.parametrize("g", list(_graphs_to_write()), ids=repr)
@@ -689,6 +724,8 @@ def test_pipeline_never_builds_dict_views(monkeypatch, tmp_path):
         '{"vertex_count": 2, "edges": [], "anchors": [1, 2]}',
         '{"vertex_count": 11, "edges": [], "anchors": {"1_0": 3.0}}',
         '{"vertex_count": 2, "edges": [], "anchors": {"01": 3.0}}',
+        '{"vertex_count": 3, "edges": [{"i": 0, "j": 5, "tau": 1.0, "motif": "ABAB"}]}',
+        '{"vertex_count": 2, "edges": [{"i": 0, "j": 1, "tau": 0, "motif": "ABAB"}]}',
     ],
 )
 def test_malformed_graph_json_rejected(doc):
@@ -739,7 +776,10 @@ def _mutation_corpus():
         elif mutation == 5 and anchors:
             v = rng.choice(sorted(anchors))
             anchors[v] = anchors[v] + rng.choice((-50.0, 0.5, 1e-13))
-        yield EdgeLabelledTeg(g.vertex_count, tau, mu, anchors)
+        keys, anchors = sorted(tau), anchors or {}
+        heads, tails = [i for i, _ in keys], [j for _, j in keys]
+        codes = [MOTIFS.index(mu[key]) for key in keys]
+        yield EdgeLabelledTeg(g.vertex_count, heads, tails, [tau[key] for key in keys], codes, *zip(*anchors.items()))
 
 
 def _outcome(call):
@@ -787,8 +827,8 @@ def _potential_shapes():
     ends = 3 * np.arange(pairs)
     times = np.cumsum(rng.exponential(1.0, 3 * pairs))
     yield "reply-pairs", _columns_graph(np.tile(ends, 3), np.concatenate([ends + 1, ends + 2, ends + 1]), times)
-    yield "isolated", EdgeLabelledTeg(7, {(1, 4): 0.5, (4, 5): 0.25}, {(1, 4): AC, (4, 5): CA})
-    yield "empty", EdgeLabelledTeg(0, {}, {})
+    yield "isolated", _graph(7, [(1, 4, 0.5, AC), (4, 5, 0.25, CA)])
+    yield "empty", EdgeLabelledTeg(0, [], [], [], [])
     m = 3 * duality._DEEP + 5
     chain = np.arange(m) % 2
     gaps = np.cumsum(rng.exponential(1.0, m))
@@ -876,9 +916,9 @@ def _documents():
     graphs = [
         strip_events(build_teg(net, 2.0), keep_anchors=True),
         strip_events(build_teg(net, math.inf)),
-        EdgeLabelledTeg(0, {}, {}),
-        EdgeLabelledTeg(3, {}, {}, {1: -0.0, 2: 1e16}),
-        EdgeLabelledTeg(2, {(0, 1): 5e-324}, {(0, 1): BA}, {0: 1e-7}),
+        EdgeLabelledTeg(0, [], [], [], []),
+        EdgeLabelledTeg(3, [], [], [], [], [1, 2], [-0.0, 1e16]),
+        EdgeLabelledTeg(2, [0], [1], [5e-324], [MOTIFS.index(BA)], [0], [1e-7]),
     ]
     for g in graphs:
         text = _written(g)
@@ -1003,7 +1043,7 @@ def test_chunked_writer_matches_json_dump(edges, keep_anchors):
     _, _, g = _pinned_graphs()
     anchors = (g.anchor_vertices, g.anchor_times) if keep_anchors else ()
     columns = (c[:edges] for c in (g.heads, g.tails, g.taus, g.codes))
-    g = EdgeLabelledTeg._from_columns(g.vertex_count, *columns, *anchors)
+    g = EdgeLabelledTeg(g.vertex_count, *columns, *anchors)
     doc = {
         "vertex_count": g.vertex_count,
         "edges": [
@@ -1081,21 +1121,24 @@ def test_writers_hold_a_bounded_chunk_of_rows():
 
 def test_constructor_converts_to_the_same_columns_and_names_the_first_offender():
     g = _pinned_graphs()[2]
-    tau, mu, anchors = g.tau, g.mu, g.anchors
-    built = EdgeLabelledTeg(g.vertex_count, tau, mu, anchors)
-    # numpy scalars and a reordered mu give the same columns
-    checked = EdgeLabelledTeg(
-        g.vertex_count,
-        {key: np.float64(t) for key, t in tau.items()},
-        dict(reversed(mu.items())),
-        {v: np.float64(t) for v, t in anchors.items()},
-    )
-    for a, b in ((g, built), (g, checked)):
-        for name in EdgeLabelledTeg.__slots__[1:]:
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-    # the first offending item is named, however many come before it
-    key = max(tau)
-    for bad, match in (({**tau, key: True}, "tau\\[.*got True"), ({**tau, (0, 1.5): 1.0}, "edge key \\(0,1.5\\)")):
-        bad_mu = {k: mu.get(k, AB) for k in bad}
+    names = EdgeLabelledTeg.__slots__[1:]
+    # any row order of the columns gives the same column bytes
+    rng = np.random.default_rng(6)
+    edges, anchors = rng.permutation(g.edge_count), rng.permutation(len(g.anchor_vertices))
+    columns = [getattr(g, name)[edges if k < 4 else anchors] for k, name in enumerate(names)]
+    shuffled = EdgeLabelledTeg(g.vertex_count, *columns)
+    for name in names:
+        assert getattr(shuffled, name).tobytes() == getattr(g, name).tobytes()
+    # the first offending row is named, however many come before it
+    i, j, first = int(g.heads[-1]), int(g.tails[-1]), (int(g.heads[0]), int(g.tails[0]))
+    for last, match in (
+        (dict(taus=-1.0), f"tau\\[{i},{j}\\].*got -1.0"),
+        (dict(tails=i), f"edge key \\({i},{i}\\)"),
+        (dict(codes=6), f"code out of range 0..5 at edge \\({i},{j}\\): 6"),
+        (dict(heads=first[0], tails=first[1]), re.escape(f"duplicate edge {first}")),
+    ):
+        changed = {name: getattr(g, name).copy() for name in last}
+        for name, value in last.items():
+            changed[name][-1] = value
         with pytest.raises(ValueError, match=match):
-            EdgeLabelledTeg(g.vertex_count, bad, bad_mu, anchors)
+            _with(g, **changed)
