@@ -44,7 +44,7 @@ import numpy as np
 
 from . import _text
 from .components import _labels
-from .events import _MAX_IDS, TemporalNetwork, _first_seen, _inverse, _readonly, _stable_sort, _starts
+from .events import _MAX_IDS, TemporalNetwork, _column, _first_seen, _given, _inverse, _readonly, _stable_sort, _starts
 from .motifs import _CODES, _NAMES, _SLOTS, _XI_IN, _XI_OUT, MOTIFS, Motif
 from .teg import Teg, _incidence_edges
 
@@ -93,19 +93,6 @@ class ConsistencyReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _column(values, kinds: str, fault: str) -> np.ndarray:
-    """``values`` as a one-dimensional array of a dtype kind in ``kinds``, where
-    "O" stands for Python ints past int64; an empty one passes as any kind.
-    ValueError, ``fault`` and the array's dtype and shape, otherwise."""
-    column = np.asarray(values)
-    kind = column.dtype.kind
-    if kind == "O" and not all(type(v) is int for v in column.flat):
-        kind = "?"
-    if column.ndim != 1 or (len(column) and kind not in kinds):
-        raise ValueError(f"{fault}, got {column.dtype} of shape {column.shape}")
-    return column
-
-
 def _sorting_order(keys: np.ndarray):
     """The stable order that sorts the non-negative int64 ``keys``, and the
     first row in the given order that repeats an earlier row's key, else -1."""
@@ -133,35 +120,35 @@ class EdgeLabelledTeg:
             raise ValueError(f"vertex_count must be an integer of at most {_MAX_IDS}, got {n!r}")
         if n < 0:
             raise ValueError(f"vertex_count must be non-negative, got {n}")
-        key_fault = f"edge keys must be integers with 0 <= i < j < {n}"
-        heads, tails = _column(heads, "iuO", key_fault), _column(tails, "iuO", key_fault)
-        taus = _column(taus, "iuf", "taus must be positive and finite numbers")
-        codes = _column(codes, "iu", f"motif codes must be integers in 0..{len(MOTIFS) - 1}")
+        given = heads, tails, taus, codes
+        (heads, bad_key), (tails, wrong), (taus, bad_tau), (codes, bad_code) = (
+            _column(heads), _column(tails), _column(taus, numbers=True), _column(codes))
         if not len(heads) == len(tails) == len(taus) == len(codes):
-            lengths = tuple(map(len, (heads, tails, taus, codes)))
-            raise ValueError(f"heads, tails, taus and codes have unequal lengths {lengths}")
-        bad_key = ~((0 <= heads) & (heads < tails) & (tails < n))
-        bad_tau = ~((taus > 0) & (taus < inf))
-        bad = np.flatnonzero(bad_key | bad_tau | (codes < 0) | (codes >= len(MOTIFS)))
+            raise ValueError(f"heads, tails, taus and codes have unequal lengths {tuple(map(len, given))}")
+        bad_key |= wrong | ~((0 <= heads) & (heads < tails) & (tails < n))
+        bad_tau |= ~((taus > 0) & (taus < inf))
+        bad = np.flatnonzero(bad_key | bad_tau | bad_code | (codes < 0) | (codes >= len(MOTIFS)))
         if len(bad):
-            i, j, k = int(heads[bad[0]]), int(tails[bad[0]]), bad[0]
+            k = bad[0]
+            i, j, code = _given(given[0], k), _given(given[1], k), _given(given[3], k)
+            tau = _given(given[2], k, number=True)
             if bad_key[k]:
-                raise ValueError(f"edge key ({i},{j}) must satisfy 0 <= i < j < {n}")
+                raise ValueError(f"edge key ({i!r},{j!r}) must be integers with 0 <= i < j < {n}")
             if bad_tau[k]:
-                raise ValueError(f"tau[{i},{j}] must be positive and finite, got {float(taus[k])}")
-            raise ValueError(f"motif code out of range 0..{len(MOTIFS) - 1} at edge ({i},{j}): {int(codes[k])}")
-        vertices = _column(anchor_vertices, "iuO", f"anchor vertices out of range: integers in 0..{n - 1} only")
-        times = _column(anchor_times, "iuf", "anchor times must be finite numbers")
+                raise ValueError(f"tau[{i},{j}] must be positive and finite, got {tau!r}")
+            if bad_code[k]:
+                raise ValueError(f"motif codes must be integers, got {code!r} at edge ({i},{j})")
+            raise ValueError(f"motif code out of range 0..{len(MOTIFS) - 1} at edge ({i},{j}): {code}")
+        (vertices, bad_vertex), (times, bad_time) = _column(anchor_vertices), _column(anchor_times, numbers=True)
         if len(vertices) != len(times):
             raise ValueError(f"anchor_vertices and anchor_times have unequal lengths {len(vertices), len(times)}")
-        bad_vertex = ~((0 <= vertices) & (vertices < n))
-        bad = np.flatnonzero(bad_vertex | ~np.isfinite(times))
+        bad_vertex |= ~((0 <= vertices) & (vertices < n))
+        bad = np.flatnonzero(bad_vertex | bad_time | ~np.isfinite(times))
         if len(bad):
-            v, k = int(vertices[bad[0]]), bad[0]
-            if bad_vertex[k]:
+            v, t = _given(anchor_vertices, bad[0]), _given(anchor_times, bad[0], number=True)
+            if bad_vertex[bad[0]]:
                 raise ValueError(f"anchor vertex {v!r} out of range")
-            raise ValueError(f"anchor time for vertex {v} must be finite, got {float(times[k])}")
-        heads, tails, vertices = (column.astype(np.int64, copy=False) for column in (heads, tails, vertices))
+            raise ValueError(f"anchor time for vertex {v} must be finite, got {t!r}")
         order, k = _sorting_order(heads * n + tails)
         if k >= 0:
             raise ValueError(f"duplicate edge {(int(heads[k]), int(tails[k]))}")
@@ -534,7 +521,7 @@ def reconstruct(
         times = times - start[p.label] + offsets[p.label]
     order = np.lexsort((times, rank[p.label]))
     sources, targets, node_ids = _first_seen(p.sources[order], p.targets[order])
-    return TemporalNetwork._from_columns(sources, targets, times[order], node_ids)
+    return TemporalNetwork(sources, targets, times[order], node_ids)
 
 
 def save_edge_labelled(g: EdgeLabelledTeg, stream: TextIO) -> None:
@@ -552,34 +539,24 @@ _NUMBER = {int, float}  # JSON true and false load as bool, which is neither
 
 def _json_columns(text: str):
     """Vertex count, edge columns and anchor columns of any JSON document,
-    through ``json.loads``; ValueError, with the document's first fault,
-    unless it is a graph."""
+    through ``json.loads``, each value as the document gives it, for the
+    constructor to check; ValueError unless the document has their shape."""
     doc = json.loads(text)
     try:
-        count = doc["vertex_count"]
-        if type(count) is not int:
-            raise ValueError(f"vertex_count must be a JSON integer, got {count!r}")
-        edges = doc["edges"]
+        count, edges = doc["vertex_count"], doc["edges"]
         heads, tails, taus, names = ([rec[field] for rec in edges] for field in ("i", "j", "tau", "motif"))
-        for k, (i, j, t) in enumerate(zip(heads, tails, taus)):
-            if type(i) is not int or type(j) is not int or type(t) not in _NUMBER:
-                raise ValueError(f"edge {k} needs integer i and j and a numeric tau, got {edges[k]!r}")
         try:
             codes = [_CODES[name] for name in names]
         except (KeyError, TypeError):
             codes = [Motif(name) for name in names]  # raises for the first bad name
-        taus = np.array(taus, np.float64)
         anchors = doc.get("anchors", {})
         if type(anchors) is not dict:
             raise ValueError(f"anchors must be a JSON object, got {anchors!r}")
-        vertices = list(map(int, anchors))
-        for v, key, t in zip(vertices, anchors, anchors.values()):
+        vertices, times = list(map(int, anchors)), list(anchors.values())
+        for v, key in zip(vertices, anchors):
             if str(v) != key:
                 raise ValueError(f"anchor key {key!r} is not a vertex index")
-            if type(t) not in _NUMBER:
-                raise ValueError(f"anchor of vertex {key} must be a JSON number, got {t!r}")
-        times = np.array(list(anchors.values()), np.float64)
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(exc) from None
     return count, heads, tails, taus, codes, vertices, times
 
@@ -659,5 +636,5 @@ def load_edge_labelled(stream: TextIO) -> EdgeLabelledTeg:
     text = stream.read()
     try:
         return EdgeLabelledTeg(*(_layout_columns(text) or _json_columns(text)))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"malformed edge-labelled graph JSON: {exc}") from None

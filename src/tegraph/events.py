@@ -2,9 +2,10 @@
 
 An event is a directed interaction (source, target, time). A temporal
 network holds its events in four read-only numpy columns, in the order of
-a stable sort by time; ``Event`` objects are built from them only on
-demand. Equal-time events are either rejected or kept in a stable, reading
-order, depending on the tie policy the network is built under.
+a stable sort by time; its one constructor takes them in any row order and
+checks every row by the rule of ``Event``, which is built only on demand.
+Equal-time events are either rejected or kept in a stable, reading order,
+depending on the tie policy the network is built under.
 """
 
 from __future__ import annotations
@@ -42,15 +43,13 @@ class Event:
     time: float
 
     def __post_init__(self):
-        if bool in (type(self.source), type(self.target)) or not (
-            isinstance(self.source, int) and isinstance(self.target, int)
-        ):
+        if not (_right(self.source) and _right(self.target)):
             raise ValueError(f"node ids must be integers, got ({self.source!r}, {self.target!r})")
         if self.source < 0 or self.target < 0:
             raise ValueError(f"node ids must be non-negative, got ({self.source}, {self.target})")
         if self.source == self.target:
             raise ValueError(f"self-loop at node {self.source} (time {self.time})")
-        if not (isfinite(self.time) and self.time >= 0):
+        if not (_right(self.time, True) and isfinite(self.time) and self.time >= 0):
             raise ValueError(f"event time must be non-negative and finite, got {self.time}")
 
     @property
@@ -64,12 +63,41 @@ def _readonly(values, dtype=None) -> np.ndarray:
     return column
 
 
-def _id_array(ids) -> np.ndarray:
-    """Integer node ids as an int64 column, or an object column past its range."""
+def _right(value, number: bool = False) -> bool:
+    """Whether ``value`` is an integer, or a number where ``number``; a bool is neither."""
+    kinds = (int, float, np.integer, np.floating) if number else (int, np.integer)
+    return type(value) is not bool and isinstance(value, kinds)
+
+
+def _column(values, numbers: bool = False):
+    """``values`` as a one-dimensional int64 column, or float64 where ``numbers``,
+    and the mask of its values of a wrong type (by ``_right`` in a list, by the
+    dtype kind of an array), which read 0; ints past its range stay Python ints."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if values.ndim != 1:
+            raise ValueError(f"columns must be one-dimensional, got shape {values.shape}")
+        wrong = np.full(len(values), values.dtype.kind not in ("iuf" if numbers else "iu"))
+        if values.dtype == np.uint64 and values.max(initial=0) >> 63:
+            values = values.astype(object)
+    else:
+        wrong = np.array([not _right(value, numbers) for value in values], bool)
+    if wrong.any():
+        values = np.where(wrong, 0, np.fromiter(values, object, len(values)))
     try:
-        return np.array(ids, dtype=np.int64)
+        return np.asarray(values, np.float64 if numbers else np.int64), wrong
     except OverflowError:
-        return np.array(ids, dtype=object)
+        return np.asarray(values, object), wrong
+
+
+def _given(values, k, number: bool = False):
+    """Value ``k`` of a column as given, as a Python object; a number as a float."""
+    value = values[k].item() if isinstance(values[k], np.generic) else values[k]
+    return float(value) if number and _right(value, True) else value
+
+
+def _faults(sources, targets, times) -> np.ndarray:
+    """Mask of the id and time rows that ``Event`` rejects for their values."""
+    return (np.minimum(sources, targets) < 0) | (sources == targets) | ~((times >= 0) & (times < inf))
 
 
 # the most ids whose pair keys i * n + j fit int64
@@ -131,39 +159,50 @@ class TemporalNetwork:
 
     ``sources`` and ``targets`` are int64 positions into ``node_ids``, the
     sorted distinct node ids (int64, or object past the int64 range);
-    ``times`` is float64. The ``events`` are taken in any order and sorted
-    by time. Under ``tie_policy="reject"`` equal timestamps raise; under
+    ``times`` is float64. The constructor takes these columns in any row
+    order, ``sources`` and ``targets`` as node ids or, when ``node_ids`` is
+    given, as positions into it, and names the first row that ``Event``
+    rejects. The columns are those of a stable sort by time, bit for bit.
+    Under ``tie_policy="reject"`` equal timestamps raise; under
     ``"stable_order"`` (default) equal-time events keep their given
-    relative order, with a warning giving the tie count. Events already
-    in time order keep their order; others are sorted by an unstable
-    sort, and only when there are ties does one packed-key sort of each
-    event's run of equal times repair the order, so the columns are those
-    of a stable sort, bit for bit. ``net[i]``, iteration and
-    ``events`` build ``Event`` objects on demand.
+    relative order, with a warning giving the tie count. ``net[i]``,
+    iteration and ``events`` build ``Event`` objects on demand.
     """
 
     __slots__ = ("sources", "targets", "times", "node_ids")
 
-    def __init__(self, events: Iterable[Event], tie_policy: str = TIE_STABLE):
-        events = tuple(events)
-        ids = _id_array([node for e in events for node in (e.source, e.target)])
-        self._fill(ids[0::2], ids[1::2], np.array([e.time for e in events], np.float64), None, tie_policy)
-
-    @classmethod
-    def _from_columns(cls, sources, targets, times, node_ids=None, tie_policy=TIE_STABLE):
-        """Network of valid event columns in any order, built without ``Event``
-        objects; ``sources`` and ``targets`` are positions into the sorted
-        ``node_ids``, or node ids themselves when ``node_ids`` is None."""
-        net = cls.__new__(cls)
-        net._fill(sources, targets, times, node_ids, tie_policy)
-        return net
-
-    def _fill(self, sources, targets, times, node_ids, tie_policy):
+    def __init__(self, sources, targets, times, node_ids=None, tie_policy: str = TIE_STABLE):
         if tie_policy not in _TIE_POLICIES:
             raise ValueError(f"unknown tie_policy {tie_policy!r}, expected one of {_TIE_POLICIES}")
+        given = sources, targets, times
+        (sources, misplaced), (targets, wrong), (times, wrong_time) = (
+            _column(sources), _column(targets), _column(times, numbers=True))
+        if not len(sources) == len(targets) == len(times):
+            raise ValueError(f"sources, targets and times have unequal lengths {tuple(map(len, given))}")
+        misplaced |= wrong  # an id of a wrong type, or a position past the node ids
+        if node_ids is not None:
+            ids, bad = _column(node_ids)
+            bad |= (ids < 0) | np.append(False, ids[1:] <= ids[:-1])
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"node_ids must be strictly ascending ids, got {_given(node_ids, k)!r} at {k}")
+            node_ids = ids
+            misplaced |= np.maximum(sources, targets) >= len(ids)
+        bad = np.flatnonzero(misplaced | wrong_time | _faults(sources, targets, times))
+        if len(bad):
+            k = int(bad[0])
+            source, target, time = _given(given[0], k), _given(given[1], k), _given(given[2], k, number=True)
+            if node_ids is not None and (misplaced[k] or min(source, target) < 0):
+                raise ValueError(f"event {k}: node positions ({source!r}, {target!r}) not in 0..{len(node_ids) - 1}")
+            if node_ids is not None:
+                source, target = _given(node_ids, source), _given(node_ids, target)
+            try:
+                Event(source, target, time)
+            except ValueError as exc:
+                raise ValueError(f"event {k}: {exc}") from None
         if node_ids is None:
             node_ids, ends = np.unique(np.stack((sources, targets), 1).ravel(), return_inverse=True)
-            node_ids, sources, targets = _id_array(node_ids), ends[0::2], ends[1::2]
+            sources, targets = ends[0::2], ends[1::2]
         in_order = bool(np.all(times[1:] >= times[:-1]))  # the given order is the stable one
         order = np.arange(len(times)) if in_order else np.argsort(times)
         ordered = times[order]
@@ -250,7 +289,7 @@ def canonicalize(net: TemporalNetwork) -> TemporalNetwork:
     if len(net) == 0:
         raise ValueError("cannot canonicalize an empty network")
     sources, targets, node_ids = _first_seen(net.sources, net.targets)
-    return TemporalNetwork._from_columns(sources, targets, net.times - net.times[0], node_ids)
+    return TemporalNetwork(sources, targets, net.times - net.times[0], node_ids)
 
 
 def write_events(net: TemporalNetwork, stream: TextIO) -> None:
@@ -286,15 +325,10 @@ def _tokenized(text: str, delimiter, usecols, on_self_loop):
     except (ValueError, TypeError):
         return None
     sources, targets, times = rows["source"], rows["target"], rows["time"]
-    loops = sources == targets
-    if loops.any():
-        if on_self_loop == "error":
-            return None
-        keep = ~loops
+    if on_self_loop == "skip":
+        keep = sources != targets
         sources, targets, times = sources[keep], targets[keep], times[keep]
-    if (sources < 0).any() or (targets < 0).any() or not ((times >= 0) & (times < inf)).all():
-        return None
-    return sources, targets, times
+    return None if _faults(sources, targets, times).any() else (sources, targets, times)
 
 
 def _parsed_lines(lines: Iterable[str], delimiter, usecols, on_self_loop):
@@ -329,7 +363,7 @@ def _parsed_lines(lines: Iterable[str], delimiter, usecols, on_self_loop):
         sources.append(source)
         targets.append(target)
         times.append(time)
-    return _id_array(sources), _id_array(targets), np.array(times, np.float64)
+    return _column(sources)[0], _column(targets)[0], np.array(times, np.float64)
 
 
 def _columns(stream, delimiter, usecols, on_self_loop):
@@ -387,7 +421,7 @@ def parse_events(
         duplicates = len(order) - int(np.count_nonzero(distinct))
         if duplicates:
             warnings.warn(f"{duplicates} duplicate event triples kept")
-    return TemporalNetwork._from_columns(sources, targets, times, None, tie_policy)
+    return TemporalNetwork(sources, targets, times, None, tie_policy)
 
 
 def load_events(path: str, **kwargs) -> TemporalNetwork:

@@ -142,7 +142,7 @@ def generate_random(cfg: GeneratorConfig) -> TemporalNetwork:
                 times[k] = np.nextafter(times[k - 1], np.inf)
     u = rng.integers(0, n, m)
     v = rng.integers(0, n - 1, m)
-    return TemporalNetwork._from_columns(u, v + (v >= u), times)
+    return TemporalNetwork(u, v + (v >= u), times)
 
 
 def time_shuffle(net: TemporalNetwork, seed: int) -> TemporalNetwork:
@@ -160,9 +160,9 @@ def time_shuffle(net: TemporalNetwork, seed: int) -> TemporalNetwork:
     """
     perm = np.random.default_rng(seed).permutation(len(net))
     if net.tie_count:
-        return TemporalNetwork._from_columns(net.sources, net.targets, net.times[perm], net.node_ids)
+        return TemporalNetwork(net.sources, net.targets, net.times[perm], net.node_ids)
     order = _inverse(perm)
-    return TemporalNetwork._from_columns(net.sources[order], net.targets[order], net.times, net.node_ids)
+    return TemporalNetwork(net.sources[order], net.targets[order], net.times, net.node_ids)
 
 
 def analytic_motif_probabilities(node_count: int) -> DiscreteDistribution:

@@ -10,6 +10,13 @@ import numpy as np
 from tegraph import MOTIFS, TemporalNetwork, classify_pair
 
 
+def from_rows(rows, tie_policy="stable_order"):
+    """The network of (source, target, time) ``rows``, given to the
+    constructor as three lists of the rows' values."""
+    rows = list(rows)
+    return TemporalNetwork(*([row[k] for row in rows] for k in range(3)), tie_policy=tie_policy)
+
+
 def brute_force_teg(net, delta_t):
     """Edge tuples (i, j, iet, motif) straight from the definition.
 
@@ -100,4 +107,4 @@ def time_shuffle_sorted(net, seed):
     """The time-shuffle null model by its definition: the time column
     permuted over the events, and the network built again by a time sort."""
     perm = np.random.default_rng(seed).permutation(len(net))
-    return TemporalNetwork._from_columns(net.sources, net.targets, net.times[perm], net.node_ids)
+    return TemporalNetwork(net.sources, net.targets, net.times[perm], net.node_ids)

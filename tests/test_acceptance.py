@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import brute_force_teg, teg_edge_tuples
+from _oracles import brute_force_teg, from_rows, teg_edge_tuples
 from tegraph import (
     MOTIFS,
     DeterministicIets,
     EdgeLabelledTeg,
-    Event,
     ExponentialIets,
     GeneratorConfig,
     Motif,
@@ -76,9 +75,9 @@ def _connected_net(rng) -> TemporalNetwork:
     events = []
     for k in order:
         u, v = pairs[k]
-        events.append(Event(u, v, t))
+        events.append((u, v, t))
         t += 1.0 + float(rng.integers(0, 8)) / 8.0
-    return TemporalNetwork(events)
+    return from_rows(events)
 
 
 def test_criterion_1_round_trip_bijection():
@@ -275,7 +274,7 @@ def test_criterion_6_consistency_detectors():
 
 def test_criterion_7_entropy_anchors():
     assert shannon_entropy([1 / 6] * 6) == pytest.approx(math.log2(6), abs=1e-12)
-    single = build_teg(TemporalNetwork([Event(0, 1, 0.0), Event(0, 1, 1.0)]), math.inf)
+    single = build_teg(from_rows([(0, 1, 0.0), (0, 1, 1.0)]), math.inf)
     assert shannon_entropy(motif_distribution(single)) == 0.0
     assert cumulative_residual_entropy(EmpiricalCcdf.from_samples([2.5] * 8)) == 0.0
     coin = EmpiricalCcdf.from_samples([0.0, 1.0])

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracles import brute_force_teg, teg_edge_tuples
+from _oracles import brute_force_teg, from_rows, teg_edge_tuples
 from tegraph import (
     MOTIFS,
     Event,
@@ -64,10 +64,10 @@ def _tied_network(rng, m):
     events = []
     for _ in range(m):
         u, v = rng.choice(n, size=2, replace=False)
-        events.append(Event(int(u), int(v), float(rng.integers(0, m // 2 + 2))))
+        events.append((int(u), int(v), float(rng.integers(0, m // 2 + 2))))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return TemporalNetwork(events)
+        return from_rows(events)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -91,7 +91,7 @@ def test_ties_and_repeated_pairs_match_literal_definition(seed):
 
 def test_node_ids_past_int64_range():
     big = 2**70
-    net = TemporalNetwork([Event(big, 1, 0.0), Event(1, big + 1, 1.0), Event(big + 1, big, 2.0)])
+    net = from_rows([(big, 1, 0.0), (1, big + 1, 1.0), (big + 1, big, 2.0)])
     assert teg_edge_tuples(build_teg(net, math.inf)) == brute_force_teg(net, math.inf)
 
 
@@ -120,14 +120,14 @@ def test_edge_labels_match_event_pairs():
 
 
 def test_repeated_pair_collapses_to_one_edge():
-    net = TemporalNetwork([Event(1, 2, 0.0), Event(1, 2, 1.0)])
+    net = from_rows([(1, 2, 0.0), (1, 2, 1.0)])
     teg = build_teg(net, math.inf)
     assert teg.edge_count == 1
     assert MOTIFS[teg.codes[0]] is Motif.ABAB
 
 
 def test_only_next_event_of_a_node_connects():
-    net = TemporalNetwork([Event(1, 2, 0.0), Event(1, 3, 1.0), Event(1, 4, 2.0)])
+    net = from_rows([(1, 2, 0.0), (1, 3, 1.0), (1, 4, 2.0)])
     teg = build_teg(net, math.inf)
     assert set(zip(teg.heads.tolist(), teg.tails.tolist())) == {(0, 1), (1, 2)}
 
@@ -135,27 +135,27 @@ def test_only_next_event_of_a_node_connects():
 def test_window_cuts_but_still_consumes_the_node():
     # 0-1 gap equals the window (excluded); node 2's next event is index 2
     # but that gap is out of the window as well, so only 1-2 survives
-    net = TemporalNetwork([Event(1, 2, 0.0), Event(1, 3, 5.0), Event(3, 2, 6.0)])
+    net = from_rows([(1, 2, 0.0), (1, 3, 5.0), (3, 2, 6.0)])
     teg = build_teg(net, 5.0)
     assert set(zip(teg.heads.tolist(), teg.tails.tolist())) == {(1, 2)}
 
 
 def test_equal_time_events_never_connect():
     with pytest.warns(UserWarning):
-        net = TemporalNetwork([Event(1, 2, 1.0), Event(2, 3, 1.0), Event(3, 4, 2.0)])
+        net = from_rows([(1, 2, 1.0), (2, 3, 1.0), (3, 4, 2.0)])
     teg = build_teg(net, math.inf)
     assert set(zip(teg.heads.tolist(), teg.tails.tolist())) == {(1, 2)}
 
 
 def test_trivial_networks():
-    assert build_teg(TemporalNetwork(()), 1.0).edge_count == 0
-    assert build_teg(TemporalNetwork([Event(0, 1, 0.0)]), 1.0).edge_count == 0
+    assert build_teg(from_rows(()), 1.0).edge_count == 0
+    assert build_teg(from_rows([(0, 1, 0.0)]), 1.0).edge_count == 0
 
 
 @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
 def test_bad_window_rejected(dt):
     with pytest.raises(ValueError):
-        build_teg(TemporalNetwork(()), dt)
+        build_teg(from_rows(()), dt)
 
 
 def test_json_round_trip():
@@ -179,14 +179,14 @@ def test_json_round_trip():
     "events",
     [
         (),
-        (Event(0, 1, 0.0),),
-        (Event(0, 1, 0.0), Event(1, 2, 5e-324), Event(2, 0, 1e-7), Event(0, 1, 1e16)),
-        tuple(generate_random(GeneratorConfig(7, 60, ExponentialIets(1.0), 3))),
+        ((0, 1, 0.0),),
+        ((0, 1, 0.0), (1, 2, 5e-324), (2, 0, 1e-7), (0, 1, 1e16)),
+        tuple((e.source, e.target, e.time) for e in generate_random(GeneratorConfig(7, 60, ExponentialIets(1.0), 3))),
     ],
     ids=("empty", "single", "special", "random"),
 )
 def test_write_teg_json_matches_json_dump(events, dt):
-    teg = build_teg(TemporalNetwork(events), dt)
+    teg = build_teg(from_rows(events), dt)
     doc = {
         "delta_t": "inf" if dt == math.inf else dt,
         "event_count": teg.vertex_count,
@@ -203,7 +203,7 @@ def test_write_teg_json_matches_json_dump(events, dt):
 
 
 def test_json_round_trip_infinite_window():
-    teg = build_teg(TemporalNetwork([Event(0, 1, 0.0), Event(1, 2, 1.0)]), math.inf)
+    teg = build_teg(from_rows([(0, 1, 0.0), (1, 2, 1.0)]), math.inf)
     buf = io.StringIO()
     write_teg_json(teg, buf)
     assert '"delta_t": "inf"' in buf.getvalue()
@@ -231,7 +231,7 @@ def test_motif_lookup_matches_select(seed):
     sources = rng.integers(0, nodes, m)
     targets = (sources + rng.integers(1, nodes, m)) % nodes
     times = rng.integers(0, m // 4, m) if seed % 2 else rng.random(m) * 100
-    net = TemporalNetwork._from_columns(sources, targets, times.astype(np.float64))
+    net = TemporalNetwork(sources, targets, times.astype(np.float64))
     for dt in (1.5, 7.0, math.inf):
         teg = build_teg(net, dt)
         expected = _select_codes(net.sources, net.targets, teg.heads, teg.tails)

@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _oracles import from_rows
 from tegraph import (
     MOTIFS,
     AggregateGraph,
     ComponentSet,
     EmpiricalCcdf,
-    Event,
     Motif,
-    TemporalNetwork,
     aggregate_component,
     aggregate_network,
     barcode_rows,
@@ -57,13 +56,13 @@ def _nx_partition(teg):
 
 
 def test_partition_and_ranking():
-    net = TemporalNetwork(
+    net = from_rows(
         [
-            Event(0, 1, 0.0),
-            Event(3, 4, 1.0),
-            Event(1, 2, 2.0),
-            Event(0, 2, 3.0),
-            Event(5, 6, 9.0),
+            (0, 1, 0.0),
+            (3, 4, 1.0),
+            (1, 2, 2.0),
+            (0, 2, 3.0),
+            (5, 6, 9.0),
         ]
     )
     cs = weakly_connected_components(build_teg(net, 4.0))
@@ -78,8 +77,8 @@ def test_partition_and_ranking():
 
 
 def test_larger_component_outranks_earlier_one():
-    net = TemporalNetwork(
-        [Event(0, 1, 0.0), Event(2, 3, 1.0), Event(3, 4, 2.0)]
+    net = from_rows(
+        [(0, 1, 0.0), (2, 3, 1.0), (3, 4, 2.0)]
     )
     cs = ComponentSet(build_teg(net, math.inf))
     assert [c.events for c in cs] == [(1, 2), (0,)]
@@ -112,7 +111,7 @@ def test_unbounded_window_components_mirror_aggregate(seed):
 
 
 def test_finite_window_components_may_share_nodes():
-    net = TemporalNetwork([Event(0, 1, 0.0), Event(0, 1, 10.0)])
+    net = from_rows([(0, 1, 0.0), (0, 1, 10.0)])
     cs = ComponentSet(build_teg(net, 5.0))
     assert len(cs) == 2
     assert cs[0].nodes == cs[1].nodes == frozenset({0, 1})
@@ -150,14 +149,14 @@ def test_sweep_below_smallest_gap_gives_singletons():
     ],
 )
 def test_sweep_rejects_bad_grids(grid, match):
-    net = TemporalNetwork([Event(0, 1, 0.0)])
+    net = from_rows([(0, 1, 0.0)])
     with pytest.raises(ValueError, match=match):
         sweep_largest_component(net, grid)
 
 
 def test_sweep_rejects_empty_network():
     with pytest.raises(ValueError, match="empty"):
-        sweep_largest_component(TemporalNetwork(()), [1.0])
+        sweep_largest_component(from_rows(()), [1.0])
 
 
 def test_motif_counts_sum_over_components():
@@ -180,7 +179,7 @@ def test_motif_counts_sum_over_components():
 
 
 def test_motif_distribution_support_and_masses():
-    net = TemporalNetwork([Event(0, 1, 0.0), Event(0, 1, 1.0), Event(1, 0, 2.0)])
+    net = from_rows([(0, 1, 0.0), (0, 1, 1.0), (1, 0, 2.0)])
     dist = motif_distribution(build_teg(net, math.inf))
     assert dist.support == tuple(Motif)
     assert sum(dist.masses) == pytest.approx(1.0)
@@ -189,7 +188,7 @@ def test_motif_distribution_support_and_masses():
 
 
 def test_zero_edge_scope_is_an_error():
-    teg = build_teg(TemporalNetwork([Event(0, 1, 0.0)]), 1.0)
+    teg = build_teg(from_rows([(0, 1, 0.0)]), 1.0)
     with pytest.raises(ValueError, match="empty scope"):
         motif_distribution(teg)
     with pytest.raises(ValueError, match="no edges in scope"):
@@ -197,13 +196,13 @@ def test_zero_edge_scope_is_an_error():
 
 
 def test_component_size_distribution_accepts_both_forms():
-    net = TemporalNetwork([Event(0, 1, 0.0), Event(0, 1, 1.0), Event(4, 5, 2.0)])
+    net = from_rows([(0, 1, 0.0), (0, 1, 1.0), (4, 5, 2.0)])
     teg = build_teg(net, math.inf)
     dist = component_size_distribution(teg)
     assert dist == component_size_distribution(ComponentSet(teg))
     assert dist.support == (1, 2)
     assert dist.masses == (0.5, 0.5)
-    singleton = build_teg(TemporalNetwork([Event(0, 1, 0.0)]), 1.0)
+    singleton = build_teg(from_rows([(0, 1, 0.0)]), 1.0)
     assert component_size_distribution(singleton).as_dict() == {1: 1.0}
 
 
@@ -233,7 +232,7 @@ def test_ccdf_steps_and_evaluation():
 
 
 def test_iet_ccdf_conditions_on_motif():
-    net = TemporalNetwork([Event(0, 1, 0.0), Event(0, 1, 1.0), Event(1, 0, 4.0)])
+    net = from_rows([(0, 1, 0.0), (0, 1, 1.0), (1, 0, 4.0)])
     teg = build_teg(net, math.inf)
     # edges: (0,1) ABAB tau 1, (1,2) ABBA tau 3
     assert iet_ccdf(teg, Motif.ABAB).values == (1.0,)
@@ -267,12 +266,12 @@ def test_cumulative_residual_entropy_matches_quadrature():
 
 
 def test_barcode_rows_order_and_truncation():
-    net = TemporalNetwork(
+    net = from_rows(
         [
-            Event(0, 1, 0.0),
-            Event(3, 4, 0.5),
-            Event(1, 2, 1.0),
-            Event(0, 2, 2.0),
+            (0, 1, 0.0),
+            (3, 4, 0.5),
+            (1, 2, 1.0),
+            (0, 2, 2.0),
         ]
     )
     teg = build_teg(net, math.inf)
@@ -287,7 +286,7 @@ def test_barcode_rows_order_and_truncation():
 
 
 def test_aggregate_graph_metrics():
-    single = aggregate_network(TemporalNetwork([Event(0, 1, 0.0)]))
+    single = aggregate_network(from_rows([(0, 1, 0.0)]))
     assert single.node_count == 2
     assert single.edge_count == 1
     assert single.density == 0.5
@@ -295,7 +294,7 @@ def test_aggregate_graph_metrics():
     assert single.weak_component_count == 1
 
     back_and_forth = aggregate_network(
-        TemporalNetwork([Event(0, 1, 0.0), Event(1, 0, 1.0)])
+        from_rows([(0, 1, 0.0), (1, 0, 1.0)])
     )
     assert back_and_forth.edge_count == 2
     assert back_and_forth.reciprocity == 1.0
@@ -544,7 +543,7 @@ def test_aggregate_counts_match_networkx(seed, ids):
         "past_int64": [2**63 + 5 * k for k in range(7)] + list(range(7)),
     }[ids]
     relabel = dict(zip(range(14), labels))
-    net = TemporalNetwork(Event(relabel[e.source], relabel[e.target], e.time) for e in base)
+    net = from_rows((relabel[e.source], relabel[e.target], e.time) for e in base)
     assert net.node_ids.dtype == (object if ids == "past_int64" else np.int64)
     _assert_aggregate_matches_networkx(aggregate_network(net), list(net))
     cs = ComponentSet(build_teg(net, 0.4))
@@ -556,14 +555,14 @@ def test_aggregate_counts_match_networkx(seed, ids):
 
 
 def test_aggregate_equality_and_hash_are_those_of_the_sets():
-    net = TemporalNetwork([Event(0, 1, 0.0), Event(1, 0, 0.5), Event(7, 8, 50.0), Event(7, 8, 51.0)])
+    net = from_rows([(0, 1, 0.0), (1, 0, 0.5), (7, 8, 50.0), (7, 8, 51.0)])
     teg = build_teg(net, 1.0)
     part = aggregate_component(teg, 1)
-    alone = aggregate_network(TemporalNetwork([Event(7, 8, 3.0)]))
+    alone = aggregate_network(from_rows([(7, 8, 3.0)]))
     # the same sets over different node columns
     assert part == alone and hash(part) == hash(alone)
     assert hash(part) == hash((frozenset({7, 8}), frozenset({(7, 8)})))
-    assert part != aggregate_network(TemporalNetwork([Event(8, 7, 3.0)]))
+    assert part != aggregate_network(from_rows([(8, 7, 3.0)]))
     assert part != aggregate_component(teg, 0)
     assert part != (part.nodes, part.edges)
     assert len({part, alone, aggregate_network(net)}) == 2
@@ -576,7 +575,7 @@ def test_aggregate_rejects_node_counts_past_int64_keys():
 
 
 def test_aggregate_of_one_component():
-    net = TemporalNetwork([Event(0, 1, 0.0), Event(7, 8, 50.0)])
+    net = from_rows([(0, 1, 0.0), (7, 8, 50.0)])
     teg = build_teg(net, 1.0)
     agg = aggregate_component(teg, 0)
     assert agg.node_count == 2
@@ -636,10 +635,10 @@ def _tied_net(rng, m, nodes):
     src = rng.integers(0, nodes, m)
     dst = (src + rng.integers(1, nodes, m)) % nodes
     times = rng.integers(0, m // 4 + 1, m)
-    events = [Event(s, d, float(t)) for s, d, t in zip(src.tolist(), dst.tolist(), times.tolist())]
+    events = list(zip(src.tolist(), dst.tolist(), map(float, times.tolist())))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return TemporalNetwork(events)
+        return from_rows(events)
 
 
 def test_ranks_and_columns_match_networkx_under_ties():

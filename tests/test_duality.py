@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracles import fifo_potentials
+from _oracles import fifo_potentials, from_rows
 from tegraph import (
     MOTIFS,
     AnchorError,
@@ -86,7 +86,7 @@ FIXTURE_C4 = _graph(3, [(0, 1, 1.0, BC), (1, 2, 1.0, CA), (0, 2, 2.0, BA)])
 
 
 def test_strip_keeps_labels_and_keys():
-    net = TemporalNetwork([Event(0, 1, 0.0), Event(1, 2, 1.0), Event(2, 0, 3.0)])
+    net = from_rows([(0, 1, 0.0), (1, 2, 1.0), (2, 0, 3.0)])
     teg = build_teg(net, math.inf)
     g = strip_events(teg)
     assert g.vertex_count == 3
@@ -99,13 +99,13 @@ def test_strip_keeps_labels_and_keys():
 
 
 def test_strip_anchors_record_every_event_time():
-    net = TemporalNetwork([Event(0, 1, 2.0), Event(1, 2, 3.5)])
+    net = from_rows([(0, 1, 2.0), (1, 2, 3.5)])
     g = strip_events(build_teg(net, math.inf), keep_anchors=True)
     assert g.anchors == {0: 2.0, 1: 3.5}
 
 
 def test_strip_empty():
-    g = strip_events(build_teg(TemporalNetwork(()), 1.0))
+    g = strip_events(build_teg(from_rows(()), 1.0))
     assert g.vertex_count == 0
     assert g.edge_count == 0
     assert check_consistency(g).ok
@@ -143,6 +143,13 @@ def _edge(i=0, j=1, tau=1.0, code=0):
         (dict(anchor_vertices=[1, 1], anchor_times=[0.0, 0.0]), "duplicate anchor vertex 1"),
         (_edge(0, 2**70), "edge key \\(0,1180591620717411303424\\)"),
         (dict(heads=[[0]], tails=[[1]], taus=[[1.0]], codes=[[0]]), "integers"),
+        # bools in lists of ints or floats are named, not cast: row 0 first
+        (dict(heads=[True, 0], tails=[1, 1], taus=[1.0, True], codes=[0, 1]), "edge key \\(True,1\\)"),
+        (dict(heads=[0, 0], tails=[1, 1], taus=[1.0, True], codes=[0, 1]), "tau\\[0,1\\] .* got True"),
+        (dict(anchor_vertices=[0, 1], anchor_times=[1.0, True]), "vertex 1 must be finite, got True"),
+        (dict(heads=np.array([0], np.uint64), tails=np.array([2**63], np.uint64), taus=[1.0], codes=[0]),
+         "edge key \\(0,9223372036854775808\\)"),
+        (dict(heads=np.array([[0]]), tails=[1], taus=[1.0], codes=[0]), "one-dimensional"),
     ],
 )
 def test_graph_validation(kwargs, match):
@@ -291,10 +298,10 @@ def test_label_implying_a_missing_edge_is_c4():
 def _reply_pairs(pairs):
     """Pair (3p, 3p+1) opens, (3p, 3p+2) follows, (3p, 3p+1) replies; all
     openings come first, then all follow-ups, then all replies."""
-    events = [Event(3 * p, 3 * p + 1, float(p)) for p in range(pairs)]
-    events += [Event(3 * p, 3 * p + 2, float(pairs + p)) for p in range(pairs)]
-    events += [Event(3 * p, 3 * p + 1, float(2 * pairs + p)) for p in range(pairs)]
-    return strip_events(build_teg(TemporalNetwork(events), math.inf))
+    events = [(3 * p, 3 * p + 1, float(p)) for p in range(pairs)]
+    events += [(3 * p, 3 * p + 2, float(pairs + p)) for p in range(pairs)]
+    events += [(3 * p, 3 * p + 1, float(2 * pairs + p)) for p in range(pairs)]
+    return strip_events(build_teg(from_rows(events), math.inf))
 
 
 def test_reply_pairs_validate_and_a_flipped_reply_is_c4():
@@ -310,8 +317,8 @@ def test_reply_pairs_validate_and_a_flipped_reply_is_c4():
 
 
 def test_perturbing_any_diamond_tau_breaks_c1():
-    net = TemporalNetwork(
-        [Event(0, 1, 0.0), Event(0, 2, 1.0), Event(1, 3, 2.0), Event(2, 3, 3.0)]
+    net = from_rows(
+        [(0, 1, 0.0), (0, 2, 1.0), (1, 3, 2.0), (2, 3, 3.0)]
     )
     g = strip_events(build_teg(net, math.inf))
     assert check_consistency(g).ok
@@ -323,8 +330,8 @@ def test_perturbing_any_diamond_tau_breaks_c1():
 
 
 def test_duplicating_xi_out_breaks_c2():
-    g = strip_events(build_teg(TemporalNetwork(
-        [Event(0, 1, 0.0), Event(0, 2, 1.0), Event(1, 2, 2.0)]
+    g = strip_events(build_teg(from_rows(
+        [(0, 1, 0.0), (0, 2, 1.0), (1, 2, 2.0)]
     ), math.inf))
     assert check_consistency(g).ok
     codes = g.codes.copy()
@@ -351,16 +358,16 @@ def test_generated_graphs_are_consistent(seed, sampler, windows):
 
 
 def test_round_trip_without_anchors_is_canonical():
-    net = TemporalNetwork(
-        [Event(3, 1, 4.0), Event(1, 2, 5.0), Event(2, 3, 6.5), Event(3, 2, 8.0)]
+    net = from_rows(
+        [(3, 1, 4.0), (1, 2, 5.0), (2, 3, 6.5), (3, 2, 8.0)]
     )
     g = strip_events(build_teg(net, math.inf))
     assert reconstruct(g) == canonicalize(net)
 
 
 def test_round_trip_with_anchors_restores_absolute_times():
-    net = TemporalNetwork(
-        [Event(0, 1, 10.0), Event(1, 2, 11.25), Event(0, 2, 13.5)]
+    net = from_rows(
+        [(0, 1, 10.0), (1, 2, 11.25), (0, 2, 13.5)]
     )
     g = strip_events(build_teg(net, math.inf), keep_anchors=True)
     rebuilt = reconstruct(g)
@@ -374,8 +381,8 @@ def test_round_trip_with_anchors_restores_every_component():
     for k in range(60):
         group = rng.randrange(3)
         a, b = rng.sample(range(3 * group, 3 * group + 3), 2)
-        events.append(Event(a, b, 7.0 + 0.25 * k))
-    net = TemporalNetwork(events)
+        events.append((a, b, 7.0 + 0.25 * k))
+    net = from_rows(events)
     teg = build_teg(net, math.inf)
     assert len(weakly_connected_components(teg)) == 3
     g = strip_events(teg, keep_anchors=True)
@@ -398,15 +405,11 @@ def test_round_trip_random_connected(seed):
         u = int(rng.integers(0, 6))
         v = int(rng.integers(0, 5))
         v += v >= u
-        events.append(Event(u, v, t))
-    net = TemporalNetwork(events)
+        events.append((u, v, t))
+    net = from_rows(events)
     teg = build_teg(net, math.inf)
     g = strip_events(teg)
     assert reconstruct(g) == canonicalize(net)
-
-
-def _network(events):
-    return TemporalNetwork([Event(*e) for e in events])
 
 
 @pytest.mark.filterwarnings("ignore:.*equal-timestamp")
@@ -421,7 +424,7 @@ def _network(events):
 def test_tied_network_round_trips(events):
     # two tied events share node 1 but no edge; the labels of their edges
     # to the next event join their slots, and a zero gap asks for no edge
-    net = _network(events)
+    net = from_rows(events)
     g = strip_events(build_teg(net, 2.0))
     assert check_consistency(g).ok
     assert reconstruct(g) == canonicalize(net)
@@ -433,7 +436,7 @@ def test_tie_hiding_a_next_event_in_another_component_is_c4(keep_anchors):
     # node 1's event after (0,1,2) is the tied (1,2,2), which has no edge to
     # it and lies in another component; within its own component the labels
     # then make event 3 its next event on node 1, an edge the graph lacks
-    net = _network([(0, 1, 2), (1, 2, 2), (2, 1, 3), (2, 1, 3), (0, 1, 5), (1, 0, 6), (1, 2, 6), (0, 2, 9)])
+    net = from_rows([(0, 1, 2), (1, 2, 2), (2, 1, 3), (2, 1, 3), (0, 1, 5), (1, 0, 6), (1, 2, 6), (0, 2, 9)])
     report = check_consistency(strip_events(build_teg(net, 3.5), keep_anchors=keep_anchors))
     assert [(v.condition, v.edges) for v in report.violations] == [("C4", ((0, 3),))]
 
@@ -444,7 +447,7 @@ def test_one_ulp_gap_whose_potentials_round_equal_is_an_edge(keep_anchors):
     # events 2 and 3 are one ulp apart; the tau sums reach both at 3.3, yet
     # the edge between them is real and C1 accepts its tau
     times = (0.0, 1.0999999999999999, 3.3, math.nextafter(3.3, math.inf))
-    net = _network([(0, 1, times[0]), (1, 0, times[1]), (2, 0, times[2]), (2, 1, times[3])])
+    net = from_rows([(0, 1, times[0]), (1, 0, times[1]), (2, 0, times[2]), (2, 1, times[3])])
     g = strip_events(build_teg(net, math.inf), keep_anchors=keep_anchors)
     assert g.tau[2, 3] == times[3] - times[2]
     assert check_consistency(g).ok
@@ -461,7 +464,7 @@ def _tied_networks(count):
     for _ in range(count):
         nodes = rng.randrange(2, 6)
         events = [(*rng.sample(range(nodes), 2), float(rng.randrange(12))) for _ in range(rng.randrange(2, 31))]
-        yield _network(events), rng.choice((0.5, 1.0, 2.0, 3.5, math.inf))
+        yield from_rows(events), rng.choice((0.5, 1.0, 2.0, 3.5, math.inf))
 
 
 def _component(g, members):
@@ -529,7 +532,7 @@ def test_isolated_vertex_becomes_fresh_event():
 
 
 def test_contradictory_anchors_raise():
-    net = TemporalNetwork([Event(0, 1, 0.0), Event(1, 2, 1.0)])
+    net = from_rows([(0, 1, 0.0), (1, 2, 1.0)])
     g = strip_events(build_teg(net, math.inf), keep_anchors=True)
     bad = _with(g, anchor_vertices=[0, 1], anchor_times=[0.0, 5.0])
     with pytest.raises(AnchorError, match="disagree"):
@@ -753,10 +756,10 @@ def _mutation_corpus():
         for _ in range(rng.randrange(2, 31)):
             u, v = rng.sample(range(nodes), 2)
             t = float(rng.randrange(12)) if tie_heavy else t + rng.choice((0.25, 1.0, rng.random() + 0.01))
-            events.append(Event(u, v, t))
+            events.append((u, v, t))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            net = TemporalNetwork(events)
+            net = from_rows(events)
         g = strip_events(build_teg(net, rng.choice((1.5, 3.5, math.inf))), keep_anchors=k % 3 == 0)
         tau, mu, anchors = g.tau, g.mu, g.anchors
         keys = sorted(tau)
@@ -808,7 +811,7 @@ def test_mutation_corpus_matches_recorded_digests():
 
 
 def _columns_graph(sources, targets, times):
-    net = TemporalNetwork._from_columns(np.asarray(sources), np.asarray(targets), np.asarray(times, float))
+    net = TemporalNetwork(np.asarray(sources), np.asarray(targets), np.asarray(times, float))
     return strip_events(build_teg(net, math.inf))
 
 
@@ -1063,7 +1066,7 @@ def test_chunked_components_writer_matches_json_dump(tmp_path, rows):
     # at this window the pinned network has 4,478 components, 454 of them
     # with more than one event, so --top sets the row count
     path, out = tmp_path / "events.txt", tmp_path / "components.json"
-    net = _pinned_graphs()[0].network if rows else TemporalNetwork(())
+    net = _pinned_graphs()[0].network if rows else from_rows(())
     dt = 1.0
     save_events(net, str(path))
     argv = ["components", "--input", str(path), "--dt", repr(dt), "--output", str(out)]

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from tegraph import (
     sweep_largest_component,
     time_shuffle,
 )
-from _oracles import first_seen, format_time, stable_fill, time_shuffle_sorted
+from _oracles import first_seen, format_time, from_rows, stable_fill, time_shuffle_sorted
 from tegraph import _text
 from tegraph.events import _first_seen, _stable_sort, load_events, save_events, write_events
 
@@ -47,11 +48,62 @@ from tegraph.events import _first_seen, _stable_sort, load_events, save_events, 
         (1, 2, -0.5),
         (1, 2, math.inf),
         (1, 2, math.nan),
+        (1, 2, True),  # a bool is not a time either
+        (1, 2, "3"),
     ],
 )
 def test_event_rejects_bad_fields(source, target, time):
     with pytest.raises(ValueError):
         Event(source, target, time)
+
+
+_ROWS = dict(sources=[4, 7, 9], targets=[7, 9, 4], times=[0.5, 1.0, 2.0])
+_POSITIONS = dict(sources=[0, 1, 2], targets=[1, 2, 0], times=[0.5, 1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "columns,match",
+    [
+        (dict(_ROWS, sources=[4, 7.0, 9]), "event 1: node ids must be integers, got (7.0, 9)"),
+        (dict(_ROWS, targets=np.array([7.0, 9.0, 4.0])), "event 0: node ids must be integers, got (4, 7.0)"),
+        (dict(_ROWS, targets=[7, 9, True]), "event 2: node ids must be integers, got (9, True)"),
+        (dict(_ROWS, sources=np.array([True, False, True])), "event 0: node ids must be integers, got (True, 7)"),
+        (dict(_ROWS, sources=[4, -7, 9]), "event 1: node ids must be non-negative, got (-7, 9)"),
+        (dict(_ROWS, targets=[7, 7, 4]), "event 1: self-loop at node 7 (time 1.0)"),
+        (dict(_ROWS, times=[0.5, math.nan, 2.0]), "event 1: event time must be non-negative and finite, got nan"),
+        (dict(_ROWS, times=[0.5, 1.0, math.inf]), "event 2: event time must be non-negative and finite, got inf"),
+        (dict(_ROWS, times=np.array([0.5, -1, 2])), "event 1: event time must be non-negative and finite, got -1.0"),
+        (dict(_ROWS, times=[0.5, "1", False]), "event 1: event time must be non-negative and finite, got 1"),
+        # the first offending row in the given order, whatever its fault
+        (dict(sources=[4, 7, 9], targets=[7, 4.5, 9], times=[0.5, 1.0, -2.0]), "event 1: node ids must be integers"),
+        (dict(_ROWS, sources=[True, 0, 9], targets=[2, 2, 4], times=[1.0, True, 2.0]), "event 0: node ids must be"),
+        (dict(_ROWS, times=[0.5, 1.0]), "unequal lengths (3, 3, 2)"),
+        (dict(_ROWS, sources=np.array([[4, 7, 9]])), "columns must be one-dimensional, got shape (1, 3)"),
+        (dict(_POSITIONS, node_ids=[4, 9, 7]), "node_ids must be strictly ascending ids, got 7 at 2"),
+        (dict(_POSITIONS, node_ids=[4, 4, 9]), "node_ids must be strictly ascending ids, got 4 at 1"),
+        (dict(_POSITIONS, node_ids=[-4, 7, 9]), "node_ids must be strictly ascending ids, got -4 at 0"),
+        (dict(_POSITIONS, node_ids=[4, True, 9]), "node_ids must be strictly ascending ids, got True at 1"),
+        (dict(_POSITIONS, targets=[1, 3, 0], node_ids=[4, 7, 9]), "event 1: node positions (1, 3) not in 0..2"),
+        (dict(_POSITIONS, sources=[0, 1, -1], node_ids=[4, 7, 9]), "event 2: node positions (-1, 0) not in 0..2"),
+        (dict(_POSITIONS, sources=[0, 1.0, 2], node_ids=[4, 7, 9]), "event 1: node positions (1.0, 2) not in"),
+        (dict(_POSITIONS, targets=[1, 1, 0], node_ids=[4, 7, 9]), "event 1: self-loop at node 7 (time 1.0)"),
+        (dict(_POSITIONS, times=[0.5, 1.0, -0.5], node_ids=[4, 7, 9]), "event 2: event time must be non-negative"),
+        (dict(_ROWS, tie_policy="first"), "unknown tie_policy 'first'"),
+    ],
+)
+def test_constructor_names_the_first_offending_row(columns, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        TemporalNetwork(**columns)
+
+
+def test_id_columns_keep_ids_past_int64():
+    # a list past int64 is no float column, and uint64 ids never wrap negative
+    big = [2**63, 2**64 + 1]
+    for sources, targets in ((big, [1, 2]), (np.array(big[:1] * 2, np.uint64), np.array([1, 2], np.uint64))):
+        net = TemporalNetwork(sources, targets, [0.0, 1.0])
+        assert net.node_ids.dtype == object
+        assert net.node_ids.tolist() == sorted({*map(int, sources), 1, 2})
+    assert TemporalNetwork(np.array([3, 1], np.uint64), [1, 2], [0.0, 1.0]).node_ids.dtype == np.int64
 
 
 def test_event_nodes():
@@ -60,7 +112,7 @@ def test_event_nodes():
 
 
 def test_network_sorts_by_time():
-    net = TemporalNetwork([Event(0, 1, 5.0), Event(1, 2, 1.0), Event(2, 0, 3.0)])
+    net = from_rows([(0, 1, 5.0), (1, 2, 1.0), (2, 0, 3.0)])
     assert [e.time for e in net] == [1.0, 3.0, 5.0]
     assert net.nodes == frozenset({0, 1, 2})
     assert len(net) == 3
@@ -68,50 +120,50 @@ def test_network_sorts_by_time():
 
 
 def test_equal_times_stable_order_warns():
-    events = [Event(0, 1, 2.0), Event(1, 2, 2.0), Event(2, 3, 1.0)]
+    events = [(0, 1, 2.0), (1, 2, 2.0), (2, 3, 1.0)]
     with pytest.warns(UserWarning, match="equal-timestamp"):
-        net = TemporalNetwork(events)
+        net = from_rows(events)
     # ties keep their given relative order after the stable sort
     assert net.events[1:] == (Event(0, 1, 2.0), Event(1, 2, 2.0))
     assert net.tie_count == 1
 
 
 def test_equal_times_reject_policy():
-    events = [Event(0, 1, 2.0), Event(1, 2, 2.0)]
+    events = [(0, 1, 2.0), (1, 2, 2.0)]
     with pytest.raises(ValueError, match="equal-timestamp"):
-        TemporalNetwork(events, tie_policy="reject")
+        from_rows(events, tie_policy="reject")
     with pytest.raises(ValueError):
-        TemporalNetwork(events, tie_policy="nonsense")
+        from_rows(events, tie_policy="nonsense")
 
 
 def test_network_equality_and_hash():
-    a = TemporalNetwork([Event(0, 1, 1.0), Event(1, 2, 2.0)])
-    b = TemporalNetwork([Event(1, 2, 2.0), Event(0, 1, 1.0)])
+    a = from_rows([(0, 1, 1.0), (1, 2, 2.0)])
+    b = from_rows([(1, 2, 2.0), (0, 1, 1.0)])
     assert a == b
     assert hash(a) == hash(b)
-    assert a != TemporalNetwork([Event(0, 1, 1.0)])
+    assert a != from_rows([(0, 1, 1.0)])
 
 
 def test_duration():
-    assert TemporalNetwork(()).duration == 0.0
-    assert TemporalNetwork([Event(0, 1, 4.0)]).duration == 0.0
-    net = TemporalNetwork([Event(0, 1, 1.5), Event(1, 2, 7.0)])
+    assert from_rows(()).duration == 0.0
+    assert from_rows([(0, 1, 4.0)]).duration == 0.0
+    net = from_rows([(0, 1, 1.5), (1, 2, 7.0)])
     assert net.duration == 5.5
 
 
 def test_canonicalize_shifts_and_relabels():
-    net = TemporalNetwork([Event(9, 4, 10.0), Event(4, 2, 11.5)])
+    net = from_rows([(9, 4, 10.0), (4, 2, 11.5)])
     canon = canonicalize(net)
     assert canon.events == (Event(0, 1, 0.0), Event(1, 2, 1.5))
     # idempotent, and invariant under relabelling plus translation
     assert canonicalize(canon) == canon
-    shifted = TemporalNetwork([Event(70, 80, 3.0), Event(80, 90, 4.5)])
+    shifted = from_rows([(70, 80, 3.0), (80, 90, 4.5)])
     assert canonicalize(shifted) == canon
 
 
 def test_canonicalize_empty_rejected():
     with pytest.raises(ValueError):
-        canonicalize(TemporalNetwork(()))
+        canonicalize(from_rows(()))
 
 
 def _event_text(net):
@@ -121,7 +173,7 @@ def _event_text(net):
 
 
 def test_text_round_trip_is_lossless():
-    net = TemporalNetwork([Event(0, 1, 3.0), Event(5, 2, 3.0000000000000004)])
+    net = from_rows([(0, 1, 3.0), (5, 2, 3.0000000000000004)])
     text = _event_text(net)
     # integral times print bare, others with full precision
     assert text == "0 1 3\n5 2 3.0000000000000004\n"
@@ -224,14 +276,14 @@ def test_duplicate_count_only_among_ties(seed):
 
 
 def test_file_round_trip(tmp_path):
-    net = TemporalNetwork([Event(4, 1, 0.25), Event(1, 3, 2.0)])
+    net = from_rows([(4, 1, 0.25), (1, 3, 2.0)])
     path = tmp_path / "events.txt"
     save_events(net, str(path))
     assert load_events(str(path)) == net
 
 
 def test_write_events_stream():
-    net = TemporalNetwork([Event(0, 1, 1.0)])
+    net = from_rows([(0, 1, 1.0)])
     buf = io.StringIO()
     write_events(net, buf)
     assert buf.getvalue() == "0 1 1\n"
@@ -241,7 +293,7 @@ def test_write_events_stream():
     "times",
     [
         [-0.0, 0.0, 1.0, 2.5],
-        [2.0**53 - 1, 2.0**53, -(2.0**53), -(2.0**53) + 1, 2.0**53 + 2],
+        [2.0**53 - 1, 2.0**53, 2.0**53 - 2, 2.0**53 + 2, 2.0**54 + 4],
         [1e16, 1e300, 1.7976931348623157e308, 5e-324, 123456789.0, 0.1],
         [float(k) for k in range(50)] + [k + 0.5 for k in range(50)],
         [k / 3 if k % 5 else float(k) for k in range(2 * _text.ROWS + 3)],
@@ -250,9 +302,9 @@ def test_write_events_stream():
 )
 @pytest.mark.filterwarnings("ignore:.*equal-timestamp")  # -0.0 ties 0.0
 def test_event_text_matches_one_float_at_a_time(times):
-    # the columns are taken as given: times of any sign and size
+    # times of any size, as a network holds them
     n = len(times)
-    net = TemporalNetwork._from_columns(np.arange(n) % 7, np.arange(n) % 7 + 1, np.array(times))
+    net = TemporalNetwork(np.arange(n) % 7, np.arange(n) % 7 + 1, np.array(times))
     columns = (net.node_ids[net.sources].tolist(), net.node_ids[net.targets].tolist(), net.times.tolist())
     expected = "".join(f"{s} {t} {format_time(x)}\n" for s, t, x in zip(*columns))
     assert _event_text(net) == expected
@@ -284,13 +336,14 @@ def test_columns_and_event_lists_agree(name, events):
     ties = sum(a.time == b.time for a, b in zip(ordered, ordered[1:]))
     text = "".join(f"{e.source} {e.target} {e.time!r}\n" for e in events)
     ids = lambda attr: np.array([getattr(e, attr) for e in events], dtype=object)
+    rows = [(e.source, e.target, e.time) for e in events]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         built = [
-            TemporalNetwork(events),
-            TemporalNetwork._from_columns(ids("source"), ids("target"), np.array([e.time for e in events])),
+            from_rows(rows),
+            TemporalNetwork(ids("source"), ids("target"), np.array([e.time for e in events])),
             parse_events(io.StringIO(text)),
-            pickle.loads(pickle.dumps(TemporalNetwork(events))),
+            pickle.loads(pickle.dumps(from_rows(rows))),
         ]
     for net in built:
         assert net.events == tuple(ordered)
@@ -391,7 +444,7 @@ def _assert_parses_like_reference(parse, lines, **kwargs):
     assert [str(w.message) for w in caught] == [m for m in messages if not m.startswith("0 ")]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        want = TemporalNetwork(expected)
+        want = from_rows((e.source, e.target, e.time) for e in expected)
     assert net.node_ids.dtype == want.node_ids.dtype
     assert net.node_ids.tolist() == want.node_ids.tolist()
     assert np.array_equal(net.sources, want.sources) and np.array_equal(net.targets, want.targets)
@@ -639,21 +692,40 @@ def _assert_columns(net, expected):
 @pytest.mark.parametrize("name,sources,targets,times", _fill_cases(), ids=[c[0] for c in _fill_cases()])
 @pytest.mark.filterwarnings("ignore:.*equal-timestamp")
 def test_fill_matches_the_stable_sort_bit_for_bit(name, sources, targets, times):
-    net = TemporalNetwork._from_columns(sources, targets, times)
+    net = TemporalNetwork(sources, targets, times)
     _assert_columns(net, stable_fill(sources, targets, times))
     # the same events given as positions into known node ids
-    _assert_columns(TemporalNetwork._from_columns(net.sources, net.targets, net.times, net.node_ids),
+    _assert_columns(TemporalNetwork(net.sources, net.targets, net.times, net.node_ids),
                     stable_fill(net.sources, net.targets, net.times, net.node_ids))
     _assert_columns(
-        TemporalNetwork._from_columns(net.sources[::-1], net.targets[::-1], net.times[::-1], net.node_ids),
+        TemporalNetwork(net.sources[::-1], net.targets[::-1], net.times[::-1], net.node_ids),
         stable_fill(net.sources[::-1], net.targets[::-1], net.times[::-1], net.node_ids),
     )
+
+
+@pytest.mark.filterwarnings("ignore:.*equal-timestamp")
+def test_any_row_order_gives_the_same_columns():
+    untied = generate_random(GeneratorConfig(40, 3000, PowerLawIets(0.5), 4))
+    assert untied.tie_count == 0
+    ids = untied.node_ids
+    _, sources, targets, times = _fill_cases()[0]  # tie-heavy
+    for seed in range(4):
+        perm = np.random.default_rng(seed).permutation(len(untied))
+        rows = ids[untied.sources[perm]], ids[untied.targets[perm]], untied.times[perm]
+        _assert_columns(TemporalNetwork(*rows), untied.__getstate__())
+        _assert_columns(TemporalNetwork(*(c.tolist() for c in rows)), untied.__getstate__())
+        positions = untied.sources[perm], untied.targets[perm], untied.times[perm], ids
+        _assert_columns(TemporalNetwork(*positions), untied.__getstate__())
+        # tied rows keep their given relative order
+        perm = np.random.default_rng(seed).permutation(len(times))
+        expected = stable_fill(sources[perm], targets[perm], times[perm])
+        _assert_columns(TemporalNetwork(sources[perm], targets[perm], times[perm]), expected)
 
 
 @pytest.mark.parametrize("name,sources,targets,times", _fill_cases(), ids=[c[0] for c in _fill_cases()])
 @pytest.mark.filterwarnings("ignore:.*equal-timestamp")
 def test_time_shuffle_matches_the_stable_sort_bit_for_bit(name, sources, targets, times):
-    net = TemporalNetwork._from_columns(sources, targets, times)
+    net = TemporalNetwork(sources, targets, times)
     for seed in range(3):
         perm = np.random.default_rng(seed).permutation(len(net))
         expected = stable_fill(net.sources, net.targets, net.times[perm], net.node_ids)
@@ -665,23 +737,23 @@ def _shuffle_cases():
     of ``time_shuffle``, tied ones its time sort."""
     rng = np.random.default_rng(20)
 
-    def network(times, offset=0):
+    def random_network(times, offset=0):
         sources = rng.integers(0, 12, len(times))
         targets = (sources + rng.integers(1, 12, len(times))) % 12
-        return TemporalNetwork._from_columns(sources + offset, targets + offset, np.asarray(times, float))
+        return TemporalNetwork(sources + offset, targets + offset, np.asarray(times, float))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return [
-            ("distinct", network(rng.random(3000))),
-            ("integer_ties", network(rng.integers(0, 100, 3000))),
-            ("all_equal", network(np.full(500, 7.0))),
-            ("signed_zeros", network(rng.choice([-0.0, 0.0], 400))),
-            ("signed_zeros_and_ones", network(np.sort(rng.choice([-0.0, 0.0, 1.0], 600)))),
-            ("no_events", TemporalNetwork([])),
-            ("one_event", TemporalNetwork([Event(3, 4, 1.5)])),
-            ("big_ids", network(rng.random(800), offset=np.array(2**64, dtype=object))),
-            ("big_ids_tied", network(rng.integers(0, 50, 800), offset=np.array(2**64, dtype=object))),
+            ("distinct", random_network(rng.random(3000))),
+            ("integer_ties", random_network(rng.integers(0, 100, 3000))),
+            ("all_equal", random_network(np.full(500, 7.0))),
+            ("signed_zeros", random_network(rng.choice([-0.0, 0.0], 400))),
+            ("signed_zeros_and_ones", random_network(np.sort(rng.choice([-0.0, 0.0, 1.0], 600)))),
+            ("no_events", from_rows([])),
+            ("one_event", from_rows([(3, 4, 1.5)])),
+            ("big_ids", random_network(rng.random(800), offset=np.array(2**64, dtype=object))),
+            ("big_ids_tied", random_network(rng.integers(0, 50, 800), offset=np.array(2**64, dtype=object))),
         ]
 
 
