@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial, reduce
 from math import inf
@@ -50,6 +49,7 @@ from .duality import (
 from .events import ParseError, _stable_sort, _starts, load_events, save_events
 from .generators import (
     GeneratorConfig,
+    _shuffled_columns,
     ensemble_seeds,
     generate_random,
     parse_iet_sampler,
@@ -57,7 +57,7 @@ from .generators import (
 )
 from .motifs import _NAMES, MOTIFS, Motif
 from .svgrender import barcode_svg, ccdf_svg
-from .teg import build_teg, write_teg_json
+from .teg import _motif_code_counts, build_teg, write_teg_json
 
 _USAGE_EXIT = 1
 _INPUT_EXIT = 2
@@ -282,11 +282,11 @@ def _cmd_sweep(args):
 
 
 def _shuffle_frequencies(net, dt, seed):
-    counts = motif_counts(build_teg(time_shuffle(net, seed), dt))
-    total = sum(counts.values())
+    counts = _motif_code_counts(*_shuffled_columns(net, seed), dt).tolist()
+    total = sum(counts)
     if total == 0:
         raise ValueError(f"shuffle seed {seed}: event graph has no edges at this window")
-    return [counts[m] / total for m in MOTIFS]
+    return [count / total for count in counts]
 
 
 _MOTIF_ROW = "%s,%d" + ",%.17g" * len(MOTIFS) + "\n"
@@ -308,12 +308,10 @@ def _cmd_motifs(args):
         masses = counts[kept] / totals[kept, None]
         blocks.append(_text.rows("component:" + _MOTIF_ROW, kept, totals[kept], *masses.T))
     if args.ensemble:
-        # members share the read-only network; numpy releases the GIL in their
-        # sorts and gathers. Warning filters are process-wide and not
-        # thread-safe to change, so the tie warnings of shuffled members are
-        # silenced once, here, around the whole pool.
-        with warnings.catch_warnings(), ThreadPoolExecutor(max_workers=args.workers) as pool:
-            warnings.simplefilter("ignore")
+        # members share the read-only network and build none of their own, so
+        # they have nothing to warn of; numpy releases the GIL in their sorts
+        # and gathers
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
             member = partial(_shuffle_frequencies, net, args.dt)
             freqs = list(pool.map(member, ensemble_seeds(args.seed, args.ensemble)))
         # added in order: sum() compensates float rounding from Python 3.12 on

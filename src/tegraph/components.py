@@ -418,9 +418,11 @@ class AggregateGraph:
         if not self.edge_count:
             return 0.0
         n = len(self.node_ids)
-        keys, reverse = self.sources * n + self.targets, self.targets * n + self.sources
-        found = keys[keys.searchsorted(reverse).clip(max=len(keys) - 1)] == reverse
-        return int(np.count_nonzero(found)) / self.edge_count
+        # the keys and the reversed keys are each distinct: a key in both is
+        # a pair of equal neighbours in their merged sort
+        keys = np.concatenate((self.sources * n + self.targets, self.targets * n + self.sources))
+        keys.sort()
+        return int(np.count_nonzero(keys[1:] == keys[:-1])) / self.edge_count
 
     @property
     def weak_component_count(self) -> int:

@@ -49,8 +49,11 @@ class Event:
             raise ValueError(f"node ids must be non-negative, got ({self.source}, {self.target})")
         if self.source == self.target:
             raise ValueError(f"self-loop at node {self.source} (time {self.time})")
-        if not (_right(self.time, True) and isfinite(self.time) and self.time >= 0):
-            raise ValueError(f"event time must be non-negative and finite, got {self.time}")
+        if not (_right(self.time, True) and _finite(self.time) and self.time >= 0):
+            # an int past the float range may have too many digits to print
+            big = _right(self.time) and not _finite(self.time)
+            got = f"an int past the float range ({self.time.bit_length()} bits)" if big else self.time
+            raise ValueError(f"event time must be non-negative and finite, got {got}")
 
     @property
     def nodes(self) -> tuple[int, int]:
@@ -69,6 +72,14 @@ def _right(value, number: bool = False) -> bool:
     return type(value) is not bool and isinstance(value, kinds)
 
 
+def _finite(number) -> bool:
+    """Whether a number is finite as a float: an int past the float range is not."""
+    try:
+        return isfinite(number)
+    except OverflowError:
+        return False
+
+
 def _column(values, numbers: bool = False):
     """``values`` as a one-dimensional int64 column, or float64 where ``numbers``,
     and the mask of its values of a wrong type (by ``_right`` in a list, by the
@@ -85,14 +96,18 @@ def _column(values, numbers: bool = False):
         values = np.where(wrong, 0, np.fromiter(values, object, len(values)))
     try:
         return np.asarray(values, np.float64 if numbers else np.int64), wrong
-    except OverflowError:
-        return np.asarray(values, object), wrong
+    except OverflowError:  # ints past int64 stay; past the float range, they are wrong numbers
+        if not numbers:
+            return np.asarray(values, object), wrong
+        wrong = wrong | [not _finite(value) for value in values]
+        return np.where(wrong, 0.0, np.fromiter(values, object, len(values))).astype(np.float64), wrong
 
 
 def _given(values, k, number: bool = False):
-    """Value ``k`` of a column as given, as a Python object; a number as a float."""
+    """Value ``k`` of a column as given, as a Python object; a number as a
+    float where it is finite as one."""
     value = values[k].item() if isinstance(values[k], np.generic) else values[k]
-    return float(value) if number and _right(value, True) else value
+    return float(value) if number and _right(value, True) and _finite(value) else value
 
 
 def _faults(sources, targets, times) -> np.ndarray:

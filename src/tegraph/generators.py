@@ -16,7 +16,7 @@ from math import isfinite
 
 import numpy as np
 
-from .events import TemporalNetwork, _inverse
+from .events import TemporalNetwork, _inverse, _stable_sort, _starts
 from .motifs import MOTIFS
 from .components import DiscreteDistribution
 
@@ -145,24 +145,36 @@ def generate_random(cfg: GeneratorConfig) -> TemporalNetwork:
     return TemporalNetwork(u, v + (v >= u), times)
 
 
+def _shuffled_columns(net: TemporalNetwork, seed: int):
+    """Node positions and times of ``time_shuffle(net, seed)``, bit for bit,
+    without the network: the columns of a stable time sort of the events
+    with their times permuted.
+
+    The times are already sorted: without ties, event ``e`` takes place
+    ``perm[e]``, so the inverse permutation orders the node columns and the
+    times stay. With ties, the run of equal times that each event draws is
+    its sort key; a stable sort of these keys alone puts tied events in
+    event order, and the drawn times are gathered in that order, so that
+    -0.0 and 0.0 keep their places.
+    """
+    perm = np.random.default_rng(seed).permutation(len(net))
+    run = _starts(net.times)  # the first event of each run of equal times
+    if run.all():
+        order = _inverse(perm)
+        return net.sources[order], net.targets[order], net.times
+    _, order = _stable_sort(np.cumsum(run)[perm])
+    return net.sources[order], net.targets[order], net.times[perm[order]]
+
+
 def time_shuffle(net: TemporalNetwork, seed: int) -> TemporalNetwork:
     """Null model: permute the time column uniformly over the events.
 
     The multiset of times and the ordered pair sequence are both kept; only
     their alignment is randomised, which destroys temporal correlations but
-    preserves the aggregate graph and the activity profile.
-
-    The times are already sorted: without ties, event ``e`` takes place
-    ``perm[e]``, so the inverse permutation orders the node columns and no
-    time sort is needed. Tied times keep the stable time sort, which alone
-    puts tied events in event order. Either way the columns are those of
-    the stable time sort, bit for bit.
+    preserves the aggregate graph and the activity profile. Equal times
+    keep event order (``_shuffled_columns``).
     """
-    perm = np.random.default_rng(seed).permutation(len(net))
-    if net.tie_count:
-        return TemporalNetwork(net.sources, net.targets, net.times[perm], net.node_ids)
-    order = _inverse(perm)
-    return TemporalNetwork(net.sources[order], net.targets[order], net.times, net.node_ids)
+    return TemporalNetwork(*_shuffled_columns(net, seed), net.node_ids)
 
 
 def analytic_motif_probabilities(node_count: int) -> DiscreteDistribution:

@@ -118,6 +118,13 @@ def _equality_bits(u_i, v_i, u_j, v_j) -> np.ndarray:
 # code; no edge has the ten other patterns (no shared node, or a self-loop)
 _CODE_OF_BITS = np.zeros(16, np.uint8)
 _CODE_OF_BITS[_equality_bits(*np.array([list(m.value) for m in MOTIFS]).T)] = range(len(MOTIFS))
+# by the slots (0 source, 1 target) a and b of a node shared by the earlier
+# and the later event, and whether their other nodes are the same: the later
+# event holds node a in slot b, beside the earlier event's other node or a new one
+_a, _b, _same = np.indices((2, 2, 2))
+_other = np.where(_same, 1 - _a, 2)
+_CODE_OF_SLOTS = _CODE_OF_BITS[_equality_bits(0, 1, np.where(_b, _other, _a), np.where(_b, _a, _other))]
+del _a, _b, _same, _other
 # code by the name's bytes (first: they hash as the name and motif do), name and motif; name by code
 _CODES = {key: c for c, m in enumerate(MOTIFS) for key in (m.value.encode(), m.value, m)}
 _NAMES = np.array([m.value for m in MOTIFS], dtype=object)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _text
 from .events import Event, TemporalNetwork, _readonly, _stable_sort, _starts
-from .motifs import _CODE_OF_BITS, _NAMES, _equality_bits
+from .motifs import _CODE_OF_BITS, _CODE_OF_SLOTS, _NAMES, MOTIFS, _equality_bits
 
 
 def check_window(delta_t: float) -> None:
@@ -79,6 +79,26 @@ def is_dt_adjacent(first: Event, second: Event, delta_t: float) -> bool:
     return 0 < gap < delta_t
 
 
+def _adjacent_incidences(nodes, times, delta_t: float):
+    """Each TEG edge candidate as a pair of incidences (p, q).
+
+    Incidence ``2e`` is (``nodes[2e]``, e) and ``2e + 1`` is
+    (``nodes[2e + 1]``, e): the source and target of event e, events in time
+    order. One stable sort by node lists each node's incidences in event
+    order, so q is the next incidence of p's node; a pair stays where its
+    gap lies in (0, delta_t). An event pair that shares both nodes may be
+    reached over each of them, and then appears twice.
+    """
+    grouped, order = _stable_sort(nodes)
+    follows = grouped[1:] == grouped[:-1]
+    del grouped
+    p, q = order[:-1][follows], order[1:][follows]
+    del order, follows
+    gaps = times[q >> 1] - times[p >> 1]
+    inside = (gaps > 0) & (gaps < delta_t)
+    return p[inside], q[inside]
+
+
 def _incidence_edges(sources, targets, times, delta_t: float):
     """Event-graph edges of the events ``(sources[e], targets[e], times[e])``.
 
@@ -86,23 +106,38 @@ def _incidence_edges(sources, targets, times, delta_t: float):
     ``tails`` and motif ``codes`` columns, sorted by (head, tail).
     """
     m = len(sources)
-    # incidence 2e is (sources[e], e) and 2e + 1 is (targets[e], e)
-    nodes = np.stack((sources, targets), 1).ravel()
-    grouped, order = _stable_sort(nodes)
-    del nodes
-    follows = grouped[1:] == grouped[:-1]
-    first = order[:-1][follows] >> 1
-    second = order[1:][follows] >> 1
-    gaps = times[second] - times[first]
-    inside = (gaps > 0) & (gaps < delta_t)
-    pairs = np.sort(first[inside] * m + second[inside])
+    p, q = _adjacent_incidences(np.stack((sources, targets), 1).ravel(), times, delta_t)
+    # the pair keys in place, the candidates freed before the sort: this sets the peak memory
+    pairs = p >> 1
+    pairs *= m
+    pairs += q >> 1
+    del p, q
+    pairs.sort()
     pairs = pairs[_starts(pairs)]
-    # free the candidates before classifying: this sets the peak memory
-    del order, grouped, follows, first, second, gaps, inside
     heads, tails = np.divmod(pairs, m)
     del pairs
     bits = _equality_bits(sources[heads], targets[heads], sources[tails], targets[tails])
     return heads, tails, _CODE_OF_BITS[bits]
+
+
+def _motif_code_counts(sources, targets, times, delta_t: float) -> np.ndarray:
+    """Edge count per motif code of the event graph of the events
+    ``(sources[e], targets[e], times[e])``, in time order, without the graph.
+
+    Incidences p and q share a node; the slot of that node in each event
+    and whether the other two nodes are equal give the motif. A pair of
+    events reached over both of its nodes is counted once.
+    """
+    nodes = np.stack((sources, targets), 1).ravel()
+    p, q = _adjacent_incidences(nodes, times, delta_t)
+    same = nodes[p ^ 1] == nodes[q ^ 1]
+    slots = (p & 1) << 2 | (q & 1) << 1 | same  # a flat index of _CODE_OF_SLOTS
+    two = np.flatnonzero(same)
+    _, once = np.unique((p[two] >> 1) * len(sources) + (q[two] >> 1), return_index=True)
+    by_slots = np.bincount(slots, minlength=8) - np.bincount(slots[np.delete(two, once)], minlength=8)
+    counts = np.zeros(len(MOTIFS), np.int64)
+    np.add.at(counts, _CODE_OF_SLOTS.ravel(), by_slots)
+    return counts
 
 
 def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:

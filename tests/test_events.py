@@ -50,6 +50,7 @@ from tegraph.events import _first_seen, _stable_sort, load_events, save_events, 
         (1, 2, math.nan),
         (1, 2, True),  # a bool is not a time either
         (1, 2, "3"),
+        pytest.param(1, 2, 10**400, id="1-2-int-past-the-float-range"),  # finite as an int, not as a float
     ],
 )
 def test_event_rejects_bad_fields(source, target, time):
@@ -59,6 +60,7 @@ def test_event_rejects_bad_fields(source, target, time):
 
 _ROWS = dict(sources=[4, 7, 9], targets=[7, 9, 4], times=[0.5, 1.0, 2.0])
 _POSITIONS = dict(sources=[0, 1, 2], targets=[1, 2, 0], times=[0.5, 1.0, 2.0])
+_PAST = "event time must be non-negative and finite, got an int past the float range"
 
 
 @pytest.mark.parametrize(
@@ -89,6 +91,10 @@ _POSITIONS = dict(sources=[0, 1, 2], targets=[1, 2, 0], times=[0.5, 1.0, 2.0])
         (dict(_POSITIONS, targets=[1, 1, 0], node_ids=[4, 7, 9]), "event 1: self-loop at node 7 (time 1.0)"),
         (dict(_POSITIONS, times=[0.5, 1.0, -0.5], node_ids=[4, 7, 9]), "event 2: event time must be non-negative"),
         (dict(_ROWS, tie_policy="first"), "unknown tie_policy 'first'"),
+        # ints past the float range, named by their size: 10**5000 has too many digits to print
+        (dict(sources=[0], targets=[1], times=[10**400]), f"event 0: {_PAST} (1329 bits)"),
+        (dict(_ROWS, times=[0.5, 10**5000, 2**1024]), f"event 1: {_PAST} (16610 bits)"),
+        (dict(_ROWS, times=[0.5, 1.0, -(2**1024)]), f"event 2: {_PAST} (1025 bits)"),
     ],
 )
 def test_constructor_names_the_first_offending_row(columns, match):
