@@ -55,14 +55,8 @@ def _component_columns(teg: Teg):
     # every rank's events, ascending, one run per rank
     _, members = _stable_sort(assignment)
     bounds = np.concatenate(([0], np.cumsum(sizes[order])))
-    return (
-        _readonly(assignment, np.int64),
-        _readonly(sizes[order], np.int64),
-        _readonly(times[firsts[order]], np.float64),
-        _readonly(times[members[bounds[1:] - 1]], np.float64),
-        _readonly(members),
-        _readonly(bounds),
-    )
+    columns = assignment, sizes[order], times[firsts[order]], times[members[bounds[1:] - 1]], members, bounds
+    return tuple(map(_readonly, columns))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,8 @@ import numpy as np
 
 from . import _text
 from .components import _labels
-from .events import _MAX_IDS, TemporalNetwork, _column, _first_seen, _given, _inverse, _readonly, _stable_sort, _starts
+from .events import (
+    _MAX_IDS, TemporalNetwork, _column, _first_seen, _given, _inverse, _readonly, _spelled, _stable_sort, _starts)
 from .motifs import _CODES, _NAMES, _SLOTS, _XI_IN, _XI_OUT, MOTIFS, Motif
 from .teg import Teg, _incidence_edges
 
@@ -137,7 +138,7 @@ class EdgeLabelledTeg:
             if bad_key[k]:
                 raise ValueError(f"edge key ({i!r},{j!r}) must be integers with 0 <= i < j < {n}")
             if bad_tau[k]:
-                raise ValueError(f"tau[{i},{j}] must be positive and finite, got {tau!r}")
+                raise ValueError(f"tau[{i},{j}] must be positive and finite, got {_spelled(tau, repr)}")
             if bad_code[k]:
                 raise ValueError(f"motif codes must be integers, got {code!r} at edge ({i},{j})")
             raise ValueError(f"motif code out of range 0..{len(MOTIFS) - 1} at edge ({i},{j}): {code}")
@@ -150,7 +151,7 @@ class EdgeLabelledTeg:
             v, t = _given(anchor_vertices, bad[0]), _given(anchor_times, bad[0], number=True)
             if bad_vertex[bad[0]]:
                 raise ValueError(f"anchor vertex {v!r} out of range")
-            raise ValueError(f"anchor time for vertex {v} must be finite, got {t!r}")
+            raise ValueError(f"anchor time for vertex {v} must be finite, got {_spelled(t, repr)}")
         order, k = _sorting_order(heads * n + tails)
         if k >= 0:
             raise ValueError(f"duplicate edge {(int(heads[k]), int(tails[k]))}")
@@ -340,17 +341,12 @@ def _c4_violations(p: _Pass, dirty, held) -> list[Violation]:
     given, derived = _code_at(keys, labels, bad).tolist(), _code_at(rebuilt, codes, bad).tolist()
     for k, label, code in zip(bad.tolist(), given, derived):
         i, j = divmod(k, n)
+        implied = "the node structure implied by the other edges"
         if label < 0:
-            detail = (
-                f"the node structure implied by the other edges requires an edge "
-                f"labelled {MOTIFS[code]}; none exists"
-            )
+            detail = f"{implied} requires an edge labelled {MOTIFS[code]}; none exists"
         else:
             got = "no edge" if code < 0 else MOTIFS[code].value
-            detail = (
-                f"label {MOTIFS[label]} contradicts the node structure implied "
-                f"by the other edges, which gives {got}"
-            )
+            detail = f"label {MOTIFS[label]} contradicts {implied}, which gives {got}"
         violations.append(Violation("C4", (i, j), ((i, j),), detail))
     return violations
 

@@ -50,10 +50,7 @@ class Event:
         if self.source == self.target:
             raise ValueError(f"self-loop at node {self.source} (time {self.time})")
         if not (_right(self.time, True) and _finite(self.time) and self.time >= 0):
-            # an int past the float range may have too many digits to print
-            big = _right(self.time) and not _finite(self.time)
-            got = f"an int past the float range ({self.time.bit_length()} bits)" if big else self.time
-            raise ValueError(f"event time must be non-negative and finite, got {got}")
+            raise ValueError(f"event time must be non-negative and finite, got {_spelled(self.time)}")
 
     @property
     def nodes(self) -> tuple[int, int]:
@@ -80,16 +77,27 @@ def _finite(number) -> bool:
         return False
 
 
+def _spelled(number, spell=str) -> str:
+    """``number`` for a message, by ``spell``; an int past the float range by
+    its bit length, as it may have too many digits to print."""
+    if _right(number) and not _finite(number):
+        return f"an int past the float range ({number.bit_length()} bits)"
+    return spell(number)
+
+
 def _column(values, numbers: bool = False):
     """``values`` as a one-dimensional int64 column, or float64 where ``numbers``,
-    and the mask of its values of a wrong type (by ``_right`` in a list, by the
-    dtype kind of an array), which read 0; ints past its range stay Python ints."""
+    and the mask of its values of a wrong type (by the dtype kind of an array; in a
+    list by ``_right``, value by value only where a type other than int, or float
+    where ``numbers``, appears), which read 0; ints past its range stay Python ints."""
     if isinstance(values, np.ndarray) and values.dtype != object:
         if values.ndim != 1:
             raise ValueError(f"columns must be one-dimensional, got shape {values.shape}")
         wrong = np.full(len(values), values.dtype.kind not in ("iuf" if numbers else "iu"))
         if values.dtype == np.uint64 and values.max(initial=0) >> 63:
             values = values.astype(object)
+    elif set(map(type, values)) <= ({int, float} if numbers else {int}):
+        wrong = np.zeros(len(values), bool)
     else:
         wrong = np.array([not _right(value, numbers) for value in values], bool)
     if wrong.any():

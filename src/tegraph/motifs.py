@@ -105,26 +105,6 @@ def prescribed_nodes(motif: Motif, u_i: int, v_i: int) -> tuple[int | None, int 
     return (known.get(pattern[2]), known.get(pattern[3]))
 
 
-def _equality_bits(u_i, v_i, u_j, v_j) -> np.ndarray:
-    """Bits 0-3 of u_j == u_i, v_j == v_i, u_j == v_i and v_j == u_i, over
-    columns of earlier pairs (u_i, v_i) and later pairs (u_j, v_j)."""
-    bits = (u_j == u_i).view(np.uint8)
-    for shift, same in enumerate((v_j == v_i, u_j == v_i, v_j == u_i), 1):
-        bits |= same.view(np.uint8) << shift
-    return bits
-
-
-# a name is its pair's node pattern, so the bits of its letters index its
-# code; no edge has the ten other patterns (no shared node, or a self-loop)
-_CODE_OF_BITS = np.zeros(16, np.uint8)
-_CODE_OF_BITS[_equality_bits(*np.array([list(m.value) for m in MOTIFS]).T)] = range(len(MOTIFS))
-# by the slots (0 source, 1 target) a and b of a node shared by the earlier
-# and the later event, and whether their other nodes are the same: the later
-# event holds node a in slot b, beside the earlier event's other node or a new one
-_a, _b, _same = np.indices((2, 2, 2))
-_other = np.where(_same, 1 - _a, 2)
-_CODE_OF_SLOTS = _CODE_OF_BITS[_equality_bits(0, 1, np.where(_b, _other, _a), np.where(_b, _a, _other))]
-del _a, _b, _same, _other
 # code by the name's bytes (first: they hash as the name and motif do), name and motif; name by code
 _CODES = {key: c for c, m in enumerate(MOTIFS) for key in (m.value.encode(), m.value, m)}
 _NAMES = np.array([m.value for m in MOTIFS], dtype=object)
@@ -134,3 +114,9 @@ _XI_IN = np.unique([m.xi_in for m in MOTIFS], return_inverse=True)[1]
 # per code, the later event's (source, target) as slots of the earlier
 # event: 0 its source, 1 its target, -1 a new node
 _SLOTS = np.array([[-1 if s is None else s for s in prescribed_nodes(m, 0, 1)] for m in MOTIFS])
+# code at a << 2 | b << 1 | same, for a node in slot a of the earlier event and b
+# of the later, whose other nodes are the same or not: a cell per prescribed slot b
+_code, _b = np.nonzero(_SLOTS >= 0)
+_CODE_OF_SLOTS = np.zeros(8, np.uint8)
+_CODE_OF_SLOTS[_SLOTS[_code, _b] << 2 | _b << 1 | (_SLOTS[_code, 1 - _b] >= 0)] = _code
+del _code, _b

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _text
 from .events import Event, TemporalNetwork, _readonly, _stable_sort, _starts
-from .motifs import _CODE_OF_BITS, _CODE_OF_SLOTS, _NAMES, MOTIFS, _equality_bits
+from .motifs import _CODE_OF_SLOTS, _NAMES, MOTIFS
 
 
 def check_window(delta_t: float) -> None:
@@ -80,14 +80,16 @@ def is_dt_adjacent(first: Event, second: Event, delta_t: float) -> bool:
 
 
 def _adjacent_incidences(nodes, times, delta_t: float):
-    """Each TEG edge candidate as a pair of incidences (p, q).
+    """Each TEG edge candidate as a pair of incidences (p, q), and its slots.
 
     Incidence ``2e`` is (``nodes[2e]``, e) and ``2e + 1`` is
     (``nodes[2e + 1]``, e): the source and target of event e, events in time
     order. One stable sort by node lists each node's incidences in event
     order, so q is the next incidence of p's node; a pair stays where its
     gap lies in (0, delta_t). An event pair that shares both nodes may be
-    reached over each of them, and then appears twice.
+    reached over each of them, and then appears twice. ``slots``, the index
+    of its code in ``_CODE_OF_SLOTS``, is the shared node's slot in each
+    event and whether their other nodes are the same.
     """
     grouped, order = _stable_sort(nodes)
     follows = grouped[1:] == grouped[:-1]
@@ -96,7 +98,11 @@ def _adjacent_incidences(nodes, times, delta_t: float):
     del order, follows
     gaps = times[q >> 1] - times[p >> 1]
     inside = (gaps > 0) & (gaps < delta_t)
-    return p[inside], q[inside]
+    del gaps
+    p, q = p[inside], q[inside]
+    del inside
+    same = nodes[p ^ 1] == nodes[q ^ 1]  # before the shifts: its gathers set the peak memory
+    return p, q, (p & 1) << 2 | (q & 1) << 1 | same
 
 
 def _incidence_edges(sources, targets, times, delta_t: float):
@@ -106,37 +112,34 @@ def _incidence_edges(sources, targets, times, delta_t: float):
     ``tails`` and motif ``codes`` columns, sorted by (head, tail).
     """
     m = len(sources)
-    p, q = _adjacent_incidences(np.stack((sources, targets), 1).ravel(), times, delta_t)
-    # the pair keys in place, the candidates freed before the sort: this sets the peak memory
-    pairs = p >> 1
-    pairs *= m
-    pairs += q >> 1
-    del p, q
-    pairs.sort()
-    pairs = pairs[_starts(pairs)]
-    heads, tails = np.divmod(pairs, m)
-    del pairs
-    bits = _equality_bits(sources[heads], targets[heads], sources[tails], targets[tails])
-    return heads, tails, _CODE_OF_BITS[bits]
+    p, q, slots = _adjacent_incidences(np.stack((sources, targets), 1).ravel(), times, delta_t)
+    # the keys pair << 3 | slots in place (int64 up to 2**30 events, whose incidence sort alone
+    # needs over 100 GB), the candidates freed before the sort: this sets the peak memory
+    keys = p >> 1
+    keys *= m
+    keys += q >> 1
+    keys <<= 3
+    keys |= slots
+    del p, q, slots
+    keys.sort()
+    # a pair reached over both nodes has two slot values, but one code
+    keys = keys[_starts(keys >> 3)]
+    return *np.divmod(keys >> 3, m), _CODE_OF_SLOTS.take(keys & 7)
 
 
 def _motif_code_counts(sources, targets, times, delta_t: float) -> np.ndarray:
     """Edge count per motif code of the event graph of the events
     ``(sources[e], targets[e], times[e])``, in time order, without the graph.
 
-    Incidences p and q share a node; the slot of that node in each event
-    and whether the other two nodes are equal give the motif. A pair of
-    events reached over both of its nodes is counted once.
+    Each candidate's slots give its motif; a pair of events reached over
+    both of its nodes (``same``, the lowest bit of its slots) is counted once.
     """
-    nodes = np.stack((sources, targets), 1).ravel()
-    p, q = _adjacent_incidences(nodes, times, delta_t)
-    same = nodes[p ^ 1] == nodes[q ^ 1]
-    slots = (p & 1) << 2 | (q & 1) << 1 | same  # a flat index of _CODE_OF_SLOTS
-    two = np.flatnonzero(same)
+    p, q, slots = _adjacent_incidences(np.stack((sources, targets), 1).ravel(), times, delta_t)
+    two = np.flatnonzero((slots & 1) > 0)  # a bool mask: flatnonzero of the int64 column is 4x slower
     _, once = np.unique((p[two] >> 1) * len(sources) + (q[two] >> 1), return_index=True)
     by_slots = np.bincount(slots, minlength=8) - np.bincount(slots[np.delete(two, once)], minlength=8)
     counts = np.zeros(len(MOTIFS), np.int64)
-    np.add.at(counts, _CODE_OF_SLOTS.ravel(), by_slots)
+    np.add.at(counts, _CODE_OF_SLOTS, by_slots)
     return counts
 
 
@@ -151,7 +154,7 @@ def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
     yields an edge, and with distinct timestamps this is exactly the next
     event in time). Candidates with a gap outside (0, delta_t) are dropped,
     a pair reached over both nodes is kept once, and each pair's motif is
-    read off its four endpoints.
+    read off the slots of a node it shares.
     """
     check_window(delta_t)
     times = net.times

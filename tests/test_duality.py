@@ -1145,3 +1145,11 @@ def test_constructor_converts_to_the_same_columns_and_names_the_first_offender()
             changed[name][-1] = value
         with pytest.raises(ValueError, match=match):
             _with(g, **changed)
+    # an int past the float range is named by its size: 10**5000 has too many digits to print
+    v = int(g.anchor_vertices[-1])
+    for big, bits in ((10**400, 1329), (10**5000, 16610)):
+        got = re.escape(f"got an int past the float range ({bits} bits)")
+        with pytest.raises(ValueError, match=f"tau\\[{i},{j}\\] must be positive and finite, {got}$"):
+            _with(g, taus=[*g.taus.tolist()[:-1], big])
+        with pytest.raises(ValueError, match=f"anchor time for vertex {v} must be finite, {got}$"):
+            _with(g, anchor_times=[*g.anchor_times.tolist()[:-1], big])

@@ -1,8 +1,11 @@
 """Motif classification and the label algebra behind the edge checks."""
 
+from itertools import product
+
 import pytest
 
 from tegraph import MOTIFS, Event, Motif, classify_motif, classify_pair, prescribed_nodes
+from tegraph.motifs import _CODE_OF_SLOTS
 
 # one concrete node-pair example per class, earlier pair first
 CASES = [
@@ -102,3 +105,12 @@ def test_canonical_order_and_values():
     )
     assert Motif("ABCA") is Motif.ABCA
     assert str(Motif.ABBC) == "ABBC"
+
+
+def test_slot_table_matches_classification():
+    # the earlier event (0, 1) shares node a, its slot, with slot b of the later
+    # event, whose other node is the earlier event's other node or a new one
+    for a, b, same in product((0, 1), repeat=3):
+        other = 1 - a if same else 2
+        later = (other, a) if b else (a, other)
+        assert MOTIFS[_CODE_OF_SLOTS[a << 2 | b << 1 | same]] is classify_pair(0, 1, *later)

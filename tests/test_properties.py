@@ -1,9 +1,10 @@
 """Property tests of the shuffle ensemble's counting path: the shuffled
 columns and the motif counts it takes without a network or an event graph
-equal those of ``time_shuffle`` and ``build_teg``."""
+equal those of ``time_shuffle``, ``build_teg`` and the quadratic oracle."""
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from _oracles import time_shuffle_sorted  # noqa: E402
-from tegraph import TemporalNetwork, build_teg, time_shuffle  # noqa: E402
+from _oracles import brute_force_teg, time_shuffle_sorted  # noqa: E402
+from tegraph import MOTIFS, TemporalNetwork, build_teg, time_shuffle  # noqa: E402
 from tegraph.generators import _shuffled_columns  # noqa: E402
 from tegraph.teg import _motif_code_counts  # noqa: E402
 
@@ -46,6 +47,9 @@ def test_motif_code_counts_equal_the_event_graph_codes(net, delta_t):
     counts = _motif_code_counts(net.sources, net.targets, net.times, delta_t)
     assert counts.dtype == np.int64
     assert counts.tolist() == np.bincount(build_teg(net, delta_t).codes, minlength=6).tolist()
+    # both read one table: the oracle classifies every pair by its four nodes
+    found = Counter(motif for *_, motif in brute_force_teg(net, delta_t))
+    assert counts.tolist() == [found[m] for m in MOTIFS]
 
 
 @_SETTINGS
