@@ -17,8 +17,9 @@ import argparse
 import json
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from math import inf
 from operator import add
 
@@ -57,7 +58,7 @@ from .generators import (
 )
 from .motifs import _NAMES, MOTIFS, Motif
 from .svgrender import barcode_svg, ccdf_svg
-from .teg import _motif_code_counts, build_teg, write_teg_json
+from .teg import _motif_code_counts, _Scratch, build_teg, write_teg_json
 
 _USAGE_EXIT = 1
 _INPUT_EXIT = 2
@@ -281,8 +282,12 @@ def _cmd_sweep(args):
     return 0
 
 
+_members = threading.local()  # an ensemble worker thread's scratch, which ends with the thread
+
+
 def _shuffle_frequencies(net, dt, seed):
-    counts = _motif_code_counts(*_shuffled_columns(net, seed), dt).tolist()
+    scratch = getattr(_members, "scratch", None) or _Scratch(len(net))
+    counts = _motif_code_counts(*_shuffled_columns(net, seed, scratch), dt, scratch).tolist()
     total = sum(counts)
     if total == 0:
         raise ValueError(f"shuffle seed {seed}: event graph has no edges at this window")
@@ -310,8 +315,11 @@ def _cmd_motifs(args):
     if args.ensemble:
         # members share the read-only network and build none of their own, so
         # they have nothing to warn of; numpy releases the GIL in their sorts
-        # and gathers
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        # and gathers. Each thread runs its members in one scratch of its own.
+        def make_scratch():
+            _members.scratch = _Scratch(len(net))
+
+        with ThreadPoolExecutor(max_workers=args.workers, initializer=make_scratch) as pool:
             member = partial(_shuffle_frequencies, net, args.dt)
             freqs = list(pool.map(member, ensemble_seeds(args.seed, args.ensemble)))
         # added in order: sum() compensates float rounding from Python 3.12 on
@@ -406,7 +414,9 @@ def _cmd_aggregate(args):
 # --- parser wiring ---------------------------------------------------------
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process."""
     parser = _Parser(prog="teg", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"teg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -479,10 +489,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--per-component", action="store_true")
     p.add_argument("--ensemble", type=_count_arg(0), default=0, help="time-shuffle ensemble size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
+    parser.workers = p.add_argument(  # its default is set at each parse, from TEG_WORKERS
         "--workers",
         type=_count_arg(1),
-        default=os.environ.get("TEG_WORKERS", "1"),
         help="parallel shuffle threads (default: TEG_WORKERS or 1)",
     )
     p.add_argument("--output", required=True)
@@ -525,6 +534,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
+    # a string default is converted, and a bad one reported, by the parse
+    parser.workers.default = os.environ.get("TEG_WORKERS", "1")
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

@@ -134,24 +134,38 @@ def _starts(grouped: np.ndarray) -> np.ndarray:
     return new
 
 
+def _packed_sort(keys: np.ndarray, positions: np.ndarray, out: np.ndarray) -> int:
+    """Sort ``key << shift | position`` of the non-negative int64 ``keys`` into
+    ``out`` and return ``shift``, the bit length of the largest position:
+    ``out >> shift`` is then ``np.sort(keys)`` and ``out & ((1 << shift) - 1)``
+    the order that sorts them stably. ``positions`` is ``arange(len(keys))``.
+    Raises OverflowError where the packed key would pass int64: where the
+    largest key is at least ``2**(63 - shift)``, about 9e12 for a million keys.
+    """
+    shift = max(len(keys) - 1, 0).bit_length()
+    if int(keys.max(initial=0)) >> (63 - shift):
+        raise OverflowError(f"keys up to {int(keys.max())} do not pack with {shift} position bits")
+    np.left_shift(keys, shift, out=out)
+    out |= positions
+    out.sort()
+    return shift
+
+
 def _stable_sort(keys: np.ndarray):
     """Non-negative int64 ``keys`` sorted, and the order that sorts them
     stably: exactly ``np.sort(keys)`` and ``np.argsort(keys, kind="stable")``.
 
     Numpy's stable argsort is a timsort; this is one vectorised ``np.sort``
-    of ``key << shift | position``, several times faster, split back into
-    keys and positions; ``shift`` is the bit length of the largest position.
-    The stable argsort is taken only where the packed key would pass int64:
-    where the largest key is at least ``2**(63 - shift)``, about 9e12 for a
-    million keys.
+    of the packed keys (``_packed_sort``), several times faster, split back
+    into keys and positions. The stable argsort is taken only where the
+    packed key would pass int64.
     """
-    shift = max(len(keys) - 1, 0).bit_length()
-    if int(keys.max(initial=0)) >> (63 - shift):
+    order = np.empty(len(keys), np.int64)
+    try:
+        shift = _packed_sort(keys, np.arange(len(keys)), order)
+    except OverflowError:
         order = np.argsort(keys, kind="stable")
         return keys[order], order
-    order = keys << shift
-    order |= np.arange(len(keys))
-    order.sort()
     ordered = order >> shift
     order &= (1 << shift) - 1
     return ordered, order

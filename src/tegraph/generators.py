@@ -16,9 +16,10 @@ from math import isfinite
 
 import numpy as np
 
-from .events import TemporalNetwork, _inverse, _stable_sort, _starts
+from .events import TemporalNetwork, _packed_sort
 from .motifs import MOTIFS
 from .components import DiscreteDistribution
+from .teg import _Scratch
 
 
 @dataclass(frozen=True)
@@ -145,25 +146,41 @@ def generate_random(cfg: GeneratorConfig) -> TemporalNetwork:
     return TemporalNetwork(u, v + (v >= u), times)
 
 
-def _shuffled_columns(net: TemporalNetwork, seed: int):
-    """Node positions and times of ``time_shuffle(net, seed)``, bit for bit,
+def _shuffled_columns(net: TemporalNetwork, seed: int, scratch: _Scratch | None = None):
+    """Node and time columns of ``time_shuffle(net, seed)``, bit for bit,
     without the network: the columns of a stable time sort of the events
-    with their times permuted.
+    with their times permuted. The node columns are the even and the odd
+    entries of ``scratch.nodes``, the incidence nodes that the event graph's
+    sort takes; with a ``scratch`` of as many events, nothing of the
+    table's size is allocated.
 
     The times are already sorted: without ties, event ``e`` takes place
-    ``perm[e]``, so the inverse permutation orders the node columns and the
-    times stay. With ties, the run of equal times that each event draws is
-    its sort key; a stable sort of these keys alone puts tied events in
-    event order, and the drawn times are gathered in that order, so that
-    -0.0 and 0.0 keep their places.
+    ``perm[e]``, so its nodes are put there and the times stay. With ties,
+    the run of equal times that each event draws is its sort key; a stable
+    sort of these keys alone puts tied events in event order, and the drawn
+    times are gathered in that order, so that -0.0 and 0.0 keep their places.
     """
-    perm = np.random.default_rng(seed).permutation(len(net))
-    run = _starts(net.times)  # the first event of each run of equal times
-    if run.all():
-        order = _inverse(perm)
-        return net.sources[order], net.targets[order], net.times
-    _, order = _stable_sort(np.cumsum(run)[perm])
-    return net.sources[order], net.targets[order], net.times[perm[order]]
+    m, times = len(net), net.times
+    scratch = scratch or _Scratch(m)
+    perm = scratch.perm
+    np.copyto(perm, scratch.index[:m])
+    np.random.default_rng(seed).shuffle(perm)  # over arange(m), as permutation(m) is drawn
+    sources, targets = scratch.nodes[0::2], scratch.nodes[1::2]
+    later = np.greater(times[1:], times[:-1], out=scratch.spare[: max(m - 1, 0)])
+    if later.all():
+        sources[perm], targets[perm] = net.sources, net.targets
+        return sources, targets, times
+    runs, keys = scratch.work[:m], scratch.work[m:]
+    runs[0] = 0
+    np.copyto(runs[1:], later)
+    np.cumsum(runs, out=runs)  # each event's run of equal times
+    np.take(runs, perm, out=keys, mode="clip")  # the run each event draws
+    order = runs  # the runs are dead once drawn
+    order &= (1 << _packed_sort(keys, scratch.index[:m], order)) - 1
+    sources[:] = np.take(net.sources, order, out=keys, mode="clip")
+    targets[:] = np.take(net.targets, order, out=keys, mode="clip")
+    drawn = np.take(perm, order, out=keys, mode="clip")
+    return sources, targets, np.take(times, drawn, out=scratch.times, mode="clip")
 
 
 def time_shuffle(net: TemporalNetwork, seed: int) -> TemporalNetwork:

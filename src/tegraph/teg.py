@@ -23,7 +23,7 @@ from typing import TextIO
 import numpy as np
 
 from . import _text
-from .events import Event, TemporalNetwork, _readonly, _stable_sort, _starts
+from .events import Event, TemporalNetwork, _packed_sort, _readonly, _starts
 from .motifs import _CODE_OF_SLOTS, _NAMES, MOTIFS
 
 
@@ -79,30 +79,87 @@ def is_dt_adjacent(first: Event, second: Event, delta_t: float) -> bool:
     return 0 < gap < delta_t
 
 
-def _adjacent_incidences(nodes, times, delta_t: float):
-    """Each TEG edge candidate as a pair of incidences (p, q), and its slots.
+class _Scratch:
+    """Work columns for the incidence sort and the time shuffle of event
+    tables of ``size`` events, each made on first use and then reused. An
+    ensemble worker keeps one for every member it runs, so that no member
+    allocates a column of the table's size, nor faults its pages in anew.
 
-    Incidence ``2e`` is (``nodes[2e]``, e) and ``2e + 1`` is
-    (``nodes[2e + 1]``, e): the source and target of event e, events in time
-    order. One stable sort by node lists each node's incidences in event
-    order, so q is the next incidence of p's node; a pair stays where its
-    gap lies in (0, delta_t). An event pair that shares both nodes may be
-    reached over each of them, and then appears twice. ``slots``, the index
-    of its code in ``_CODE_OF_SLOTS``, is the shared node's slot in each
-    event and whether their other nodes are the same.
+    ``index`` is ``arange(2 * size)`` and stays so; every other column is
+    overwritten by each use.
     """
-    grouped, order = _stable_sort(nodes)
-    follows = grouped[1:] == grouped[:-1]
-    del grouped
-    p, q = order[:-1][follows], order[1:][follows]
-    del order, follows
-    gaps = times[q >> 1] - times[p >> 1]
-    inside = (gaps > 0) & (gaps < delta_t)
-    del gaps
-    p, q = p[inside], q[inside]
-    del inside
-    same = nodes[p ^ 1] == nodes[q ^ 1]  # before the shifts: its gathers set the peak memory
-    return p, q, (p & 1) << 2 | (q & 1) << 1 | same
+
+    _LAYOUT = {  # entries per event, and dtype
+        "index": (2, np.int64),
+        "perm": (1, np.int64),
+        "times": (1, np.float64),
+        "nodes": (2, np.int64),
+        "keys": (2, np.int64),
+        "work": (2, np.int64),
+        "slots": (2, np.int64),
+        "joined": (2, bool),
+        "spare": (2, bool),
+    }
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def __getattr__(self, name: str) -> np.ndarray:  # a column not made yet
+        if name not in self._LAYOUT:
+            raise AttributeError(name)
+        per_event, dtype = self._LAYOUT[name]
+        length = per_event * self.size
+        column = np.arange(length, dtype=dtype) if name == "index" else np.empty(length, dtype)
+        setattr(self, name, column)
+        return column
+
+
+def _adjacent_incidences(sources, targets, times, delta_t: float, scratch: _Scratch):
+    """Each TEG edge candidate of the events ``(sources[e], targets[e],
+    times[e])``, in time order, as a pair of consecutive incidences in node
+    order, and its slots; both are views of ``scratch``'s columns.
+
+    Incidence ``2e`` is (``sources[e]``, e) and ``2e + 1`` is
+    (``targets[e]``, e), their nodes put in ``scratch.nodes``. One stable
+    sort by node lists each node's incidences in event order, ``order``,
+    and the pair (``order[k]``, ``order[k + 1]``) is a candidate where both
+    are of one node and its gap lies in (0, delta_t).
+    An event pair that shares both nodes may be reached over each of them,
+    and then appears twice. ``slots[k]``, the index of a candidate's code in
+    ``_CODE_OF_SLOTS``, is the shared node's slot in each event and whether
+    their other nodes are the same; it is 8 or more for a pair that is no
+    candidate.
+
+    The window test is skipped where it is vacuous: at delta_t = inf with
+    strictly increasing times, the two incidences of a node in a pair are of
+    two events (there are no self-loops), so every gap is positive.
+    """
+    nodes, keys, work, slots = scratch.nodes, scratch.keys, scratch.work, scratch.slots
+    nodes[0::2], nodes[1::2] = sources, targets  # numpy skips a copy onto itself
+    joined, spare = scratch.joined[:-1], scratch.spare[:-1]
+    try:
+        shift = _packed_sort(nodes, scratch.index, keys)
+    except OverflowError:  # positions past 2**61 / len(times): far more node ids than fit in memory
+        raise ValueError("too many node ids for the incidence sort") from None
+    np.bitwise_xor(keys[1:], keys[:-1], out=work[1:])
+    np.less(work[1:], 1 << shift, out=joined)  # both incidences are of one node
+    keys &= (1 << shift) - 1  # now the incidence order
+    if delta_t < inf or not np.greater(times[1:], times[:-1], out=spare[: len(times) - 1]).all():
+        np.right_shift(keys, 1, out=work)
+        at = np.take(times, work, out=slots.view(np.float64), mode="clip")  # each incidence's time
+        gaps = np.subtract(at[1:], at[:-1], out=work.view(np.float64)[:-1])
+        joined &= np.greater(gaps, 0, out=spare)
+        joined &= np.less(gaps, delta_t, out=spare)
+    # the other node of each incidence's event, and whether a pair's are equal
+    np.take(nodes, np.bitwise_xor(keys, 1, out=work), out=slots, mode="clip")
+    same = np.equal(slots[1:], slots[:-1], out=spare)
+    slot = np.bitwise_and(keys, 1, out=work)  # each incidence's slot in its event
+    slots = np.left_shift(slot[:-1], 1, out=slots[:-1])
+    slots |= slot[1:]
+    slots <<= 1
+    slots |= same
+    np.bitwise_or(slots, 8, out=slots, where=np.logical_not(joined, out=spare))
+    return keys, slots
 
 
 def _incidence_edges(sources, targets, times, delta_t: float):
@@ -112,32 +169,42 @@ def _incidence_edges(sources, targets, times, delta_t: float):
     ``tails`` and motif ``codes`` columns, sorted by (head, tail).
     """
     m = len(sources)
-    p, q, slots = _adjacent_incidences(np.stack((sources, targets), 1).ravel(), times, delta_t)
-    # the keys pair << 3 | slots in place (int64 up to 2**30 events, whose incidence sort alone
-    # needs over 100 GB), the candidates freed before the sort: this sets the peak memory
-    keys = p >> 1
-    keys *= m
-    keys += q >> 1
-    keys <<= 3
-    keys |= slots
-    del p, q, slots
+    scratch = _Scratch(m)
+    order, slots = _adjacent_incidences(sources, targets, times, delta_t, scratch)
+    # the keys pair << 3 | slots (int64 up to 2**30 events, whose incidence sort
+    # alone needs over 100 GB), packed in the dead node column
+    events = np.right_shift(order, 1, out=scratch.work)
+    packed = np.multiply(events[:-1], m, out=scratch.nodes[:-1])
+    packed += events[1:]
+    packed <<= 3
+    packed |= slots  # a pair that is no candidate is dropped next
+    kept = np.less(slots, 8, out=scratch.spare[:-1])
+    del scratch, order, slots, events  # freed before the candidates are taken: this sets the peak memory
+    keys = packed[kept]
+    del packed, kept
     keys.sort()
     # a pair reached over both nodes has two slot values, but one code
     keys = keys[_starts(keys >> 3)]
     return *np.divmod(keys >> 3, m), _CODE_OF_SLOTS.take(keys & 7)
 
 
-def _motif_code_counts(sources, targets, times, delta_t: float) -> np.ndarray:
+def _motif_code_counts(sources, targets, times, delta_t: float, scratch: _Scratch | None = None) -> np.ndarray:
     """Edge count per motif code of the event graph of the events
     ``(sources[e], targets[e], times[e])``, in time order, without the graph.
 
     Each candidate's slots give its motif; a pair of events reached over
     both of its nodes (``same``, the lowest bit of its slots) is counted once.
+    With a ``scratch`` of as many events, no column of the table's size is
+    allocated; the node columns that ``_shuffled_columns`` writes there are
+    already in place.
     """
-    p, q, slots = _adjacent_incidences(np.stack((sources, targets), 1).ravel(), times, delta_t)
-    two = np.flatnonzero((slots & 1) > 0)  # a bool mask: flatnonzero of the int64 column is 4x slower
-    _, once = np.unique((p[two] >> 1) * len(sources) + (q[two] >> 1), return_index=True)
-    by_slots = np.bincount(slots, minlength=8) - np.bincount(slots[np.delete(two, once)], minlength=8)
+    scratch = scratch or _Scratch(len(times))
+    order, slots = _adjacent_incidences(sources, targets, times, delta_t, scratch)
+    by_slots = np.bincount(slots, minlength=16)[:8]
+    # the candidates with the lowest bit: (slots & 9) == 1
+    two = np.flatnonzero(np.equal(np.bitwise_and(slots, 9, out=scratch.work[:-1]), 1, out=scratch.spare[:-1]))
+    _, once = np.unique((order[two] >> 1) * len(times) + (order[two + 1] >> 1), return_index=True)
+    by_slots -= np.bincount(slots[np.delete(two, once)], minlength=8)
     counts = np.zeros(len(MOTIFS), np.int64)
     np.add.at(counts, _CODE_OF_SLOTS, by_slots)
     return counts

@@ -368,6 +368,25 @@ def test_ensemble_members_run_concurrently(tmp_path, monkeypatch):
         run(*argv, "--workers", "1")
 
 
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("ensemble, workers", [(7, 3), (2, 4)])
+def test_ensemble_bytes_do_not_depend_on_the_thread_count(tmp_path, tied, ensemble, workers):
+    # every thread runs its members in a scratch of its own, and more threads
+    # than members leave some without any
+    if tied:
+        events = tmp_path / "ties.txt"
+        _big_id_event_file(events)
+    else:
+        events = _generate(tmp_path, nodes=8, events=300, iets="exponential:1", seed=5)
+    base = ["motifs", "--input", events, "--dt", "inf", "--ensemble", ensemble, "--seed", 3]
+    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the tie warning
+        assert run(*base, "--workers", 1, "--output", serial) == 0
+        assert run(*base, "--workers", workers, "--output", threaded) == 0
+    assert serial.read_bytes() == threaded.read_bytes()
+
+
 def test_ensemble_warns_only_of_the_parsed_ties(tmp_path, recwarn):
     # every shuffled member of a tied file has ties too; only the parse warns
     warnings.simplefilter("always")  # pytest's own "default" filter shows a repeat once

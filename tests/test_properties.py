@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from _oracles import brute_force_teg, time_shuffle_sorted  # noqa: E402
 from tegraph import MOTIFS, TemporalNetwork, build_teg, time_shuffle  # noqa: E402
 from tegraph.generators import _shuffled_columns  # noqa: E402
-from tegraph.teg import _motif_code_counts  # noqa: E402
+from tegraph.teg import _motif_code_counts, _Scratch  # noqa: E402
 
 _SETTINGS = settings(max_examples=300, deadline=None, database=None)
 
@@ -62,3 +62,28 @@ def test_shuffled_columns_are_the_time_shuffle_columns(net, seed):
         for shuffled in (time_shuffle(net, seed), time_shuffle_sorted(net, seed)):
             for got, expected in zip(columns, shuffled.__getstate__()):
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+# tied networks at dt = inf on their own too: there the window test is not
+# vacuous, as a zero gap must still give no edge
+members = st.one_of(
+    st.tuples(networks(), st.just(math.inf)),
+    st.tuples(st.one_of(networks(), networks(tied=False)), windows),
+)
+
+
+@_SETTINGS
+@given(members, st.lists(st.integers(0, 2**32), min_size=1, max_size=4))
+def test_members_sharing_one_scratch_count_their_own_event_graphs(member, seeds):
+    # ensemble members run one after another in one thread, as a worker runs
+    # them: each overwrites the scratch that the one before it left
+    net, delta_t = member
+    scratch = _Scratch(len(net))
+    for seed in seeds:
+        counts = _motif_code_counts(*_shuffled_columns(net, seed, scratch), delta_t, scratch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            shuffled = time_shuffle(net, seed)
+        assert counts.tolist() == np.bincount(build_teg(shuffled, delta_t).codes, minlength=6).tolist()
+        found = Counter(motif for *_, motif in brute_force_teg(shuffled, delta_t))
+        assert counts.tolist() == [found[m] for m in MOTIFS]
