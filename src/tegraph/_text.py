@@ -1,8 +1,9 @@
 """Column tables as text, a bounded chunk of rows at a time.
 
 Every event, CSV and JSON output but the manifests is rendered here, ``ROWS``
-rows at a time, and the event and labelled-graph readers split their text
-here, about ``CHUNK`` characters at a time: no list of every row or line is held.
+rows at a time. The event reader splits its text into lines here, and the
+labelled-graph reader has ``json.loads`` read its rows here, about ``CHUNK``
+characters at a time: no list of every row or line is held.
 """
 
 from __future__ import annotations
@@ -69,33 +70,18 @@ def lines(text: str):
         start = stop
 
 
-# what a value can hold: digits, the signs of a JSON number and motif letters;
-# the rows' own text holds none of them
-_VALUE_CHARS = b"0123456789.eE+-ABC"
-_TOKENS = bytes(c if c in _VALUE_CHARS else 32 for c in range(256))  # the rest to spaces
+def json_rows(text: str, start: int, stop: int, empty: str, row: str):
+    """The items of the rows ``text[start:stop]``, joined by ",\n" as
+    ``json_object`` joins the items of ``row``, read by ``json.loads`` a
+    bounded chunk of rows at a time: one list per chunk for ``empty`` "[]",
+    one dict for "{}"; ValueError where a chunk is not JSON.
 
-
-def layout_rows(text: str, start: int, stop: int, row: str):
-    """The value tokens of the rows ``text[start:stop]``, laid out as
-    ``json_object`` lays out items of ``row``, as one list of tokens per value, a
-    bounded chunk of rows at a time; raises ValueError where the text differs.
-
-    A chunk is that layout when deleting every value character leaves the
-    rows' own text, no value is empty (the writer quotes each value, or puts
-    it between ": " and a comma or the end), and the value characters form
-    one token per value. The tokens are isolated, not read.
+    A chunk ends at a row joint, ",\n" and the text of ``row`` before its
+    first value: a shorter joint, such as ",\n  ", also matches inside a row.
     """
-    width, joint = row.count("%"), ",\n" + row[: row.index("%")]
-    bare = row.replace("%d", "").replace("%r", "").replace("%s", "").encode()
+    joint = ",\n" + row[: row.index("%")]
     while start < stop:
         cut = text.find(joint, start + CHUNK, stop)
         cut = stop if cut < 0 else cut
-        chunk = text[start:cut].encode("ascii")
-        tokens = chunk.translate(_TOKENS).split()
-        count, extra = divmod(len(tokens), width)
-        if extra or chunk.translate(None, _VALUE_CHARS) != b",\n".join([bare] * count):
-            raise ValueError("not the writer's layout")
-        if b'""' in chunk or b": ," in chunk or chunk.endswith(b": "):
-            raise ValueError("not the writer's layout")
-        yield [tokens[k::width] for k in range(width)]
+        yield json.loads(empty[0] + text[start:cut] + empty[1])
         start = cut + 2

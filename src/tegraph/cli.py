@@ -300,8 +300,9 @@ _MOTIF_ROW = "%s,%d" + ",%.17g" * len(MOTIFS) + "\n"
 def _cmd_motifs(args):
     net = _read_events(args)
     teg = build_teg(net, args.dt)
+    edge_count = teg.edge_count
     header = "scope,edges," + ",".join(_NAMES) + "\n"
-    blocks = [[header, _MOTIF_ROW % ("all", teg.edge_count, *motif_distribution(teg).masses)]]
+    blocks = [[header, _MOTIF_ROW % ("all", edge_count, *motif_distribution(teg).masses)]]
     if args.per_component:
         # every edge lies inside its head's component
         cs = ComponentSet(teg)
@@ -312,6 +313,8 @@ def _cmd_motifs(args):
         kept = np.flatnonzero(totals)
         masses = counts[kept] / totals[kept, None]
         blocks.append(_text.rows("component:" + _MOTIF_ROW, kept, totals[kept], *masses.T))
+        del cs, ranks, counts
+    del teg  # the ensemble reads only the network: free the event graph first
     if args.ensemble:
         # members share the read-only network and build none of their own, so
         # they have nothing to warn of; numpy releases the GIL in their sorts
@@ -324,7 +327,7 @@ def _cmd_motifs(args):
             freqs = list(pool.map(member, ensemble_seeds(args.seed, args.ensemble)))
         # added in order: sum() compensates float rounding from Python 3.12 on
         mean = [reduce(add, col) / len(freqs) for col in zip(*freqs)]
-        blocks.append([_MOTIF_ROW % (f"shuffle_mean:{args.ensemble}", teg.edge_count, *mean)])
+        blocks.append([_MOTIF_ROW % (f"shuffle_mean:{args.ensemble}", edge_count, *mean)])
     _write(args.output, *blocks)
     return 0
 

@@ -532,7 +532,25 @@ def save_edge_labelled(g: EdgeLabelledTeg, stream: TextIO) -> None:
     stream.writelines(_text.json_object(fields))
 
 
-_NUMBER = {int, float}  # JSON true and false load as bool, which is neither
+def _edge_lists(records):
+    """Heads, tails, taus and motif codes of edge ``records``, each value as
+    the record gives it; ValueError names the first motif name that is not a motif."""
+    heads, tails, taus, names = ([rec[field] for rec in records] for field in ("i", "j", "tau", "motif"))
+    try:
+        codes = [_CODES[name] for name in names]
+    except (KeyError, TypeError):
+        codes = [Motif(name) for name in names]  # raises for the first bad name
+    return heads, tails, taus, codes
+
+
+def _anchor_lists(anchors: dict):
+    """Vertices and times of the ``anchors`` object; ValueError for a key that
+    is not a vertex index spelled as one ("-0" and "01" are not vertex 0 and 1)."""
+    vertices = list(map(int, anchors))
+    for v, key in zip(vertices, anchors):
+        if str(v) != key:
+            raise ValueError(f"anchor key {key!r} is not a vertex index")
+    return vertices, list(anchors.values())
 
 
 def _json_columns(text: str):
@@ -542,18 +560,11 @@ def _json_columns(text: str):
     doc = json.loads(text)
     try:
         count, edges = doc["vertex_count"], doc["edges"]
-        heads, tails, taus, names = ([rec[field] for rec in edges] for field in ("i", "j", "tau", "motif"))
-        try:
-            codes = [_CODES[name] for name in names]
-        except (KeyError, TypeError):
-            codes = [Motif(name) for name in names]  # raises for the first bad name
+        heads, tails, taus, codes = _edge_lists(edges)
         anchors = doc.get("anchors", {})
         if type(anchors) is not dict:
             raise ValueError(f"anchors must be a JSON object, got {anchors!r}")
-        vertices, times = list(map(int, anchors)), list(anchors.values())
-        for v, key in zip(vertices, anchors):
-            if str(v) != key:
-                raise ValueError(f"anchor key {key!r} is not a vertex index")
+        vertices, times = _anchor_lists(anchors)
     except (KeyError, TypeError) as exc:
         raise ValueError(exc) from None
     return count, heads, tails, taus, codes, vertices, times
@@ -566,22 +577,23 @@ _HEAD, _END = '{\n "vertex_count": ', "\n}\n"
 _NO_EDGES, _EDGES, _ANCHORS = ',\n "edges": []', ',\n "edges": [\n', ',\n "anchors": {\n'
 
 
-def _values(tokens: list[bytes], types, dtype) -> np.ndarray:
-    """The JSON values of ``tokens``, read by ``json.loads`` as one list, as
-    a ``dtype`` column; ValueError unless each value's type is in ``types``,
-    OverflowError past int64."""
-    values = json.loads(b"[" + b",".join(tokens) + b"]")
-    if not set(map(type, values)) <= types:
-        raise ValueError("a value of another JSON type")
-    return np.array(values, dtype)
+def _typed(values: list, dtype) -> np.ndarray:
+    """``values`` as a ``dtype`` column, JSON numbers for float64 and JSON
+    integers otherwise; ValueError where the constructor would refuse a value
+    for its type or range."""
+    column, wrong = _column(values, numbers=dtype == np.float64)
+    if wrong.any() or column.dtype == object:
+        raise ValueError("a value the constructor refuses")
+    return column.astype(dtype, copy=False)
 
 
 def _layout_columns(text: str):
-    """Vertex count, edge columns and anchor columns of ``text`` when it is
-    exactly the layout ``save_edge_labelled`` writes, with anchors ascending;
-    None otherwise. The layout check isolates each value's token, a bounded
-    chunk of rows at a time, and ``json.loads`` reads the tokens, so the
-    values are those the ``json.loads`` path reads."""
+    """Vertex count, edge columns and anchor columns of ``text`` when it has
+    exactly the framing ``save_edge_labelled`` writes, with anchors ascending;
+    None otherwise. ``json.loads`` reads the rows a bounded chunk at a time,
+    ``_edge_lists`` and ``_anchor_lists`` take the values out as on the
+    whole-text path, and each chunk's values become typed columns; a value
+    the constructor refuses gives None, so that the whole-text path names it."""
     try:
         at = text.find(",", len(_HEAD))
         if not text.startswith(_HEAD) or at < 0:
@@ -589,31 +601,27 @@ def _layout_columns(text: str):
         count = json.loads(text[len(_HEAD) : at])
         if type(count) is not int:
             return None
-        edges = [[np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.uint8)]]
+        edges = [[np.empty(0, dtype)] for dtype in (np.int64, np.int64, np.float64, np.uint8)]
         anchors = [[np.empty(0, np.int64)], [np.empty(0)]]
         if text.startswith(_NO_EDGES, at):
             at += len(_NO_EDGES)
         elif text.startswith(_EDGES, at):
             stop = text.find("\n ]", at)
-            for i, j, tau, names in _text.layout_rows(text, at + len(_EDGES), stop, _EDGE_ROW):
-                edges[0].append(_values(i, {int}, np.int64))
-                edges[1].append(_values(j, {int}, np.int64))
-                edges[2].append(_values(tau, _NUMBER, np.float64))
-                edges[3].append(np.array([_CODES[name] for name in names], np.uint8))
+            for records in _text.json_rows(text, at + len(_EDGES), stop, "[]", _EDGE_ROW):
+                for column, values in zip(edges, _edge_lists(records)):
+                    column.append(_typed(values, column[0].dtype))
             at = stop + 3
         else:
             return None
         if text.startswith(_ANCHORS, at):
             stop = text.find("\n }", at)
-            for vertices, times in _text.layout_rows(text, at + len(_ANCHORS), stop, _ANCHOR_ROW):
-                if not b"".join(vertices).isdigit():  # a key is a JSON string: "-0" is not vertex 0
-                    return None
-                anchors[0].append(_values(vertices, {int}, np.int64))
-                anchors[1].append(_values(times, _NUMBER, np.float64))
+            for rows in _text.json_rows(text, at + len(_ANCHORS), stop, "{}", _ANCHOR_ROW):
+                for column, values in zip(anchors, _anchor_lists(rows)):
+                    column.append(_typed(values, column[0].dtype))
             at = stop + 3
         if text[at:] != _END:
             return None
-    except (ValueError, OverflowError, KeyError):
+    except (ValueError, OverflowError, KeyError, TypeError):
         return None
     (heads, tails, taus, codes), (vertices, times) = map(np.concatenate, edges), map(np.concatenate, anchors)
     if (vertices[1:] <= vertices[:-1]).any():
@@ -624,12 +632,12 @@ def _layout_columns(text: str):
 def load_edge_labelled(stream: TextIO) -> EdgeLabelledTeg:
     """Read what ``save_edge_labelled`` writes; ValueError for anything else.
 
-    In the writer's own layout, a check of a bounded chunk of rows at a time
-    isolates each value, and ``json.loads`` reads each column's values as
-    one list. Any other JSON layout, and any fault, goes through
-    ``json.loads`` of the whole text instead, which reads the same graph
-    from any layout and names the fault. Either way one parser reads the
-    numbers, so both give the same columns.
+    In the writer's own framing, ``json.loads`` reads the rows a bounded
+    chunk at a time, and each chunk's values become typed columns. Any
+    other JSON layout, and any fault, goes through ``json.loads`` of the
+    whole text instead, which reads the same graph from any layout and
+    names the fault. Both paths take the values out of the records with the
+    same helpers, so both give the same columns.
     """
     text = stream.read()
     try:

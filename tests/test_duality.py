@@ -1019,6 +1019,26 @@ def test_layout_reader_matches_the_json_reader():
     assert taken["edit '\"tau\": 1e-05'"] == {True}
 
 
+def test_layout_reader_cut_at_any_row_joint(monkeypatch):
+    # small chunks put a cut at every row joint, next to the framing and
+    # inside mutated rows; either reader must still give the other's outcome
+    documents = list(_documents())
+    for chunk in (1, 40, 200):
+        monkeypatch.setattr(_text, "CHUNK", chunk)
+        for name, text in documents:
+            assert _load_outcome(text, fast=True) == _load_outcome(text, fast=False), (chunk, name, text)
+            if name == "writer":
+                assert duality._layout_columns(text) is not None, (chunk, text)
+    monkeypatch.undo()
+    # writer output of many chunks at the real size takes the fast path: a cut
+    # inside a row would fail to parse and quietly send it the whole-text way
+    _, _, g = _pinned_graphs()
+    edges = (c[:9000] for c in (g.heads, g.tails, g.taus, g.codes))
+    text = _written(EdgeLabelledTeg(g.vertex_count, *edges, g.anchor_vertices, g.anchor_times))
+    assert len(text) > 8 * _text.CHUNK and text.index('"anchors"') < len(text) - 2 * _text.CHUNK
+    assert duality._layout_columns(text) is not None
+
+
 def _pinned_graphs():
     net = generate_random(GeneratorConfig(250, 5000, parse_iet_sampler("power_law:0.2"), 1))
     teg = build_teg(net, math.inf)

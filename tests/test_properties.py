@@ -1,7 +1,11 @@
-"""Property tests of the shuffle ensemble's counting path: the shuffled
-columns and the motif counts it takes without a network or an event graph
-equal those of ``time_shuffle``, ``build_teg`` and the quadratic oracle."""
+"""Property tests of the shuffle ensemble's counting path and of the duality
+promises. The shuffled columns and the motif counts the ensemble takes
+without a network or an event graph equal those of ``time_shuffle``,
+``build_teg`` and the quadratic oracle. A labelled graph reads back from
+its JSON bit for bit, and an anchored stripped event graph reconstructs
+its tie-free network bit for bit."""
 
+import io
 import math
 import warnings
 from collections import Counter
@@ -13,7 +17,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from _oracles import brute_force_teg, time_shuffle_sorted  # noqa: E402
-from tegraph import MOTIFS, TemporalNetwork, build_teg, time_shuffle  # noqa: E402
+from tegraph import (  # noqa: E402
+    MOTIFS, EdgeLabelledTeg, TemporalNetwork, build_teg, load_edge_labelled, reconstruct, save_edge_labelled,
+    strip_events, time_shuffle)
+from tegraph import _text, duality  # noqa: E402
 from tegraph.generators import _shuffled_columns  # noqa: E402
 from tegraph.teg import _motif_code_counts, _Scratch  # noqa: E402
 
@@ -87,3 +94,72 @@ def test_members_sharing_one_scratch_count_their_own_event_graphs(member, seeds)
         assert counts.tolist() == np.bincount(build_teg(shuffled, delta_t).codes, minlength=6).tolist()
         found = Counter(motif for *_, motif in brute_force_teg(shuffled, delta_t))
         assert counts.tolist() == [found[m] for m in MOTIFS]
+
+
+# subnormal, ulp-apart and 1e16-scale values besides any finite float
+_SPECIAL = [5e-324, 2.2250738585072014e-308, 1e16, float(np.nextafter(1e16, math.inf)), 0.1, 0.30000000000000004]
+_taus = st.one_of(st.sampled_from(_SPECIAL), st.floats(min_value=5e-324, allow_infinity=False))
+_times = st.one_of(st.sampled_from([-0.0, -1e16, *_SPECIAL]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Any valid labelled graph: distinct keys, any codes, a subset of vertices anchored."""
+    n = draw(st.integers(0, 12))
+    keys = draw(st.lists(st.tuples(st.integers(0, max(n - 2, 0)), st.integers(1, 11)), max_size=40))
+    keys = sorted({(i, i + d) for i, d in keys if i + d < n})
+    taus = draw(st.lists(_taus, min_size=len(keys), max_size=len(keys)))
+    codes = draw(st.lists(st.integers(0, len(MOTIFS) - 1), min_size=len(keys), max_size=len(keys)))
+    vertices = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))) if n else []
+    times = draw(st.lists(_times, min_size=len(vertices), max_size=len(vertices)))
+    return EdgeLabelledTeg(n, [i for i, _ in keys], [j for _, j in keys], taus, codes, vertices, times)
+
+
+@_SETTINGS
+@given(labelled_graphs(), st.sampled_from([1, 40, _text.CHUNK]))
+def test_labelled_graphs_read_back_bit_for_bit(g, chunk):
+    buf = io.StringIO()
+    save_edge_labelled(g, buf)
+    text, kept = buf.getvalue(), _text.CHUNK
+    _text.CHUNK = chunk  # small chunks cut at every row joint
+    try:
+        assert duality._layout_columns(text) is not None
+        loaded = load_edge_labelled(io.StringIO(text))
+    finally:
+        _text.CHUNK = kept
+    assert loaded.vertex_count == g.vertex_count
+    for name in EdgeLabelledTeg.__slots__[1:]:
+        got, expected = getattr(loaded, name), getattr(g, name)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+
+
+@st.composite
+def tie_free_networks(draw):
+    """Distinct times on an offset up to 1e16 with gaps from one ulp to 1e6,
+    so that tau sums round; few nodes, so many two-node motifs."""
+    n = draw(st.integers(2, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), min_size=1, max_size=40))
+    t, times = draw(st.sampled_from([0.0, 1.0, 1e9, 1e16])), []
+    for _ in pairs:
+        times.append(t)
+        ulps = draw(st.integers(1, 3))
+        gap = draw(st.one_of(st.just(0.0), st.floats(1e-9, 1e6)))
+        t = t + gap
+        for _ in range(ulps if t == times[-1] else 0):
+            t = float(np.nextafter(t, math.inf))
+    return TemporalNetwork([u for u, _ in pairs], [(u + d) % n for u, d in pairs], times)
+
+
+@_SETTINGS
+@given(tie_free_networks(), st.one_of(st.just(math.inf), st.floats(1e-6, 1e6)))
+def test_anchored_round_trip_is_bit_exact(net, delta_t):
+    g = strip_events(build_teg(net, delta_t), keep_anchors=True)
+    rebuilt = reconstruct(g)
+    assert rebuilt.times.tobytes() == net.times.tobytes()
+    again = strip_events(build_teg(rebuilt, delta_t), keep_anchors=True)
+    for name in EdgeLabelledTeg.__slots__[1:]:
+        assert getattr(again, name).tobytes() == getattr(g, name).tobytes(), name
+    if delta_t == math.inf:  # one component per connected node set: nodes map one to one
+        pairs = set(zip(net.sources.tolist(), rebuilt.sources.tolist()))
+        pairs |= set(zip(net.targets.tolist(), rebuilt.targets.tolist()))
+        assert len(pairs) == len({u for u, _ in pairs}) == len({v for _, v in pairs})
