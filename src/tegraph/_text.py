@@ -1,9 +1,9 @@
 """Column tables as text, a bounded chunk of rows at a time.
 
 Every event, CSV and JSON output but the manifests is rendered here, ``ROWS``
-rows at a time. The event reader splits its text into lines here, and the
-labelled-graph reader has ``json.loads`` read its rows here, about ``CHUNK``
-characters at a time: no list of every row or line is held.
+rows at a time. The labelled-graph reader has ``json.loads`` read its rows
+here, and the event reader reads its stream, in chunks of about ``CHUNK``
+characters: no list of every row or line is held.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 ROWS = 1 << 12  # rows rendered at a time
-CHUNK = 1 << 16  # characters split at a time
+CHUNK = 1 << 16  # characters read at a time
 
 
 def rows(row: str, *columns, sep: str = ""):
@@ -59,15 +59,6 @@ def time_strings(times: np.ndarray) -> np.ndarray:
     strings[whole] = list(map(str, times[whole].astype(np.int64).tolist()))
     strings[~whole] = list(map(repr, times[~whole].tolist()))
     return strings
-
-
-def lines(text: str):
-    """The lines of a plain ``text``, split a bounded chunk at a time."""
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start + CHUNK) + 1 or len(text)
-        yield from text[start:stop].splitlines()
-        start = stop
 
 
 def json_rows(text: str, start: int, stop: int, empty: str, row: str):

@@ -47,7 +47,7 @@ from .duality import (
     save_edge_labelled,
     strip_events,
 )
-from .events import ParseError, _stable_sort, _starts, load_events, save_events
+from .events import _stable_sort, _starts, load_events, save_events
 from .generators import (
     GeneratorConfig,
     _shuffled_columns,
@@ -548,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistentGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _CONSISTENCY_EXIT
-    except (OSError, ParseError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _INPUT_EXIT
 

@@ -357,7 +357,7 @@ def _tokenized(text: str, delimiter, usecols, on_self_loop):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             rows = np.loadtxt(
-                _text.lines(text), _ROW, comments=None, delimiter=delimiter, usecols=usecols, ndmin=1
+                text.splitlines(), _ROW, comments=None, delimiter=delimiter, usecols=usecols, ndmin=1
             )
     except (ValueError, TypeError):
         return None
@@ -368,12 +368,12 @@ def _tokenized(text: str, delimiter, usecols, on_self_loop):
     return None if _faults(sources, targets, times).any() else (sources, targets, times)
 
 
-def _parsed_lines(lines: Iterable[str], delimiter, usecols, on_self_loop):
-    """Source, target and time columns of ``lines``, one line at a time;
-    raises ``ParseError`` at the first malformed line."""
+def _parsed_lines(lines: Iterable[str], delimiter, usecols, on_self_loop, first: int = 1):
+    """Source, target and time columns of ``lines``, the first numbered ``first``,
+    one line at a time; raises ``ParseError`` at the first malformed line."""
     i, j, k = usecols
     sources, targets, times = [], [], []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=first):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
@@ -404,14 +404,21 @@ def _parsed_lines(lines: Iterable[str], delimiter, usecols, on_self_loop):
 
 
 def _columns(stream, delimiter, usecols, on_self_loop):
-    """Source, target and time columns of a stream or an iterable of lines;
-    the text read is released on return, before the network is built."""
+    """Source, target and time columns of a stream or an iterable of lines. A
+    stream is read in chunks of whole lines, about ``_text.CHUNK`` characters
+    each, by numpy's C tokenizer or else by the line loop, numbering on from
+    the chunks before; only the columns of each chunk are kept, after empty
+    ones that give a stream of no events its dtypes."""
     if not hasattr(stream, "read"):
         return _parsed_lines(stream, delimiter, usecols, on_self_loop)
-    text = stream.read()
-    return _tokenized(text, delimiter, usecols, on_self_loop) or _parsed_lines(
-        io.StringIO(text), delimiter, usecols, on_self_loop
-    )
+    first, chunks = 1, [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64))]
+    while text := stream.read(_text.CHUNK):
+        while text[-1] != "\n" and (line := stream.readline()):  # a readline may stop at "\r"
+            text += line
+        columns = _tokenized(text, delimiter, usecols, on_self_loop)
+        chunks.append(columns or _parsed_lines(io.StringIO(text), delimiter, usecols, on_self_loop, first))
+        first += text.count("\n")
+    return [np.concatenate(column) for column in zip(*chunks)]
 
 
 def parse_events(
@@ -430,10 +437,11 @@ def parse_events(
     (source, target, time) triples are kept with a warning. ``on_self_loop``
     is ``"error"`` or ``"skip"``.
 
-    A stream with ``read`` is read whole and converted by numpy's C
-    tokenizer; text that the tokenizer refuses or that holds a rejected line
-    is read again line by line, which gives the same columns and locates the
-    error. Other iterables of lines are read line by line.
+    A stream (with ``read`` and ``readline``) is read a bounded chunk of whole
+    lines at a time, each converted by numpy's C tokenizer; a chunk that the
+    tokenizer refuses or that holds a rejected line is read again line by
+    line, which gives the same columns and locates the error. Other iterables
+    of lines are read line by line.
 
     Raises
     ------

@@ -33,7 +33,7 @@ from tegraph import (
 )
 from _oracles import first_seen, format_time, from_rows, stable_fill, time_shuffle_sorted
 from tegraph import _text
-from tegraph.events import _first_seen, _stable_sort, load_events, save_events, write_events
+from tegraph.events import _first_seen, _parsed_lines, _stable_sort, load_events, save_events, write_events
 
 
 @pytest.mark.parametrize(
@@ -540,10 +540,20 @@ _PARSER_CORPUS = [
 ]
 
 
+# chunk sizes for the stream reader: a joint after every line, every few
+# lines, and (the real size) none in these short texts
+_CHUNKS = (1, 7, 40, _text.CHUNK)
+
+
 @pytest.mark.parametrize("text,kwargs", _PARSER_CORPUS)
-def test_parser_matches_reference_on_corpus(text, kwargs):
+def test_parser_matches_reference_on_corpus(text, kwargs, monkeypatch):
     parse = lambda **kw: parse_events(io.StringIO(text), **kw)
-    _assert_parses_like_reference(parse, list(io.StringIO(text)), **kwargs)
+    # a stream whose readline also stops at "\r" still reads lines ending in "\n"
+    untranslated = lambda **kw: parse_events(io.StringIO(text, newline=""), **kw)
+    for chunk in _CHUNKS:
+        monkeypatch.setattr(_text, "CHUNK", chunk)
+        _assert_parses_like_reference(parse, list(io.StringIO(text)), **kwargs)
+        _assert_parses_like_reference(untranslated, list(io.StringIO(text)), **kwargs)
 
 
 @pytest.mark.parametrize("fields", list(itertools.permutations(("source", "target", "time"))))
@@ -556,7 +566,7 @@ def test_parser_matches_reference_for_every_field_order(fields):
             )
 
 
-def test_parser_matches_reference_on_files(tmp_path):
+def test_parser_matches_reference_on_files(tmp_path, monkeypatch):
     path = tmp_path / "events.txt"
     for text, kwargs in _PARSER_CORPUS:
         if "\ud800" in text:
@@ -565,7 +575,9 @@ def test_parser_matches_reference_on_files(tmp_path):
             fh.write(text)  # CR and CRLF as written; reading translates them
         with open(path, encoding="utf-8") as fh:
             lines = list(fh)
-        _assert_parses_like_reference(lambda **kw: load_events(str(path), **kw), lines, **kwargs)
+        for chunk in _CHUNKS:
+            monkeypatch.setattr(_text, "CHUNK", chunk)
+            _assert_parses_like_reference(lambda **kw: load_events(str(path), **kw), lines, **kwargs)
 
 
 _FUZZ_TOKENS = [
@@ -577,7 +589,7 @@ _FUZZ_GAPS = [" ", " ", " ", "  ", "\t", ",", ", ", "::", "\xa0", "\u3000", "\x1
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_parser_matches_reference_on_fuzz(seed):
+def test_parser_matches_reference_on_fuzz(seed, tmp_path, monkeypatch):
     rng = np.random.default_rng(seed)
     pick = lambda pool: pool[int(rng.integers(len(pool)))]
     for _ in range(60):
@@ -601,7 +613,14 @@ def test_parser_matches_reference_on_fuzz(seed):
             "on_self_loop": pick(["error", "skip"]),
         }
         parse = lambda **kw: parse_events(io.StringIO(text), **kw)
-        _assert_parses_like_reference(parse, list(io.StringIO(text)), **kwargs)
+        path = tmp_path / "events.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+        for chunk in _CHUNKS:
+            monkeypatch.setattr(_text, "CHUNK", chunk)
+            _assert_parses_like_reference(parse, list(io.StringIO(text)), **kwargs)
+            _assert_parses_like_reference(lambda **kw: load_events(str(path), **kw), lines, **kwargs)
 
 
 def test_plain_text_skips_the_line_loop(monkeypatch):
@@ -617,6 +636,49 @@ def test_plain_text_skips_the_line_loop(monkeypatch):
     assert len(parse_events(io.StringIO(commas, newline=None), delimiter=",")) == 300
     with pytest.raises(AssertionError, match="line loop"):
         parse_events(io.StringIO(text + "1 1 5\n"))
+
+
+def _chunks_of_events(count):
+    """Event text of ``count`` rows, several chunks long."""
+    text = "".join(f"{k % 97} {k % 89 + 97} {k * 0.125}\n" for k in range(count))
+    assert len(text) > 4 * _text.CHUNK
+    return text
+
+
+class _SizedReads(io.StringIO):
+    """A stream that refuses to be read whole."""
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("read the whole stream")
+        return super().read(size)
+
+
+def test_stream_is_read_a_chunk_at_a_time():
+    text = _chunks_of_events(20000)
+    assert parse_events(_SizedReads(text)) == parse_events(io.StringIO(text))
+    with pytest.raises(ParseError, match="^line 20001: bad time"):
+        parse_events(_SizedReads(text + "1 2 3.0#c\n"))
+
+
+def test_refused_chunk_alone_goes_to_the_line_loop(tmp_path, monkeypatch):
+    # a non-ASCII comment in the last chunk sends that chunk, not the file,
+    # through the line loop
+    text = _chunks_of_events(20000)
+    path = tmp_path / "events.txt"
+    path.write_text(text + "# caf\xe9\n", encoding="utf-8")
+    seen = []
+
+    def counting(lines, *args):
+        lines = list(lines)
+        seen.extend(lines)
+        return _parsed_lines(lines, *args)
+
+    monkeypatch.setattr("tegraph.events._parsed_lines", counting)
+    assert load_events(str(path)) == parse_events(io.StringIO(text))
+    read = "".join(seen)
+    assert read.endswith("# caf\xe9\n") and (text + "# caf\xe9\n").endswith(read)
+    assert len(read) <= _text.CHUNK + max(map(len, seen))  # one chunk: CHUNK characters and a line's rest
 
 
 def _sort_cases():
