@@ -200,10 +200,11 @@ class TemporalNetwork:
     order, ``sources`` and ``targets`` as node ids or, when ``node_ids`` is
     given, as positions into it, and names the first row that ``Event``
     rejects. The columns are those of a stable sort by time, bit for bit.
-    Under ``tie_policy="reject"`` equal timestamps raise; under
-    ``"stable_order"`` (default) equal-time events keep their given
-    relative order, with a warning giving the tie count. ``net[i]``,
-    iteration and ``events`` build ``Event`` objects on demand.
+    A warning gives the count of repeated (source, target, time) triples,
+    which are kept; then under ``tie_policy="reject"`` equal timestamps
+    raise, and under ``"stable_order"`` (default) equal-time events keep
+    their given relative order, with a warning giving the tie count.
+    ``net[i]``, iteration and ``events`` build ``Event`` objects on demand.
     """
 
     __slots__ = ("sources", "targets", "times", "node_ids")
@@ -246,6 +247,14 @@ class TemporalNetwork:
         run = _starts(ordered)  # the first event of each run of equal times
         ties = len(run) - int(np.count_nonzero(run))
         if ties:
+            # a duplicate triple is tied: sort the events not alone in their run
+            tied = order[~(run & np.append(run[1:], True))]
+            tied = tied[np.lexsort((times[tied], targets[tied], sources[tied]))]
+            distinct = _starts(sources[tied]) | _starts(targets[tied]) | _starts(times[tied])
+            duplicates = len(tied) - int(np.count_nonzero(distinct))
+            del tied, distinct
+            if duplicates:
+                warnings.warn(f"{duplicates} duplicate event triples kept")
             if tie_policy == TIE_REJECT:
                 raise ValueError(f"{ties} equal-timestamp adjacencies under tie_policy='reject'")
             warnings.warn(f"{ties} equal-timestamp adjacencies resolved by stable order")
@@ -433,9 +442,9 @@ def parse_events(
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped. ``fields`` gives the column order and must be a permutation of
     (source, target, time); extra columns are ignored. Node ids are read as
-    Python ``int`` literals and times as ``float`` literals. Duplicate
-    (source, target, time) triples are kept with a warning. ``on_self_loop``
-    is ``"error"`` or ``"skip"``.
+    Python ``int`` literals and times as ``float`` literals. ``on_self_loop``
+    is ``"error"`` or ``"skip"``. The ``TemporalNetwork`` constructor warns
+    of duplicate triples, then of ties (or rejects them under ``tie_policy``).
 
     A stream (with ``read`` and ``readline``) is read a bounded chunk of whole
     lines at a time, each converted by numpy's C tokenizer; a chunk that the
@@ -453,20 +462,7 @@ def parse_events(
     if on_self_loop not in ("error", "skip"):
         raise ValueError(f"on_self_loop must be 'error' or 'skip', got {on_self_loop!r}")
     usecols = [list(fields).index(name) for name in ("source", "target", "time")]
-    sources, targets, times = _columns(stream, delimiter, usecols, on_self_loop)
-    ordered = np.sort(times)
-    if (ordered[1:] == ordered[:-1]).any():
-        # every duplicate triple lies in a run of equal times: sort those only
-        by_time = np.argsort(times)
-        tie = ~_starts(times[by_time])
-        tie[:-1] |= tie[1:]
-        tied = by_time[tie]
-        order = tied[np.lexsort((times[tied], targets[tied], sources[tied]))]
-        distinct = _starts(sources[order]) | _starts(targets[order]) | _starts(times[order])
-        duplicates = len(order) - int(np.count_nonzero(distinct))
-        if duplicates:
-            warnings.warn(f"{duplicates} duplicate event triples kept")
-    return TemporalNetwork(sources, targets, times, None, tie_policy)
+    return TemporalNetwork(*_columns(stream, delimiter, usecols, on_self_loop), None, tie_policy)
 
 
 def load_events(path: str, **kwargs) -> TemporalNetwork:

@@ -46,6 +46,23 @@ def teg_edge_tuples(teg):
     return {(i, j, iet, MOTIFS[code]) for i, j, iet, code in zip(*columns)}
 
 
+def union_find_labels(n, a, b):
+    """Smallest vertex in each vertex's component over edges ``(a[k], b[k])``,
+    by a union-find over a Python list that hangs the larger root under the
+    smaller, so every root is the smallest vertex of its tree."""
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in zip(a, b):
+        ru, rv = root(u), root(v)
+        parent[max(ru, rv)] = min(ru, rv)
+    return [root(v) for v in range(n)]
+
+
 def fifo_potentials(n, out_ptr, out_ends, out_taus, in_ptr, in_ends, in_taus):
     """Relative times, visiting order and component starts by one FIFO
     breadth-first search per weakly connected component, each from its

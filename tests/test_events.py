@@ -258,8 +258,37 @@ def test_parse_duplicates_kept_with_warning():
     assert len(net) == 2
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_duplicate_count_only_among_ties(seed):
+def _parsed(triples):
+    return parse_events(io.StringIO("".join(f"{s} {t} {x!r}\n" for s, t, x in triples)))
+
+
+def _positions(triples):
+    """The triples as positions into node ids that differ from the positions."""
+    sources, targets, times = map(np.array, zip(*triples))
+    ids = np.unique(np.concatenate((sources, targets)))
+    return TemporalNetwork(ids.searchsorted(sources), ids.searchsorted(targets), times, 10 * ids + 3)
+
+
+def _shuffled(triples):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the parse's own warnings
+        net = _parsed(triples)
+    return time_shuffle(net, 11)
+
+
+_BUILDS = {
+    "parse": _parsed,
+    "direct": lambda triples: TemporalNetwork(*map(np.array, zip(*triples))),
+    "positions": _positions,
+    "shuffle": _shuffled,
+}
+
+
+# the parsed rows keep their ids 0..5
+@pytest.mark.parametrize(
+    "build,seed", [pytest.param(b, s, id=str(s) if b == "parse" else f"{b}-{s}") for b in _BUILDS for s in range(6)]
+)
+def test_duplicate_count_only_among_ties(build, seed):
     # runs of equal times with and without repeated triples, -0.0 next to
     # 0.0, and tie-free events between them, in shuffled order
     rng = np.random.default_rng(seed)
@@ -271,14 +300,29 @@ def test_duplicate_count_only_among_ties(seed):
     if seed < 5:  # seed 5 keeps ties without a single duplicate
         triples += [triples[k] for k in rng.integers(0, len(triples), 1 + seed)]
         triples = [triples[k] for k in rng.permutation(len(triples))]
-    text = "".join(f"{s} {t} {x!r}\n" for s, t, x in triples)
+    assert (len(triples) == len(set(triples))) == (seed == 5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        parse_events(io.StringIO(text))
+        net = _BUILDS[build](triples)
+    triples = [(e.source, e.target, e.time) for e in net]  # the table that was built
     duplicates = len(triples) - len(set(triples))
     found = [str(w.message) for w in caught if "duplicate" in str(w.message)]
     assert found == ([f"{duplicates} duplicate event triples kept"] if duplicates else [])
-    assert (duplicates == 0) == (seed == 5)
+
+
+_REJECTED = {
+    "parse": lambda: parse_events(io.StringIO("1 2 5\n3 4 5\n1 2 5\n"), tie_policy="reject"),
+    "direct": lambda: TemporalNetwork([1, 3, 1], [2, 4, 2], [5.0, 5.0, 5.0], tie_policy="reject"),
+}
+
+
+@pytest.mark.parametrize("build", list(_REJECTED))
+def test_duplicates_warn_before_the_tie_rejection(build):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="2 equal-timestamp adjacencies under tie_policy='reject'"):
+            _REJECTED[build]()
+    assert [str(w.message) for w in caught] == ["1 duplicate event triples kept"]
 
 
 def test_file_round_trip(tmp_path):

@@ -1,9 +1,12 @@
-"""Property tests of the shuffle ensemble's counting path and of the duality
-promises. The shuffled columns and the motif counts the ensemble takes
-without a network or an event graph equal those of ``time_shuffle``,
-``build_teg`` and the quadratic oracle. A labelled graph reads back from
-its JSON bit for bit, and an anchored stripped event graph reconstructs
-its tie-free network bit for bit."""
+"""Property tests of the shuffle ensemble's counting path, of the duality
+promises and of the components. The shuffled columns and the motif counts
+the ensemble takes without a network or an event graph equal those of
+``time_shuffle``, ``build_teg`` and the quadratic oracle. A labelled graph
+reads back from its JSON bit for bit, and an anchored stripped event graph
+reconstructs its tie-free network bit for bit. A stripped tie-free event
+graph is consistent, every window of the sweep sees the largest component
+of the event graph built at that window, and the component labels equal a
+union-find's."""
 
 import io
 import math
@@ -16,11 +19,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from _oracles import brute_force_teg, time_shuffle_sorted  # noqa: E402
+from _oracles import brute_force_teg, time_shuffle_sorted, union_find_labels  # noqa: E402
 from tegraph import (  # noqa: E402
-    MOTIFS, EdgeLabelledTeg, TemporalNetwork, build_teg, load_edge_labelled, reconstruct, save_edge_labelled,
-    strip_events, time_shuffle)
+    MOTIFS, EdgeLabelledTeg, TemporalNetwork, build_teg, check_consistency, load_edge_labelled, reconstruct,
+    save_edge_labelled, strip_events, sweep_largest_component, time_shuffle, weakly_connected_components)
 from tegraph import _text, duality  # noqa: E402
+from tegraph.components import _labels  # noqa: E402
 from tegraph.generators import _shuffled_columns  # noqa: E402
 from tegraph.teg import _motif_code_counts, _Scratch  # noqa: E402
 
@@ -163,3 +167,43 @@ def test_anchored_round_trip_is_bit_exact(net, delta_t):
         pairs = set(zip(net.sources.tolist(), rebuilt.sources.tolist()))
         pairs |= set(zip(net.targets.tolist(), rebuilt.targets.tolist()))
         assert len(pairs) == len({u for u, _ in pairs}) == len({v for _, v in pairs})
+
+
+@_SETTINGS
+@given(tie_free_networks(), st.one_of(st.just(math.inf), st.floats(1e-6, 1e6)))
+def test_stripped_tie_free_event_graphs_are_consistent(net, delta_t):
+    assert check_consistency(strip_events(build_teg(net, delta_t))).ok
+
+
+@st.composite
+def swept_networks(draw):
+    """A tie-free network and an ascending grid of windows, some of them at
+    an edge's gap or one ulp above it, where the edge joins."""
+    net = draw(tie_free_networks())
+    iets = build_teg(net, math.inf).iets.tolist()
+    at_gaps = st.sampled_from(iets + [float(np.nextafter(iet, math.inf)) for iet in iets]) if iets else st.nothing()
+    windows = draw(st.lists(st.one_of(st.floats(1e-9, 1e7), st.just(math.inf), at_gaps), min_size=1, max_size=8))
+    return net, sorted(set(windows))
+
+
+@_SETTINGS
+@given(swept_networks())
+def test_every_sweep_window_is_the_largest_component_at_that_window(swept):
+    net, grid = swept
+    for delta_t, fraction in sweep_largest_component(net, grid):
+        assert fraction == weakly_connected_components(build_teg(net, delta_t)).largest_fraction
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count and up to 60 edges between its vertices, self-loops among them."""
+    n = draw(st.integers(1, 40))
+    return n, draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60))
+
+
+@_SETTINGS
+@given(edge_lists())
+def test_labels_equal_a_union_find(graph):
+    n, edges = graph
+    a, b = (np.array([edge[k] for edge in edges], np.int64) for k in (0, 1))
+    assert _labels(n, a, b).tolist() == union_find_labels(n, a.tolist(), b.tolist())
