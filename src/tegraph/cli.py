@@ -286,7 +286,7 @@ _members = threading.local()  # an ensemble worker thread's scratch, which ends 
 
 
 def _shuffle_frequencies(net, dt, seed):
-    scratch = getattr(_members, "scratch", None) or _Scratch(len(net))
+    scratch = _members.scratch
     counts = _motif_code_counts(*_shuffled_columns(net, seed, scratch), dt, scratch).tolist()
     total = sum(counts)
     if total == 0:

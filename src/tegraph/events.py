@@ -241,8 +241,10 @@ class TemporalNetwork:
         if node_ids is None:
             node_ids, ends = np.unique(np.stack((sources, targets), 1).ravel(), return_inverse=True)
             sources, targets = ends[0::2], ends[1::2]
-        in_order = bool(np.all(times[1:] >= times[:-1]))  # the given order is the stable one
-        order = np.arange(len(times)) if in_order else np.argsort(times)
+        if np.all(times[1:] >= times[:-1]):  # the given order is the stable one
+            order = np.arange(len(times))
+        else:  # a stable sort of each time's rank among the distinct times
+            order = _stable_sort(np.unique(times, return_inverse=True)[1])[1]
         ordered = times[order]
         run = _starts(ordered)  # the first event of each run of equal times
         ties = len(run) - int(np.count_nonzero(run))
@@ -258,15 +260,6 @@ class TemporalNetwork:
             if tie_policy == TIE_REJECT:
                 raise ValueError(f"{ties} equal-timestamp adjacencies under tie_policy='reject'")
             warnings.warn(f"{ties} equal-timestamp adjacencies resolved by stable order")
-        if ties and not in_order:
-            # the unstable sort may mix up a run: a stable sort of each event's
-            # run number puts every run back in the given order, and the times
-            # are gathered again so that -0.0 and 0.0 keep their places too
-            keys = np.empty(len(order), np.int64)
-            keys[order] = np.cumsum(run)
-            del ordered, run
-            _, order = _stable_sort(keys)
-            ordered = times[order]
         self.__setstate__((sources[order], targets[order], ordered, node_ids))
 
     def __getstate__(self):

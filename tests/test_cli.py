@@ -279,6 +279,15 @@ def test_entropy_requires_edges(tmp_path, capsys):
     assert "no edges" in capsys.readouterr().err
 
 
+def test_ensemble_member_without_edges_exits_2(tmp_path, capsys):
+    # the network has an edge at the window; its shuffle of seed 2 has none
+    raw = tmp_path / "three.txt"
+    raw.write_text("0 1 0\n1 2 1\n3 4 10\n")
+    out = tmp_path / "m.csv"
+    assert run("motifs", "--input", raw, "--dt", "1.5", "--ensemble", "2", "--seed", "1", "--output", out) == 2
+    assert "shuffle seed 2: event graph has no edges at this window" in capsys.readouterr().err
+
+
 def test_sweep_csv(tmp_path):
     events = _generate(tmp_path, nodes=8, events=120, iets="exponential:1", seed=2)
     out = tmp_path / "sweep.csv"
@@ -302,6 +311,7 @@ def test_sweep_csv(tmp_path):
         ("log:1:2", "expected log:A:B:N or lin:A:B:N"),
         ("lin:1:2:3:4", "expected log:A:B:N or lin:A:B:N"),
         ("log:1:inf:5", "endpoints must be finite"),
+        ("log:1:2:0", "grid needs at least one point"),
     ],
 )
 def test_malformed_grid_names_the_problem(grid, message, capsys):

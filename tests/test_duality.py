@@ -931,6 +931,9 @@ def _documents():
         yield "indent-2", json.dumps(doc, indent=2) + "\n"
         yield "reordered", json.dumps(dict(reversed(doc.items())), indent=1) + "\n"
         yield "sorted-keys", json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        if "anchors" in doc:  # the writer's framing up to the count, then anchors before edges
+            first = {"vertex_count": doc["vertex_count"], "anchors": doc["anchors"], "edges": doc["edges"]}
+            yield "anchors-first", json.dumps(first, indent=1) + "\n"
     g = graphs[0]
     text = _written(g)
     tau, anchor = f'"tau": {float(g.taus[0])!r}', f'"0": {float(g.anchor_times[0])!r}'
@@ -975,6 +978,7 @@ def _documents():
         ('"i": 0', '"i": 9223372036854775808'),
         ('"i": 0', '"i": -3'),
         ('"vertex_count": ', '"vertex_count": 0'),
+        (f'"vertex_count": {g.vertex_count},', f'"vertex_count": {g.vertex_count}.0,'),
         ('"anchors": {\n  "0"', '"anchors": {\n  "1"'),
         ('"motif": "', '"motif": "\\u0041'),
         (f'"motif": "{name}"', '"motif": "ABCD"'),
@@ -1008,7 +1012,7 @@ def test_layout_reader_matches_the_json_reader():
         taken.setdefault(name, set()).add(fast)
         assert _load_outcome(text, fast=True) == _load_outcome(text, fast=False), (name, text)
     assert taken["writer"] == {True}
-    for name in ("indent-none", "indent-2", "reordered", "sorted-keys"):
+    for name in ("indent-none", "indent-2", "reordered", "sorted-keys", "anchors-first"):
         assert taken[name] == {False}
     assert taken["mutation"] == {True, False}
     assert taken["moved i"] == taken["moved motif"] == taken["moved anchor"] == {False}

@@ -594,10 +594,13 @@ def test_parser_matches_reference_on_corpus(text, kwargs, monkeypatch):
     parse = lambda **kw: parse_events(io.StringIO(text), **kw)
     # a stream whose readline also stops at "\r" still reads lines ending in "\n"
     untranslated = lambda **kw: parse_events(io.StringIO(text, newline=""), **kw)
+    lines = list(io.StringIO(text))
+    # a list of lines, not a stream, is read line by line
+    _assert_parses_like_reference(lambda **kw: parse_events(lines, **kw), lines, **kwargs)
     for chunk in _CHUNKS:
         monkeypatch.setattr(_text, "CHUNK", chunk)
-        _assert_parses_like_reference(parse, list(io.StringIO(text)), **kwargs)
-        _assert_parses_like_reference(untranslated, list(io.StringIO(text)), **kwargs)
+        _assert_parses_like_reference(parse, lines, **kwargs)
+        _assert_parses_like_reference(untranslated, lines, **kwargs)
 
 
 @pytest.mark.parametrize("fields", list(itertools.permutations(("source", "target", "time"))))
