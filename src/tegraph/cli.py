@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__, _text
 from .components import (
     ComponentSet,
-    EmpiricalCcdf,
     aggregate_component,
     aggregate_network,
     barcode_rows,
@@ -47,7 +46,7 @@ from .duality import (
     save_edge_labelled,
     strip_events,
 )
-from .events import _stable_sort, _starts, load_events, save_events
+from .events import load_events, save_events
 from .generators import (
     GeneratorConfig,
     _shuffled_columns,
@@ -116,18 +115,16 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
-def _duration_arg(text: str) -> float:
-    try:
-        return parse_duration(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(parse):
+    """argparse type: ``parse``, its ValueError a usage error with its message."""
 
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _grid_arg(text: str) -> list[float]:
-    try:
-        return parse_grid(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return typed
 
 
 def _count_arg(low: int):
@@ -148,22 +145,11 @@ def _count_arg(low: int):
 def _add_event_input(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="event file (source target time per line)")
     p.add_argument("--delimiter", default=None, help="column separator (default: whitespace)")
-    p.add_argument(
-        "--fields",
-        default="source,target,time",
-        help="column order as a comma list of source,target,time",
-    )
-    p.add_argument(
-        "--tie-policy",
-        choices=("stable_order", "reject"),
-        default="stable_order",
-        help="equal-timestamp handling",
-    )
-    p.add_argument(
-        "--skip-self-loops",
-        action="store_true",
-        help="drop self-loop lines instead of failing",
-    )
+    fields = "source,target,time"
+    p.add_argument("--fields", default=fields, help="column order as a comma list of " + fields)
+    policies = ("stable_order", "reject")
+    p.add_argument("--tie-policy", choices=policies, default="stable_order", help="equal-timestamp handling")
+    p.add_argument("--skip-self-loops", action="store_true", help="drop self-loop lines instead of failing")
 
 
 def _read_events(args):
@@ -258,12 +244,7 @@ def _cmd_components(args):
     net = _read_events(args)
     cs = ComponentSet(build_teg(net, args.dt))
     top = len(cs) if args.top is None else min(args.top, len(cs))
-    # each rank's node count: its distinct (rank, node) keys, by one sort
-    n, members = len(net.node_ids), cs._members[: cs._bounds[top]]
-    ranks = cs.assignment[members] * n
-    keys = np.sort(np.concatenate((ranks + net.sources[members], ranks + net.targets[members])))
-    node_counts = np.bincount(keys[_starts(keys)] // n, minlength=top)
-    columns = np.arange(top), cs.sizes[:top], node_counts, cs.starts[:top], cs.ends[:top]
+    columns = np.arange(top), cs.sizes[:top], cs.node_counts(top), cs.starts[:top], cs.ends[:top]
     fields = {
         "delta_t": "inf" if args.dt == inf else args.dt,
         "event_count": len(net),
@@ -304,16 +285,9 @@ def _cmd_motifs(args):
     header = "scope,edges," + ",".join(_NAMES) + "\n"
     blocks = [[header, _MOTIF_ROW % ("all", edge_count, *motif_distribution(teg).masses)]]
     if args.per_component:
-        # every edge lies inside its head's component
         cs = ComponentSet(teg)
-        ranks = cs.assignment[teg.heads]
-        counts = np.bincount(ranks * len(MOTIFS) + teg.codes, minlength=len(cs) * len(MOTIFS))
-        counts = counts.reshape(-1, len(MOTIFS))
-        totals = counts.sum(1)
-        kept = np.flatnonzero(totals)
-        masses = counts[kept] / totals[kept, None]
-        blocks.append(_text.rows("component:" + _MOTIF_ROW, kept, totals[kept], *masses.T))
-        del cs, ranks, counts
+        blocks.append(_text.rows("component:" + _MOTIF_ROW, *cs.ranks_with_edges(), *cs.motif_masses().T))
+        del cs
     del teg  # the ensemble reads only the network: free the event graph first
     if args.ensemble:
         # members share the read-only network and build none of their own, so
@@ -339,10 +313,7 @@ def _cmd_iets(args):
         curves = [(args.motif, iet_ccdf(teg, Motif(args.motif)))]
     else:
         curves = [("all", iet_ccdf(teg))]
-        counts = motif_counts(teg)
-        for m in MOTIFS:
-            if counts[m]:
-                curves.append((m.value, iet_ccdf(teg, m)))
+        curves += [(m.value, iet_ccdf(teg, m)) for m, count in motif_counts(teg).items() if count]
     rows = (_text.rows(label + ",%.17g,%.17g\n", ccdf.support, ccdf.tails) for label, ccdf in curves)
     _write(args.output, ["scope,iet,tail\n"], *rows)
     if args.svg:
@@ -354,27 +325,14 @@ def _cmd_iets(args):
 def _cmd_entropy(args):
     net = _read_events(args)
     teg = build_teg(net, args.dt)
-
-    def entropies(inside):
-        codes = teg.codes[inside]
-        masses = (np.bincount(codes, minlength=len(MOTIFS)) / len(codes)).tolist()
-        cre = cumulative_residual_entropy(EmpiricalCcdf.from_samples(teg.iets[inside]))
-        return shannon_entropy(masses), cre
-
     if not teg.edge_count:
         raise ValueError("event graph has no edges")
     row = "%s,%d,%.17g,%.17g\n"
-    whole = row % ("all", teg.edge_count, *entropies(slice(None)))
-    blocks = [["scope,edges,motif_entropy_bits,iet_cre\n", whole]]
+    whole = shannon_entropy(motif_distribution(teg)), cumulative_residual_entropy(iet_ccdf(teg))
+    blocks = [["scope,edges,motif_entropy_bits,iet_cre\n", row % ("all", teg.edge_count, *whole)]]
     if args.per_component:
-        # every edge lies inside its head's component
-        ranks = ComponentSet(teg).assignment[teg.heads]
-        _, order = _stable_sort(ranks)
-        sizes = np.bincount(ranks)
-        groups = np.split(order, np.cumsum(sizes)[:-1])
-        kept = np.flatnonzero(sizes)
-        values = np.array([entropies(groups[rank]) for rank in kept.tolist()]).reshape(-1, 2)
-        blocks.append(_text.rows("component:" + row, kept, sizes[kept], *values.T))
+        cs = ComponentSet(teg)
+        blocks.append(_text.rows("component:" + row, *cs.ranks_with_edges(), cs.motif_entropies(), cs.iet_cres()))
     _write(args.output, *blocks)
     return 0
 
@@ -396,12 +354,9 @@ def _cmd_aggregate(args):
         return _USAGE_EXIT
     net = _read_events(args)
     if args.dt is None:
-        agg = aggregate_network(net)
-        scope = "network"
+        agg, scope = aggregate_network(net), "network"
     else:
-        teg = build_teg(net, args.dt)
-        agg = aggregate_component(teg, args.component)
-        scope = f"component:{args.component}"
+        agg, scope = aggregate_component(build_teg(net, args.dt), args.component), f"component:{args.component}"
     doc = {
         "scope": scope,
         "node_count": agg.node_count,
@@ -423,112 +378,86 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="teg", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"teg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    duration = _arg(parse_duration)
 
-    p = sub.add_parser("generate", help="random temporal network")
+    def command(name, func, about, events=True) -> _Parser:
+        """The subcommand ``name`` that runs ``func``; it reads an event file where ``events``."""
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(func=func)
+        if events:
+            _add_event_input(p)
+        return p
+
+    p = command("generate", _cmd_generate, "random temporal network", events=False)
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--iets", required=True, help="power_law:A | exponential:RATE | deterministic:GAP")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("shuffle", help="time-shuffle null model")
-    _add_event_input(p)
+    p = command("shuffle", _cmd_shuffle, "time-shuffle null model")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_shuffle)
 
-    p = sub.add_parser("build", help="event graph from events")
-    _add_event_input(p)
-    p.add_argument("--dt", required=True, type=_duration_arg, help="waiting window (e.g. 3600, 1h, inf)")
-    p.add_argument(
-        "--format",
-        choices=("graph", "edges"),
-        default="graph",
-        help="graph: reconstructable edge-labelled JSON; edges: flat edge list",
-    )
-    p.add_argument(
-        "--no-anchors",
-        action="store_true",
-        help="omit absolute-time anchors from graph output",
-    )
+    p = command("build", _cmd_build, "event graph from events")
+    p.add_argument("--dt", required=True, type=duration, help="waiting window (e.g. 3600, 1h, inf)")
+    about = "graph: reconstructable edge-labelled JSON; edges: flat edge list"
+    p.add_argument("--format", choices=("graph", "edges"), default="graph", help=about)
+    p.add_argument("--no-anchors", action="store_true", help="omit absolute-time anchors from graph output")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("validate", help="check an edge-labelled graph")
+    p = command("validate", _cmd_validate, "check an edge-labelled graph", events=False)
     p.add_argument("--input", required=True, help="edge-labelled graph JSON")
     p.add_argument("--rel-tol", type=float, default=1e-12)
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("reconstruct", help="events back from an edge-labelled graph")
+    p = command("reconstruct", _cmd_reconstruct, "events back from an edge-labelled graph", events=False)
     p.add_argument("--input", required=True, help="edge-labelled graph JSON")
     p.add_argument("--rel-tol", type=float, default=1e-12)
-    p.add_argument(
-        "--layout",
-        choices=("overlay", "end-to-end"),
-        default="overlay",
-        help="overlay: anchors or t=0 per component; end-to-end: lay components out in sequence",
-    )
+    about = "overlay: anchors or t=0 per component; end-to-end: lay components out in sequence"
+    p.add_argument("--layout", choices=("overlay", "end-to-end"), default="overlay", help=about)
     p.add_argument("--spacing", type=float, default=1.0, help="gap between end-to-end components")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("components", help="weakly connected components")
-    _add_event_input(p)
-    p.add_argument("--dt", required=True, type=_duration_arg)
+    p = command("components", _cmd_components, "weakly connected components")
+    p.add_argument("--dt", required=True, type=duration)
     p.add_argument("--top", type=_count_arg(1), default=None, help="report only the K largest")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_components)
 
-    p = sub.add_parser("sweep", help="largest component fraction over windows")
-    _add_event_input(p)
-    p.add_argument("--dt-grid", required=True, type=_grid_arg, help="log:A:B:N | lin:A:B:N | comma list")
+    p = command("sweep", _cmd_sweep, "largest component fraction over windows")
+    p.add_argument("--dt-grid", required=True, type=_arg(parse_grid), help="log:A:B:N | lin:A:B:N | comma list")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("motifs", help="motif distribution (optionally vs shuffles)")
-    _add_event_input(p)
-    p.add_argument("--dt", required=True, type=_duration_arg)
+    p = command("motifs", _cmd_motifs, "motif distribution (optionally vs shuffles)")
+    p.add_argument("--dt", required=True, type=duration)
     p.add_argument("--per-component", action="store_true")
     p.add_argument("--ensemble", type=_count_arg(0), default=0, help="time-shuffle ensemble size")
     p.add_argument("--seed", type=int, default=0)
-    parser.workers = p.add_argument(  # its default is set at each parse, from TEG_WORKERS
-        "--workers",
-        type=_count_arg(1),
-        help="parallel shuffle threads (default: TEG_WORKERS or 1)",
-    )
+    about = "parallel shuffle threads (default: TEG_WORKERS or 1)"
+    # its default is set at each parse, from TEG_WORKERS
+    parser.workers = p.add_argument("--workers", type=_count_arg(1), help=about)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_motifs)
 
-    p = sub.add_parser("iets", help="inter-event-time CCDFs")
-    _add_event_input(p)
-    p.add_argument("--dt", required=True, type=_duration_arg)
+    p = command("iets", _cmd_iets, "inter-event-time CCDFs")
+    p.add_argument("--dt", required=True, type=duration)
     p.add_argument("--motif", choices=_NAMES.tolist(), default=None)
     p.add_argument("--svg", default=None, help="also render curves to SVG")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_iets)
 
-    p = sub.add_parser("entropy", help="motif entropy and inter-event-time CRE")
-    _add_event_input(p)
-    p.add_argument("--dt", required=True, type=_duration_arg)
+    p = command("entropy", _cmd_entropy, "motif entropy and inter-event-time CRE")
+    p.add_argument("--dt", required=True, type=duration)
     p.add_argument("--per-component", action="store_true")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_entropy)
 
-    p = sub.add_parser("barcode", help="component barcode SVG")
-    _add_event_input(p)
-    p.add_argument("--dt", required=True, type=_duration_arg)
+    p = command("barcode", _cmd_barcode, "component barcode SVG")
+    p.add_argument("--dt", required=True, type=duration)
     p.add_argument("--top", type=_count_arg(1), default=None)
     p.add_argument("--csv", default=None, help="also dump rows as CSV")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_barcode)
 
-    p = sub.add_parser("aggregate", help="time-aggregated static graph")
-    _add_event_input(p)
-    p.add_argument("--dt", default=None, type=_duration_arg, help="with --component: restrict to one component")
+    p = command("aggregate", _cmd_aggregate, "time-aggregated static graph")
+    p.add_argument("--dt", default=None, type=duration, help="with --component: restrict to one component")
     p.add_argument("--component", type=_count_arg(0), default=None)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_aggregate)
 
     return parser
 

@@ -87,15 +87,19 @@ class ComponentSet:
     kept on it (the graph is immutable), so every ``ComponentSet`` of one
     graph shares them; the ``Teg`` holds the columns, not this object, so
     no reference cycle forms.
+
+    The reductions over each rank's edges (an edge's rank is its head's)
+    read one edge layer, built on first use and kept on this object.
     """
 
-    __slots__ = ("teg", "assignment", "sizes", "starts", "ends", "_members", "_bounds")
+    __slots__ = ("teg", "assignment", "sizes", "starts", "ends", "_members", "_bounds", "_edges")
 
     def __init__(self, teg: Teg):
         if teg._components is None:
             teg._components = _component_columns(teg)
         self.teg = teg
         self.assignment, self.sizes, self.starts, self.ends, self._members, self._bounds = teg._components
+        self._edges = None
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -119,6 +123,49 @@ class ComponentSet:
     def largest_fraction(self) -> float:
         """Share of events in the largest component (0 for empty graphs)."""
         return int(self.sizes[0]) / len(self.teg.network) if len(self) else 0.0
+
+    def _edge_layer(self):
+        """Each edge's row (its rank's index among the ranks with edges), those ranks and their edges' bounds."""
+        if self._edges is None:
+            ranks = self.assignment[self.teg.heads]
+            counts = np.bincount(ranks, minlength=len(self))
+            rows = np.cumsum(counts > 0)[ranks] - 1
+            self._edges = rows, np.flatnonzero(counts), np.append(0, np.cumsum(counts[counts > 0]))
+        return self._edges
+
+    def ranks_with_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ranks that hold edges, ascending, and their edge counts: the rows of the reductions."""
+        _, ranks, bounds = self._edge_layer()
+        return ranks, np.diff(bounds)
+
+    def motif_masses(self) -> np.ndarray:
+        """Each rank's motif frequencies, a column per class in canonical order."""
+        rows, ranks, bounds = self._edge_layer()
+        counts = np.bincount(rows * len(MOTIFS) + self.teg.codes, minlength=len(ranks) * len(MOTIFS))
+        return counts.reshape(-1, len(MOTIFS)) / np.diff(bounds)[:, None]
+
+    def motif_entropies(self) -> np.ndarray:
+        """``shannon_entropy`` of each rank's motif masses, bit for bit: the
+        terms are added in order, and a zero mass adds 0.0, which changes no sum."""
+        p = self.motif_masses()
+        logs = np.zeros_like(p)
+        logs[p > 0] = np.fromiter(map(log2, memoryview(p[p > 0])), np.float64)
+        return -(p * logs).cumsum(axis=1)[:, -1]
+
+    def iet_cres(self) -> np.ndarray:
+        """``cumulative_residual_entropy`` of each rank's inter-event times, bit for bit."""
+        rows, _, bounds = self._edge_layer()
+        by_tau = np.argsort(self.teg.iets)  # then grouped by rank, stably: one sort of (rank, tau)
+        return _cres(*_ccdfs(self.teg.iets[by_tau[_stable_sort(rows[by_tau])[1]]], bounds))
+
+    def node_counts(self, top: int | None = None) -> np.ndarray:
+        """Distinct nodes per rank, of the ``top`` largest ranks (all by default): one sort of (rank, node) keys."""
+        top = len(self) if top is None else min(top, len(self))
+        net, members = self.teg.network, self._members[: self._bounds[top]]
+        n = len(net.node_ids)
+        ranks = self.assignment[members] * n
+        keys = np.sort(np.concatenate((ranks + net.sources[members], ranks + net.targets[members])))
+        return np.bincount(keys[_starts(keys)] // n, minlength=top)
 
 
 def weakly_connected_components(teg: Teg) -> ComponentSet:
@@ -260,13 +307,9 @@ class EmpiricalCcdf:
             data = np.sort(samples.astype(np.float64, copy=False), axis=None)
         else:
             data = np.sort(np.fromiter(samples, np.float64))
-        n = len(data)
-        if n == 0:
+        if not len(data):
             raise ValueError("empty sample")
-        first = _starts(data)
-        ends = np.flatnonzero(first)
-        ends[:-1], ends[-1] = ends[1:], n  # one past each value's run
-        return cls(data[first], (n - ends) / n, n)
+        return cls(*_ccdfs(data, np.array([0, len(data)]))[:2], len(data))
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -311,26 +354,53 @@ def shannon_entropy(dist: DiscreteDistribution | Iterable[float]) -> float:
     return -reduce(add, (p * log2(p) for p in masses if p > 0), 0)
 
 
+def _ccdfs(data: np.ndarray, bounds: np.ndarray):
+    """``EmpiricalCcdf``'s ``support`` and ``tails`` of each segment ``data[bounds[k]:bounds[k + 1]]``
+    of a column sorted within its segments, and each segment's bounds in them."""
+    first = _starts(data)
+    first[bounds[:-1][np.diff(bounds) > 0]] = True  # a segment starts a run
+    runs = np.flatnonzero(first)
+    steps = np.searchsorted(runs, bounds)
+    counts = np.diff(steps)
+    # the share of a run's segment past the run's end
+    tails = (np.repeat(bounds[1:], counts) - np.append(runs[1:], len(data))) / np.repeat(np.diff(bounds), counts)
+    return data[runs], tails, steps
+
+
+def _cres(support: np.ndarray, tails: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``cumulative_residual_entropy`` of the CCDF of each segment
+    ``support[bounds[k]:bounds[k + 1]]``, ``tails[...]``. A segment's terms
+    are added in order from the first, as a loop adds them (``np.add.reduceat``
+    adds pairwise): the segments of each length are the rows of one matrix,
+    summed in place by a ``cumsum`` along the rows."""
+    inside = tails > 0
+    inside[bounds[1:][np.diff(bounds) > 0] - 1] = False  # a segment's last step has no width
+    p = np.where(inside, tails, 1.0)
+    terms = np.zeros(len(support))
+    np.subtract(support[1:], support[:-1], out=terms[:-1])
+    terms *= p
+    terms *= np.fromiter(map(log2, memoryview(p)), np.float64, len(p))
+    terms[~inside] = 0.0  # a zero term changes a sum at most from -0.0 to 0.0
+    lengths, sums = np.diff(bounds), np.zeros(len(bounds) - 1)
+    distinct = np.sort(lengths[lengths > 0])
+    for length in distinct[_starts(distinct)].tolist():
+        rows = np.flatnonzero(lengths == length)
+        block = np.lib.stride_tricks.sliding_window_view(terms, length)[bounds[rows]]
+        sums[rows] = np.cumsum(block, axis=1, out=block)[:, -1]
+    return -sums + 0.0  # -(a + b) is -a + -b bit for bit; a loop from 0.0 never ends at -0.0
+
+
 def cumulative_residual_entropy(ccdf: EmpiricalCcdf) -> float:
     """-integral of P(X>x) log2 P(X>x), evaluated exactly on the steps.
 
     The empirical CCDF is piecewise constant, so the integral is a finite
     sum of gap widths times -p log2 p. A single-valued sample gives 0. The
-    terms are added in order by one ``cumsum``, so the sum is the one a
-    loop over the steps gives, bit for bit; the logarithms are taken by
-    ``math.log2``, whose last bits ``np.log2`` does not always match.
+    terms are added in order, so the sum is the one a loop over the steps
+    gives, bit for bit; the logarithms are taken by ``math.log2``, whose
+    last bits ``np.log2`` does not always match. This is the one-segment
+    case of ``ComponentSet.iet_cres``.
     """
-    p, widths = ccdf.tails[:-1], ccdf.support[1:] - ccdf.support[:-1]
-    inside = p > 0
-    if not inside.all():
-        p, widths = p[inside], widths[inside]
-    if not len(p):
-        return 0.0
-    terms = widths * p
-    terms *= np.fromiter(map(log2, p.tolist()), np.float64, len(p))
-    # the loop starts from 0.0, the cumsum from the first term: only the
-    # sign of a zero sum can differ
-    return float(np.negative(terms, out=terms).cumsum()[-1]) + 0.0
+    return float(_cres(ccdf.support, ccdf.tails, np.array([0, len(ccdf.support)]))[0])
 
 
 def barcode_rows(teg: Teg | ComponentSet, top: int | None = None) -> list[tuple[float, ...]]:

@@ -5,6 +5,11 @@ node (O(M^2)) so it encodes the adjacency definition directly, with none
 of the bookkeeping the production builder uses.
 """
 
+from bisect import bisect_right
+from functools import reduce
+from math import log2
+from operator import add
+
 import numpy as np
 
 from tegraph import MOTIFS, TemporalNetwork, classify_pair
@@ -125,3 +130,38 @@ def time_shuffle_sorted(net, seed):
     permuted over the events, and the network built again by a time sort."""
     perm = np.random.default_rng(seed).permutation(len(net))
     return TemporalNetwork(net.sources, net.targets, net.times[perm], net.node_ids)
+
+
+def step_cre(sample):
+    """The cumulative residual entropy of a sample by a loop over the steps
+    of its CCDF: from 0.0, minus each gap times p log2 p, where p = (n - k) / n
+    is the share of the sample above the step's value."""
+    sample, total = sorted(sample), 0.0
+    values = sorted(set(sample))
+    for a, b in zip(values, values[1:]):
+        p = (len(sample) - bisect_right(sample, a)) / len(sample)
+        total -= (b - a) * p * log2(p)
+    return total
+
+
+def per_rank_loop(teg, assignment):
+    """Each rank's rows by a loop over the ranks in Python: for every rank
+    with edges (an edge lies inside its head's component) the tuple (rank,
+    edge count, six motif masses, motif entropy, CRE of its inter-event
+    times); and every rank's count of distinct nodes. The entropy adds its
+    terms in order from 0, as ``shannon_entropy`` does."""
+    ranks = assignment.tolist()
+    edges = [[] for _ in range(max(ranks, default=-1) + 1)]
+    nodes = [set() for _ in edges]
+    for k, head in enumerate(teg.heads.tolist()):
+        edges[ranks[head]].append(k)
+    net = teg.network
+    for v, ends in enumerate(zip(net.sources.tolist(), net.targets.tolist())):
+        nodes[ranks[v]].update(ends)
+    codes, iets, rows = teg.codes.tolist(), teg.iets.tolist(), []
+    for rank, ks in enumerate(edges):
+        if ks:
+            masses = [sum(codes[k] == c for k in ks) / len(ks) for c in range(len(MOTIFS))]
+            entropy = -reduce(add, (p * log2(p) for p in masses if p > 0), 0)
+            rows.append((rank, len(ks), *masses, entropy, step_cre([iets[k] for k in ks])))
+    return rows, [len(found) for found in nodes]

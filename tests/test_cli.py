@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _oracles import per_rank_loop
 from tegraph import (
     MOTIFS,
     Motif,
@@ -17,6 +18,7 @@ from tegraph import (
     canonicalize,
     load_events,
     save_edge_labelled,
+    weakly_connected_components,
 )
 from tegraph import cli
 from tegraph.cli import main, parse_duration, parse_grid
@@ -534,6 +536,37 @@ def test_seeded_runs_are_byte_identical(tmp_path):
     snap = shuffled.read_bytes()
     assert run(*args) == 0
     assert shuffled.read_bytes() == snap
+
+
+@pytest.mark.parametrize(
+    "lines, dt, component_count, entropy_rows",
+    [
+        # one motif class: entropy -0; all taus equal: CRE 0, not -0
+        ("0 1 0\n0 1 1\n0 1 2\n2 3 5\n", "inf", 2, ["component:0,2,-0,0"]),
+        # at this window only the largest of three components holds edges
+        ("0 1 0\n2 3 0.5\n1 0 1\n0 1 2.5\n4 5 10\n", "2", 3, ["component:0,2,-0,0.25"]),
+        # one component of every event, its taus repeated
+        ("0 1 0\n1 2 1\n2 0 3\n0 1 4\n", "inf", 1, None),
+    ],
+    ids=["equal_taus", "some_components_with_edges", "one_component"],
+)
+def test_per_component_rows_equal_a_loop_over_the_ranks(tmp_path, lines, dt, component_count, entropy_rows):
+    events = tmp_path / "events.txt"
+    events.write_text(lines)
+    out = {name: tmp_path / name for name in ("entropy.csv", "motifs.csv", "components.json")}
+    assert run("entropy", "--input", events, "--dt", dt, "--per-component", "--output", out["entropy.csv"]) == 0
+    assert run("motifs", "--input", events, "--dt", dt, "--per-component", "--output", out["motifs.csv"]) == 0
+    assert run("components", "--input", events, "--dt", dt, "--output", out["components.json"]) == 0
+    teg = build_teg(load_events(events), parse_duration(dt))
+    rows, node_counts = per_rank_loop(teg, weakly_connected_components(teg).assignment)
+    entropy = out["entropy.csv"].read_text().splitlines()[2:]
+    assert entropy == ["component:%d,%d,%.17g,%.17g" % (r[0], r[1], r[8], r[9]) for r in rows]
+    assert entropy_rows is None or entropy == entropy_rows
+    motifs = out["motifs.csv"].read_text().splitlines()[2:]
+    assert motifs == [("component:%d,%d" + ",%.17g" * 6) % r[:8] for r in rows]
+    doc = json.loads(out["components.json"].read_text())
+    assert [c["node_count"] for c in doc["components"]] == node_counts
+    assert doc["component_count"] == component_count
 
 
 def test_version_flag(capsys):

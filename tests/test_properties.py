@@ -6,7 +6,8 @@ reads back from its JSON bit for bit, and an anchored stripped event graph
 reconstructs its tie-free network bit for bit. A stripped tie-free event
 graph is consistent, every window of the sweep sees the largest component
 of the event graph built at that window, and the component labels equal a
-union-find's."""
+union-find's. The per-rank reductions of a ``ComponentSet`` equal a loop
+over the ranks bit for bit."""
 
 import io
 import math
@@ -19,7 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from _oracles import brute_force_teg, time_shuffle_sorted, union_find_labels  # noqa: E402
+from _oracles import brute_force_teg, per_rank_loop, time_shuffle_sorted, union_find_labels  # noqa: E402
 from tegraph import (  # noqa: E402
     MOTIFS, EdgeLabelledTeg, TemporalNetwork, build_teg, check_consistency, load_edge_labelled, reconstruct,
     save_edge_labelled, strip_events, sweep_largest_component, time_shuffle, weakly_connected_components)
@@ -207,3 +208,20 @@ def test_labels_equal_a_union_find(graph):
     n, edges = graph
     a, b = (np.array([edge[k] for edge in edges], np.int64) for k in (0, 1))
     assert _labels(n, a, b).tolist() == union_find_labels(n, a.tolist(), b.tolist())
+
+
+@_SETTINGS
+@given(members)
+def test_per_rank_reductions_equal_a_loop_over_the_ranks(member):
+    # ties and few distinct times give repeated taus; short windows leave
+    # components of one edge and of none
+    net, delta_t = member
+    cs = weakly_connected_components(build_teg(net, delta_t))
+    rows, node_counts = per_rank_loop(cs.teg, cs.assignment)
+    ranks, counts = cs.ranks_with_edges()
+    got = np.column_stack((ranks, counts, cs.motif_masses(), cs.motif_entropies(), cs.iet_cres()))
+    # every row of motifs and entropy --per-component, and the signs of its zeros
+    assert got.tobytes() == np.array(rows, np.float64).reshape(-1, 10).tobytes()
+    assert cs.node_counts().tolist() == node_counts
+    for top in (1, 3):
+        assert cs.node_counts(top).tolist() == node_counts[:top]
