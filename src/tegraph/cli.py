@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -432,9 +431,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--per-component", action="store_true")
     p.add_argument("--ensemble", type=_count_arg(0), default=0, help="time-shuffle ensemble size")
     p.add_argument("--seed", type=int, default=0)
-    about = "parallel shuffle threads (default: TEG_WORKERS or 1)"
-    # its default is set at each parse, from TEG_WORKERS
-    parser.workers = p.add_argument("--workers", type=_count_arg(1), help=about)
+    p.add_argument("--workers", type=_count_arg(1), default=1, help="parallel shuffle threads")
     p.add_argument("--output", required=True)
 
     p = command("iets", _cmd_iets, "inter-event-time CCDFs")
@@ -465,10 +462,7 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    # a string default is converted, and a bad one reported, by the parse
-    parser.workers.default = os.environ.get("TEG_WORKERS", "1")
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         if code == 0:

@@ -44,10 +44,9 @@ import numpy as np
 
 from . import _text
 from .components import _labels
-from .events import (
-    _MAX_IDS, TemporalNetwork, _column, _first_seen, _given, _inverse, _readonly, _spelled, _stable_sort, _starts)
+from .events import TemporalNetwork, _column, _first_seen, _inverse, _readonly, _stable_sort, _starts
 from .motifs import _CODES, _NAMES, _SLOTS, _XI_IN, _XI_OUT, MOTIFS, Motif
-from .teg import Teg, _incidence_edges
+from .teg import EdgeLabelledTeg, Teg, _incidence_edges
 
 
 class InconsistentGraphError(ValueError):
@@ -94,107 +93,16 @@ class ConsistencyReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _sorting_order(keys: np.ndarray):
-    """The stable order that sorts the non-negative int64 ``keys``, and the
-    first row in the given order that repeats an earlier row's key, else -1."""
-    if np.all(keys[1:] > keys[:-1]):  # as the writer and ``strip_events`` give them
-        return np.arange(len(keys)), -1
-    grouped, order = _stable_sort(keys)
-    repeats = order[1:][grouped[1:] == grouped[:-1]]
-    return order, int(repeats.min()) if len(repeats) else -1
-
-
-class EdgeLabelledTeg:
-    """Event graph stripped of its events, as read-only numpy columns.
-
-    Edge k runs from vertex ``heads[k]`` to ``tails[k] > heads[k]`` with
-    positive inter-event time ``taus[k]`` and motif ``MOTIFS[codes[k]]``;
-    edges are unique and sorted by (head, tail). ``anchor_vertices``
-    (ascending) and ``anchor_times`` optionally pin vertices to absolute
-    times. The constructor takes these columns in any row order and checks
-    them; an error names the first offending edge or anchor in that order.
-    """
-
-    __slots__ = ("vertex_count", "heads", "tails", "taus", "codes", "anchor_vertices", "anchor_times")
-
-    def __init__(self, vertex_count: int, heads, tails, taus, codes, anchor_vertices=(), anchor_times=()):
-        n = vertex_count
-        if type(n) is bool or not isinstance(n, int) or n > _MAX_IDS:
-            raise ValueError(f"vertex_count must be an integer of at most {_MAX_IDS}, got {n!r}")
-        if n < 0:
-            raise ValueError(f"vertex_count must be non-negative, got {n}")
-        given = heads, tails, taus, codes
-        (heads, bad_key), (tails, wrong), (taus, bad_tau), (codes, bad_code) = (
-            _column(heads), _column(tails), _column(taus, numbers=True), _column(codes))
-        if not len(heads) == len(tails) == len(taus) == len(codes):
-            raise ValueError(f"heads, tails, taus and codes have unequal lengths {tuple(map(len, given))}")
-        bad_key |= wrong | ~((0 <= heads) & (heads < tails) & (tails < n))
-        bad_tau |= ~((taus > 0) & (taus < inf))
-        bad = np.flatnonzero(bad_key | bad_tau | bad_code | (codes < 0) | (codes >= len(MOTIFS)))
-        if len(bad):
-            k = bad[0]
-            i, j, code = _given(given[0], k), _given(given[1], k), _given(given[3], k)
-            tau = _given(given[2], k, number=True)
-            if bad_key[k]:
-                raise ValueError(f"edge key ({i!r},{j!r}) must be integers with 0 <= i < j < {n}")
-            if bad_tau[k]:
-                raise ValueError(f"tau[{i},{j}] must be positive and finite, got {_spelled(tau, repr)}")
-            if bad_code[k]:
-                raise ValueError(f"motif codes must be integers, got {code!r} at edge ({i},{j})")
-            raise ValueError(f"motif code out of range 0..{len(MOTIFS) - 1} at edge ({i},{j}): {code}")
-        (vertices, bad_vertex), (times, bad_time) = _column(anchor_vertices), _column(anchor_times, numbers=True)
-        if len(vertices) != len(times):
-            raise ValueError(f"anchor_vertices and anchor_times have unequal lengths {len(vertices), len(times)}")
-        bad_vertex |= ~((0 <= vertices) & (vertices < n))
-        bad = np.flatnonzero(bad_vertex | bad_time | ~np.isfinite(times))
-        if len(bad):
-            v, t = _given(anchor_vertices, bad[0]), _given(anchor_times, bad[0], number=True)
-            if bad_vertex[bad[0]]:
-                raise ValueError(f"anchor vertex {v!r} out of range")
-            raise ValueError(f"anchor time for vertex {v} must be finite, got {_spelled(t, repr)}")
-        order, k = _sorting_order(heads * n + tails)
-        if k >= 0:
-            raise ValueError(f"duplicate edge {(int(heads[k]), int(tails[k]))}")
-        self.vertex_count = n
-        self.heads, self.tails = _readonly(heads[order]), _readonly(tails[order])
-        self.taus, self.codes = _readonly(taus[order], np.float64), _readonly(codes[order], np.uint8)
-        order, k = _sorting_order(vertices)
-        if k >= 0:
-            raise ValueError(f"duplicate anchor vertex {int(vertices[k])}")
-        self.anchor_vertices, self.anchor_times = _readonly(vertices[order]), _readonly(times[order], np.float64)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.heads)
-
-    @property
-    def tau(self) -> dict[tuple[int, int], float]:
-        """``taus`` by key (i, j), as a new dict on each access: bind it once, or index the columns."""
-        return dict(zip(zip(self.heads.tolist(), self.tails.tolist()), self.taus.tolist()))
-
-    @property
-    def mu(self) -> dict[tuple[int, int], Motif]:
-        """Motifs by key (i, j), as a new dict on each access: bind it once, or index the columns."""
-        return dict(zip(zip(self.heads.tolist(), self.tails.tolist()), [MOTIFS[c] for c in self.codes.tolist()]))
-
-    @property
-    def anchors(self) -> dict[int, float] | None:
-        """Anchor times by vertex, None without anchors, as a new dict on each access: bind it once."""
-        return dict(zip(self.anchor_vertices.tolist(), self.anchor_times.tolist())) or None
-
-    def __repr__(self) -> str:
-        anchors = len(self.anchor_vertices)
-        return f"EdgeLabelledTeg({self.vertex_count} vertices, {self.edge_count} edges, {anchors} anchors)"
-
-
 def strip_events(teg: Teg, keep_anchors: bool = False) -> EdgeLabelledTeg:
     """Drop the event sequence, keeping the labelled structure.
 
     With ``keep_anchors`` every vertex is pinned to its absolute event
     time, so reconstruction recovers absolute times in every component.
+    The result shares the read-only columns of ``teg``, and the anchor
+    times are the network's own.
     """
-    anchors = (np.arange(teg.vertex_count), teg.network.times) if keep_anchors else ()
-    return EdgeLabelledTeg(teg.vertex_count, teg.heads, teg.tails, teg.iets, teg.codes, *anchors)
+    anchors = (_readonly(np.arange(teg.vertex_count)), teg.network.times) if keep_anchors else ()
+    return EdgeLabelledTeg(teg.vertex_count, teg.heads, teg.tails, teg.taus, teg.codes, *anchors)
 
 
 # _DEEP levels in a row narrower than _NARROW vertices (a long path) go to the

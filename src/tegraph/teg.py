@@ -12,7 +12,8 @@ a DAG (under equal timestamps, order is the network's stable resolution
 and edges still point forward because a zero gap never creates an edge).
 
 The graph is stored as four numpy columns, one entry per edge, sorted by
-(from, to).
+(from, to): the edge table of ``EdgeLabelledTeg``, the event graph without
+its events, which ``Teg`` extends with the network and the window.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from typing import TextIO
 import numpy as np
 
 from . import _text
-from .events import Event, TemporalNetwork, _packed_sort, _readonly, _starts
-from .motifs import _CODE_OF_SLOTS, _NAMES, MOTIFS
+from .events import (
+    _MAX_IDS, Event, TemporalNetwork, _column, _given, _packed_sort, _readonly, _spelled, _stable_sort, _starts)
+from .motifs import _CODE_OF_SLOTS, _NAMES, MOTIFS, Motif
 
 
 def check_window(delta_t: float) -> None:
@@ -33,38 +35,128 @@ def check_window(delta_t: float) -> None:
         raise ValueError(f"delta_t must be positive (math.inf allowed), got {delta_t}")
 
 
-class Teg:
-    """Event graph of ``network`` at waiting window ``delta_t``.
+def _sorting_order(keys: np.ndarray):
+    """The stable order that sorts the non-negative int64 ``keys``, None where
+    they ascend strictly already, and the first row in the given order that
+    repeats an earlier row's key, else -1."""
+    if np.all(keys[1:] > keys[:-1]):  # as the writer and ``build_teg`` give them
+        return None, -1
+    grouped, order = _stable_sort(keys)
+    repeats = order[1:][grouped[1:] == grouped[:-1]]
+    return order, int(repeats.min()) if len(repeats) else -1
 
-    Vertices are event indices 0..M-1 in the network's order. Edge k runs
-    from event ``heads[k]`` to the later event ``tails[k]``, with
-    inter-event time ``iets[k]`` and motif ``MOTIFS[codes[k]]``; the
-    columns must be sorted by (head, tail) and are stored read-only. The
-    columns of its weakly connected components are kept once computed
-    (``components.ComponentSet``).
+
+def _stored(given, column, order, dtype=np.int64) -> np.ndarray:
+    """The checked ``column`` of the values ``given``, in ``order``, as a
+    read-only ``dtype`` column: ``given`` itself where it is a read-only
+    ``dtype`` array already in order, else a copy, so that a graph never
+    keeps a column that was handed to it writable."""
+    if order is not None:
+        return _readonly(column[order], dtype)
+    if isinstance(given, np.ndarray) and given.dtype == dtype and not given.flags.writeable:
+        return given
+    return _readonly(column.astype(dtype))
+
+
+class EdgeLabelledTeg:
+    """Event graph stripped of its events, as read-only numpy columns.
+
+    Edge k runs from vertex ``heads[k]`` to ``tails[k] > heads[k]`` with
+    positive inter-event time ``taus[k]`` and motif ``MOTIFS[codes[k]]``;
+    edges are unique and sorted by (head, tail). ``anchor_vertices``
+    (ascending) and ``anchor_times`` optionally pin vertices to absolute
+    times. The constructor takes these columns in any row order and checks
+    them; an error names the first offending edge or anchor in that order.
+    A read-only column of the stored dtype (int64 ids, float64 taus and
+    times, uint8 codes) that is already in order is kept, not copied.
     """
 
-    __slots__ = ("network", "delta_t", "heads", "tails", "iets", "codes", "_components")
+    __slots__ = ("vertex_count", "heads", "tails", "taus", "codes", "anchor_vertices", "anchor_times")
 
-    def __init__(self, network: TemporalNetwork, delta_t: float, heads, tails, iets, codes):
-        check_window(delta_t)
-        self.network = network
-        self.delta_t = delta_t
-        self.heads = _readonly(heads, np.int64)
-        self.tails = _readonly(tails, np.int64)
-        self.iets = _readonly(iets, np.float64)
-        self.codes = _readonly(codes, np.uint8)
-        self._components = None
-        if not len(self.heads) == len(self.tails) == len(self.iets) == len(self.codes):
-            raise ValueError("edge columns must have equal lengths")
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.network)
+    def __init__(self, vertex_count: int, heads, tails, taus, codes, anchor_vertices=(), anchor_times=()):
+        n = vertex_count
+        if type(n) is bool or not isinstance(n, int) or n > _MAX_IDS:
+            raise ValueError(f"vertex_count must be an integer of at most {_MAX_IDS}, got {n!r}")
+        if n < 0:
+            raise ValueError(f"vertex_count must be non-negative, got {n}")
+        given = heads, tails, taus, codes
+        (heads, bad_key), (tails, wrong), (taus, bad_tau), (codes, bad_code) = (
+            _column(heads), _column(tails), _column(taus, numbers=True), _column(codes))
+        if not len(heads) == len(tails) == len(taus) == len(codes):
+            raise ValueError(f"heads, tails, taus and codes have unequal lengths {tuple(map(len, given))}")
+        bad_key |= wrong | ~((0 <= heads) & (heads < tails) & (tails < n))
+        bad_tau |= ~((taus > 0) & (taus < inf))
+        bad = np.flatnonzero(bad_key | bad_tau | bad_code | (codes < 0) | (codes >= len(MOTIFS)))
+        if len(bad):
+            k = bad[0]
+            i, j, code = _given(given[0], k), _given(given[1], k), _given(given[3], k)
+            tau = _given(given[2], k, number=True)
+            if bad_key[k]:
+                raise ValueError(f"edge key ({i!r},{j!r}) must be integers with 0 <= i < j < {n}")
+            if bad_tau[k]:
+                raise ValueError(f"tau[{i},{j}] must be positive and finite, got {_spelled(tau, repr)}")
+            if bad_code[k]:
+                raise ValueError(f"motif codes must be integers, got {code!r} at edge ({i},{j})")
+            raise ValueError(f"motif code out of range 0..{len(MOTIFS) - 1} at edge ({i},{j}): {code}")
+        (vertices, bad_vertex), (times, bad_time) = _column(anchor_vertices), _column(anchor_times, numbers=True)
+        if len(vertices) != len(times):
+            raise ValueError(f"anchor_vertices and anchor_times have unequal lengths {len(vertices), len(times)}")
+        bad_vertex |= ~((0 <= vertices) & (vertices < n))
+        bad = np.flatnonzero(bad_vertex | bad_time | ~np.isfinite(times))
+        if len(bad):
+            v, t = _given(anchor_vertices, bad[0]), _given(anchor_times, bad[0], number=True)
+            if bad_vertex[bad[0]]:
+                raise ValueError(f"anchor vertex {v!r} out of range")
+            raise ValueError(f"anchor time for vertex {v} must be finite, got {_spelled(t, repr)}")
+        order, k = _sorting_order(heads * n + tails)
+        if k >= 0:
+            raise ValueError(f"duplicate edge {(int(heads[k]), int(tails[k]))}")
+        self.vertex_count = n
+        self.heads, self.tails = _stored(given[0], heads, order), _stored(given[1], tails, order)
+        self.taus, self.codes = _stored(given[2], taus, order, np.float64), _stored(given[3], codes, order, np.uint8)
+        order, k = _sorting_order(vertices)
+        if k >= 0:
+            raise ValueError(f"duplicate anchor vertex {int(vertices[k])}")
+        self.anchor_vertices = _stored(anchor_vertices, vertices, order)
+        self.anchor_times = _stored(anchor_times, times, order, np.float64)
 
     @property
     def edge_count(self) -> int:
         return len(self.heads)
+
+    @property
+    def mu(self) -> dict[tuple[int, int], Motif]:
+        """Motifs by key (i, j), as a new dict on each access: bind it once, or index the columns."""
+        return dict(zip(zip(self.heads.tolist(), self.tails.tolist()), [MOTIFS[c] for c in self.codes.tolist()]))
+
+    def __repr__(self) -> str:
+        anchors = len(self.anchor_vertices)
+        return f"EdgeLabelledTeg({self.vertex_count} vertices, {self.edge_count} edges, {anchors} anchors)"
+
+
+class Teg(EdgeLabelledTeg):
+    """Event graph of ``network`` at waiting window ``delta_t``: the
+    edge-labelled graph of ``len(network)`` vertices, without anchors, that
+    keeps its network.
+
+    Vertices are event indices 0..M-1 in the network's order. Edge k runs
+    from event ``heads[k]`` to the later event ``tails[k]``, with
+    inter-event time ``iets[k]`` (the ``taus`` column) and motif
+    ``MOTIFS[codes[k]]``. The columns of its weakly connected components
+    are kept once computed (``components.ComponentSet``).
+    """
+
+    __slots__ = ("network", "delta_t", "_components")
+
+    def __init__(self, network: TemporalNetwork, delta_t: float, heads, tails, iets, codes):
+        check_window(delta_t)
+        super().__init__(len(network), heads, tails, iets, codes)
+        self.network, self.delta_t, self._components = network, delta_t, None
+
+    @property
+    def iets(self) -> np.ndarray:
+        """The inter-event times, ``taus``."""
+        return self.taus
 
     def __repr__(self) -> str:
         dt = "inf" if self.delta_t == inf else repr(self.delta_t)
@@ -225,8 +317,8 @@ def build_teg(net: TemporalNetwork, delta_t: float) -> Teg:
     """
     check_window(delta_t)
     times = net.times
-    heads, tails, codes = _incidence_edges(net.sources, net.targets, times, delta_t)
-    return Teg(net, delta_t, heads, tails, times[tails] - times[heads], codes)
+    heads, tails, codes = map(_readonly, _incidence_edges(net.sources, net.targets, times, delta_t))
+    return Teg(net, delta_t, heads, tails, _readonly(times[tails] - times[heads]), codes)
 
 
 def write_teg_json(teg: Teg, stream: TextIO) -> None:

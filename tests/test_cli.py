@@ -195,22 +195,6 @@ def test_usage_errors_exit_1(argv):
     assert info.value.code == 1
 
 
-def test_bad_teg_workers_fails_only_motifs(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TEG_WORKERS", "abc")
-    with pytest.raises(SystemExit) as info:
-        run("--version")
-    assert info.value.code == 0
-    events = _generate(tmp_path)
-    out = tmp_path / "motifs.csv"
-    with pytest.raises(SystemExit) as info:
-        run("motifs", "--input", events, "--dt", "inf", "--output", out)
-    assert info.value.code == 1
-    assert "--workers" in capsys.readouterr().err
-    assert run("motifs", "--input", events, "--dt", "inf", "--workers", "2", "--output", out) == 0
-    monkeypatch.setenv("TEG_WORKERS", "2")
-    assert run("motifs", "--input", events, "--dt", "inf", "--output", out) == 0
-
-
 def test_aggregate_flag_pairing_is_usage_error(tmp_path, capsys):
     events = _generate(tmp_path)
     out = tmp_path / "agg.json"

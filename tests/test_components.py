@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from _oracles import from_rows
+from _oracles import from_rows, per_rank_loop, step_cre
 from tegraph import (
     MOTIFS,
     AggregateGraph,
@@ -36,6 +36,7 @@ from tegraph import components as components_module
 from tegraph import svgrender
 from tegraph.svgrender import barcode_svg
 from tegraph.components import DiscreteDistribution, _labels
+from tegraph.teg import Teg
 from tegraph.generators import (
     ExponentialIets,
     GeneratorConfig,
@@ -472,6 +473,22 @@ def test_cumulative_residual_entropy_matches_step_loop_bit_for_bit():
         assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want
     unsorted = EmpiricalCcdf((0.0, 2.0, 1.0, 3.0), (0.75, 0.0, 0.5, 0.0), 4)
     assert cumulative_residual_entropy(unsorted) == _reference_cre(unsorted)
+
+
+def test_entropies_take_math_log2_where_np_log2_differs():
+    # among the shares k/n with n < 200, np.log2 is one ulp off math.log2 at
+    # 28/31 and 65/74, among others (numpy 2.4, x86-64), and so are the CRE
+    # and the motif entropy below; the loops take math.log2
+    sample = [0.0] * 3 + [1.0] * 28
+    got, want = cumulative_residual_entropy(EmpiricalCcdf.from_samples(sample)), step_cre(sample)
+    assert got.hex() == want.hex()
+    # one component of 74 edges: 65 of one motif and 9 of another, and 9
+    # inter-event times of 1.0 below 65 of 2.0
+    net = from_rows([(k % 2, 1 - k % 2, float(k)) for k in range(75)])
+    iets, codes = np.repeat([1.0, 2.0], [9, 65]), np.repeat([0, 3], [65, 9])
+    cs = weakly_connected_components(Teg(net, math.inf, np.arange(74), np.arange(1, 75), iets, codes))
+    (row,), _ = per_rank_loop(cs.teg, cs.assignment)
+    assert (cs.motif_entropies()[0].hex(), cs.iet_cres()[0].hex()) == (row[8].hex(), row[9].hex())
 
 
 def test_empirical_ccdf_columns():

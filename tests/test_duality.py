@@ -62,6 +62,16 @@ def _with(g, **columns):
     return EdgeLabelledTeg(g.vertex_count, **{**kept, **columns})
 
 
+def _taus(g):
+    """``g``'s taus by key (i, j), read from its columns."""
+    return dict(zip(zip(g.heads.tolist(), g.tails.tolist()), g.taus.tolist()))
+
+
+def _anchors(g):
+    """``g``'s anchor times by vertex, read from its columns."""
+    return dict(zip(g.anchor_vertices.tolist(), g.anchor_times.tolist()))
+
+
 def _row(g, i, j):
     """The row of edge (i, j) in ``g``'s columns."""
     return int(np.flatnonzero((g.heads == i) & (g.tails == j))[0])
@@ -91,17 +101,17 @@ def test_strip_keeps_labels_and_keys():
     g = strip_events(teg)
     assert g.vertex_count == 3
     keys = list(zip(teg.heads.tolist(), teg.tails.tolist()))
-    assert set(g.tau) == set(keys)
+    assert set(_taus(g)) == set(keys)
     for key, iet, code in zip(keys, teg.iets.tolist(), teg.codes.tolist()):
-        assert g.tau[key] == iet
+        assert _taus(g)[key] == iet
         assert g.mu[key] is MOTIFS[code]
-    assert g.anchors is None
+    assert len(g.anchor_vertices) == len(g.anchor_times) == 0
 
 
 def test_strip_anchors_record_every_event_time():
     net = from_rows([(0, 1, 2.0), (1, 2, 3.5)])
     g = strip_events(build_teg(net, math.inf), keep_anchors=True)
-    assert g.anchors == {0: 2.0, 1: 3.5}
+    assert _anchors(g) == {0: 2.0, 1: 3.5}
 
 
 def test_strip_empty():
@@ -114,6 +124,48 @@ def test_strip_empty():
 
 def _edge(i=0, j=1, tau=1.0, code=0):
     return dict(heads=[i], tails=[j], taus=[tau], codes=[code])
+
+
+@pytest.mark.parametrize("dt", (1.0, math.inf))
+@pytest.mark.parametrize("keep_anchors", (False, True))
+def test_strip_shares_the_columns_of_the_event_graph(keep_anchors, dt):
+    net = generate_random(GeneratorConfig(40, 600, parse_iet_sampler("power_law:0.2"), 5))
+    teg = build_teg(net, dt)
+    g = strip_events(teg, keep_anchors=keep_anchors)
+    for name in ("heads", "tails", "taus", "codes"):
+        assert np.shares_memory(getattr(g, name), getattr(teg, name))
+    assert np.shares_memory(g.anchor_times, net.times) == keep_anchors
+    # an event graph is an edge-labelled graph: checked, written and
+    # reconstructed as the graph stripped of its events
+    assert check_consistency(teg).ok
+    assert _written(teg) == _written(strip_events(teg))
+    assert list(reconstruct(teg)) == list(reconstruct(strip_events(teg)))
+
+
+def test_constructor_keeps_only_read_only_columns_in_order():
+    def frozen(column):
+        column = np.array(column)
+        column.flags.writeable = False
+        return column
+
+    columns = [0, 0, 1], [1, 2, 2], [1.0, 2.0, 1.0], np.array([2, 1, 0], np.uint8)
+    anchors = [0, 2], [0.5, 3.0]
+    cases = {  # the columns given, and whether each is kept rather than copied
+        "writable": ([np.array(c) for c in columns + anchors], [False] * 6),
+        "read-only": ([frozen(c) for c in columns + anchors], [True] * 6),
+        "int64 codes": ([frozen(c) for c in (*columns[:3], [2, 1, 0], *anchors)], [True] * 3 + [False, True, True]),
+        "reversed": ([frozen(c[::-1]) for c in columns + anchors], [False] * 6),
+    }
+    for name, (given, kept) in cases.items():
+        g = EdgeLabelledTeg(3, *given)
+        stored = [g.heads, g.tails, g.taus, g.codes, g.anchor_vertices, g.anchor_times]
+        assert [column is c for column, c in zip(given, stored)] == kept, name
+        assert all(not c.flags.writeable for c in stored), name
+        assert [c.tolist() for c in stored] == [np.asarray(c).tolist() for c in columns + anchors], name
+        for column, c in zip(given, stored):
+            if column.flags.writeable:  # writing what was given leaves the graph as it is
+                column[:] = 0
+                assert not np.shares_memory(column, c) and c.any(), name
 
 
 @pytest.mark.parametrize(
@@ -187,9 +239,7 @@ def test_columns_are_sorted_and_read_only():
     assert g.heads.tolist() == [0, 0, 2] and g.tails.tolist() == [1, 2, 3]
     assert g.taus.tolist() == [1.0, 2.5, 1.0] and g.codes.tolist() == [2, 1, 0]
     assert g.anchor_vertices.tolist() == [1, 3] and g.anchor_times.tolist() == [2.0, 7.0]
-    assert g.tau == {(0, 1): 1.0, (0, 2): 2.5, (2, 3): 1.0}
     assert g.mu == {(0, 1): AC, (0, 2): BA, (2, 3): AB}
-    assert g.anchors == {1: 2.0, 3: 7.0}
     for column in (g.heads, g.tails, g.taus, g.codes, g.anchor_vertices, g.anchor_times):
         assert not column.flags.writeable
     # ints are stored and written as floats
@@ -389,7 +439,7 @@ def test_round_trip_with_anchors_restores_every_component():
     rebuilt = reconstruct(g)
     assert [e.time for e in rebuilt] == [e.time for e in net]
     again = strip_events(build_teg(rebuilt, math.inf), keep_anchors=True)
-    assert (again.tau, again.mu, again.anchors) == (g.tau, g.mu, g.anchors)
+    assert (_taus(again), again.mu, _anchors(again)) == (_taus(g), g.mu, _anchors(g))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -449,7 +499,7 @@ def test_one_ulp_gap_whose_potentials_round_equal_is_an_edge(keep_anchors):
     times = (0.0, 1.0999999999999999, 3.3, math.nextafter(3.3, math.inf))
     net = from_rows([(0, 1, times[0]), (1, 0, times[1]), (2, 0, times[2]), (2, 1, times[3])])
     g = strip_events(build_teg(net, math.inf), keep_anchors=keep_anchors)
-    assert g.tau[2, 3] == times[3] - times[2]
+    assert g.taus[_row(g, 2, 3)] == times[3] - times[2]
     assert check_consistency(g).ok
     rebuilt = reconstruct(g)
     assert [(e.source, e.target) for e in rebuilt] == [(e.source, e.target) for e in canonicalize(net)]
@@ -496,7 +546,7 @@ def test_tied_graphs_that_validate_round_trip_per_component(keep_anchors):
         for rank in range(len(components)):
             part = _component(g, components[rank].events)
             again = strip_events(build_teg(reconstruct(part), dt), keep_anchors=keep_anchors)
-            assert (again.tau, again.mu, again.anchors) == (part.tau, part.mu, part.anchors)
+            assert (_taus(again), again.mu, _anchors(again)) == (_taus(part), part.mu, _anchors(part))
     assert failed <= 6  # the hidden ties of this draw, 2% of it
 
 
@@ -594,11 +644,11 @@ def test_round_trip_with_anchors_is_exact_for_real_valued_times(law, events, dt)
         rebuilt = reconstruct(g)
     assert [e.time for e in rebuilt] == [e.time for e in net]
     again = strip_events(build_teg(rebuilt, dt), keep_anchors=True)
-    assert (again.vertex_count, again.tau, again.mu, again.anchors) == (
+    assert (again.vertex_count, _taus(again), again.mu, _anchors(again)) == (
         g.vertex_count,
-        g.tau,
+        _taus(g),
         g.mu,
-        g.anchors,
+        _anchors(g),
     )
 
 
@@ -619,7 +669,7 @@ def test_reconstructed_times_realize_every_label():
     assert min(times) == 0.0
     assert len(rebuilt) == g.vertex_count
     # vertex order is event order, so edge (i, j) separates times by tau
-    for (i, j), tau in g.tau.items():
+    for i, j, tau in zip(g.heads.tolist(), g.tails.tolist(), g.taus.tolist()):
         assert times[j] - times[i] == pytest.approx(tau)
 
 
@@ -639,9 +689,9 @@ def test_json_round_trip_exact():
     save_edge_labelled(g, buf)
     loaded = load_edge_labelled(io.StringIO(buf.getvalue()))
     assert loaded.vertex_count == g.vertex_count
-    assert loaded.tau == g.tau  # bit-exact floats
+    assert _taus(loaded) == _taus(g)  # bit-exact floats
     assert loaded.mu == g.mu
-    assert loaded.anchors == g.anchors
+    assert _anchors(loaded) == _anchors(g)
 
 
 def _graphs_to_write():
@@ -668,24 +718,23 @@ def test_writer_matches_json_dump(g):
         "vertex_count": g.vertex_count,
         "edges": [
             {"i": i, "j": j, "tau": tau, "motif": mu.value}
-            for ((i, j), tau), mu in zip(sorted(g.tau.items()), g.mu.values())
+            for ((i, j), tau), mu in zip(sorted(_taus(g).items()), g.mu.values())
         ],
     }
-    if g.anchors:
-        doc["anchors"] = {str(v): t for v, t in g.anchors.items()}
+    if _anchors(g):
+        doc["anchors"] = {str(v): t for v, t in _anchors(g).items()}
     buf = io.StringIO()
     save_edge_labelled(g, buf)
     assert buf.getvalue() == json.dumps(doc, indent=1) + "\n"
     loaded = load_edge_labelled(io.StringIO(buf.getvalue()))
-    assert (loaded.tau, loaded.mu, loaded.anchors) == (g.tau, g.mu, g.anchors)
+    assert (_taus(loaded), loaded.mu, _anchors(loaded)) == (_taus(g), g.mu, _anchors(g))
 
 
 def test_pipeline_never_builds_dict_views(monkeypatch, tmp_path):
     def refuse(self):
         raise AssertionError("a dict view of the graph was built")
 
-    for name in ("tau", "mu", "anchors"):
-        monkeypatch.setattr(EdgeLabelledTeg, name, property(refuse))
+    monkeypatch.setattr(EdgeLabelledTeg, "mu", property(refuse))
     net = generate_random(GeneratorConfig(40, 600, parse_iet_sampler("power_law:0.2"), 5))
     for keep_anchors in (True, False):
         g = strip_events(build_teg(net, math.inf), keep_anchors=keep_anchors)
@@ -761,7 +810,7 @@ def _mutation_corpus():
             warnings.simplefilter("ignore")
             net = from_rows(events)
         g = strip_events(build_teg(net, rng.choice((1.5, 3.5, math.inf))), keep_anchors=k % 3 == 0)
-        tau, mu, anchors = g.tau, g.mu, g.anchors
+        tau, mu, anchors = _taus(g), g.mu, _anchors(g)
         keys = sorted(tau)
         mutation = rng.randrange(6)
         if mutation == 1 and keys:
