@@ -1,9 +1,10 @@
 """Column tables as text, a bounded chunk of rows at a time.
 
-Every event, CSV and JSON output but the manifests is rendered here, ``ROWS``
-rows at a time. The labelled-graph reader has ``json.loads`` read its rows
-here, and the event reader reads its stream, in chunks of about ``CHUNK``
-characters: no list of every row or line is held.
+Every event, CSV, JSON and SVG output but the manifests is rendered here,
+``ROWS`` rows at a time, plot coordinates included. The labelled-graph
+reader has ``json.loads`` read its rows here, and the event reader reads its
+stream, in chunks of about ``CHUNK`` characters: no list of every row or
+line is held.
 """
 
 from __future__ import annotations
@@ -76,3 +77,63 @@ def json_rows(text: str, start: int, stop: int, empty: str, row: str):
         cut = stop if cut < 0 else cut
         yield json.loads(empty[0] + text[start:cut] + empty[1])
         start = cut + 2
+
+
+def coordinate(x: float) -> str:
+    """A plot coordinate: ``x`` with two decimals, trailing zeros dropped."""
+    return f"{x:.2f}".rstrip("0").rstrip(".")
+
+
+def _byte_rows(texts) -> np.ndarray:
+    """Texts of three ASCII characters each, as the rows of a uint8 matrix."""
+    return np.frombuffer("".join(texts).encode(), np.uint8).reshape(-1, 3)
+
+
+# coordinate's spelling of a whole part below 1e6, as its thousands (none for
+# 0) and its units (zero-padded after thousands: row 1000 + u), and of the cents
+_THOUSANDS = _byte_rows((str(v) if v else "").rjust(3, "\0") for v in range(1000))
+_UNITS = _byte_rows([str(v).rjust(3, "\0") for v in range(1000)] + [f"{v:03d}" for v in range(1000)])
+_CENTS = _byte_rows(f".{v:02d}".rstrip("0").rstrip(".").ljust(3, "\0") for v in range(100))
+
+
+def _coordinate_bytes(xs: np.ndarray) -> np.ndarray:
+    """``coordinate(x)`` of each float64 ``x`` of ``xs``, as a row of ASCII
+    with NULs for padding.
+
+    Where x >= 0.005, 100 x rounds below 1e8 and lies more than 1e-6 from
+    a half cent, the rounding error of 100 x (under 1e-8) cannot cross a
+    half cent, so ``rint(100 x)`` is the cent count ``f"{x:.2f}"`` rounds
+    to, and its digits are looked up. Every other x (exact half cents such
+    as k/8, zeros, negatives, huge values) goes through ``coordinate``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # huge, infinite or NaN x
+        cents = xs * 100
+        rounded = np.rint(cents)
+        exact = (xs >= 0.005) & (rounded < 1e8) & (np.abs(cents - rounded) < 0.5 - 1e-6)
+    whole, cents = np.divmod(np.where(exact, rounded, 0).astype(np.int64), 100)
+    thousands, units = np.divmod(whole, 1000)
+    slow = np.flatnonzero(~exact)
+    texts = [coordinate(x).encode() for x in xs[slow].tolist()]
+    out = np.zeros((len(xs), max([9] + [len(t) for t in texts])), np.uint8)
+    out[:, 0:3] = _THOUSANDS.take(thousands, 0)
+    out[:, 3:6] = _UNITS.take(units + 1000 * (thousands > 0), 0)
+    out[:, 6:9] = _CENTS.take(cents, 0)
+    out[slow] = 0
+    for row, text in zip(slow.tolist(), texts):
+        out[row, : len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
+def coordinates(*pieces):
+    """Row k of every piece side by side, NULs dropped, one string per chunk
+    of ``ROWS`` rows: a piece is text that every row repeats, or a float
+    column (an array, or a pair ``(function, array)`` as in ``rows``) that
+    ``_coordinate_bytes`` spells, once per chunk however often it is passed."""
+    columns = {id(p): p if isinstance(p, tuple) else (np.asarray, p) for p in pieces if not isinstance(p, str)}
+    texts = {p: np.frombuffer(p.encode(), np.uint8) for p in pieces if isinstance(p, str)}
+    count = len(next(iter(columns.values()))[1])
+    for start in range(0, count, ROWS):
+        spelled = {key: _coordinate_bytes(f(column[start : start + ROWS])) for key, (f, column) in columns.items()}
+        n = min(ROWS, count - start)
+        blocks = [np.broadcast_to(texts[p], (n, texts[p].size)) if isinstance(p, str) else spelled[id(p)] for p in pieces]
+        yield np.hstack(blocks).tobytes().translate(None, b"\0").decode()

@@ -19,6 +19,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, partial, reduce
+from itertools import chain
 from math import inf
 from operator import add
 
@@ -98,7 +99,11 @@ def parse_grid(text: str) -> list[float]:
         if text.count(":") != 3:
             raise ValueError(f"bad grid {text!r}: expected log:A:B:N or lin:A:B:N")
         kind, a, b, n = text.split(":")
-        lo, hi, count = parse_duration(a), parse_duration(b), int(n)
+        lo, hi = parse_duration(a), parse_duration(b)
+        try:
+            count = int(n)
+        except ValueError:
+            raise ValueError(f"grid point count must be an integer, got {n!r}") from None
         if count < 1:
             raise ValueError("grid needs at least one point")
         if inf in (lo, hi):
@@ -172,9 +177,7 @@ def _write_manifest(args, argv) -> None:
         "outputs": sorted(outputs),
     }
     for path in outputs:
-        with _output(path + ".manifest.json") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write(path + ".manifest.json", [json.dumps(doc, indent=1, sort_keys=True), "\n"])
 
 
 def _output(path: str):
@@ -182,10 +185,12 @@ def _output(path: str):
 
 
 def _write(path: str, *blocks) -> None:
-    """Write the strings of each block in turn: a list, or chunks from ``_text``."""
+    """Write the strings of each block in turn: a list, or chunks from ``_text``
+    or a plot. The first is made before the file is opened: a refused input leaves no file."""
+    strings = chain.from_iterable(blocks)
+    first = next(strings, "")
     with _output(path) as fh:
-        for block in blocks:
-            fh.writelines(block)
+        fh.writelines(chain([first], strings))
 
 
 # --- subcommand bodies ----------------------------------------------------
@@ -317,7 +322,7 @@ def _cmd_iets(args):
     _write(args.output, ["scope,iet,tail\n"], *rows)
     if args.svg:
         log_x = all(c.support[0] > 0 for _, c in curves)
-        _write(args.svg, [ccdf_svg(curves, log_x=log_x)])
+        _write(args.svg, ccdf_svg.lines(curves, log_x=log_x))
     return 0
 
 
@@ -340,7 +345,7 @@ def _cmd_barcode(args):
     net = _read_events(args)
     teg = build_teg(net, args.dt)
     rows = barcode_rows(teg, top=args.top)
-    _write(args.output, [barcode_svg(rows)])
+    _write(args.output, barcode_svg.lines(rows))
     if args.csv:
         ranks = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
         _write(args.csv, ["component,time\n"], _text.rows("%d,%.17g\n", ranks, np.concatenate(rows)))

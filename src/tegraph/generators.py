@@ -10,9 +10,10 @@ seeded generator; an ensemble member uses ``seed + index``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isfinite
+from typing import get_args
 
 import numpy as np
 
@@ -22,15 +23,30 @@ from .components import DiscreteDistribution
 from .teg import _Scratch
 
 
+class _IetLaw:
+    """A law of one finite, positive parameter, spelled ``name:parameter``;
+    a subclass gives its ``name`` and the ``noun`` of its parameter."""
+
+    def __init_subclass__(cls, name: str, noun: str):
+        cls.name, cls.noun = name, noun
+
+    @property
+    def parameter(self) -> float:
+        return getattr(self, fields(self)[0].name)
+
+    def __post_init__(self):
+        if not (isfinite(self.parameter) and self.parameter > 0):
+            raise ValueError(f"{self.noun} must be positive, got {self.parameter}")
+
+    def __str__(self) -> str:
+        return f"{self.name}:{self.parameter!r}"
+
+
 @dataclass(frozen=True)
-class PowerLawIets:
+class PowerLawIets(_IetLaw, name="power_law", noun="exponent"):
     """Density a x^(a-1) on (0, 1]; mean a / (a + 1)."""
 
     exponent: float
-
-    def __post_init__(self):
-        if not (isfinite(self.exponent) and self.exponent > 0):
-            raise ValueError(f"exponent must be positive, got {self.exponent}")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # 1 - U lies in (0, 1], keeping the inverse-CDF draw away from 0.
@@ -40,19 +56,12 @@ class PowerLawIets:
     def mean(self) -> float:
         return self.exponent / (self.exponent + 1.0)
 
-    def __str__(self) -> str:
-        return f"power_law:{self.exponent!r}"
-
 
 @dataclass(frozen=True)
-class ExponentialIets:
+class ExponentialIets(_IetLaw, name="exponential", noun="rate"):
     """Rate lambda; mean 1 / lambda."""
 
     rate: float
-
-    def __post_init__(self):
-        if not (isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"rate must be positive, got {self.rate}")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size)
@@ -61,19 +70,12 @@ class ExponentialIets:
     def mean(self) -> float:
         return 1.0 / self.rate
 
-    def __str__(self) -> str:
-        return f"exponential:{self.rate!r}"
-
 
 @dataclass(frozen=True)
-class DeterministicIets:
+class DeterministicIets(_IetLaw, name="deterministic", noun="gap"):
     """Fixed positive gap."""
 
     value: float
-
-    def __post_init__(self):
-        if not (isfinite(self.value) and self.value > 0):
-            raise ValueError(f"gap must be positive, got {self.value}")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value)
@@ -82,17 +84,10 @@ class DeterministicIets:
     def mean(self) -> float:
         return self.value
 
-    def __str__(self) -> str:
-        return f"deterministic:{self.value!r}"
-
 
 IetSampler = PowerLawIets | ExponentialIets | DeterministicIets
 
-_SAMPLER_NAMES = {
-    "power_law": PowerLawIets,
-    "exponential": ExponentialIets,
-    "deterministic": DeterministicIets,
-}
+_SAMPLER_NAMES = {law.name: law for law in get_args(IetSampler)}
 
 
 def parse_iet_sampler(text: str) -> IetSampler:

@@ -14,15 +14,19 @@ from _oracles import per_rank_loop
 from tegraph import (
     MOTIFS,
     Motif,
+    barcode_rows,
     build_teg,
     canonicalize,
+    iet_ccdf,
     load_events,
+    motif_counts,
     save_edge_labelled,
     weakly_connected_components,
 )
-from tegraph import cli
+from tegraph import _text, cli
 from tegraph.cli import main, parse_duration, parse_grid
 from tegraph.duality import EdgeLabelledTeg
+from tegraph.svgrender import barcode_svg, ccdf_svg
 
 BAD_TRIANGLE = EdgeLabelledTeg(
     3,
@@ -298,6 +302,7 @@ def test_sweep_csv(tmp_path):
         ("lin:1:2:3:4", "expected log:A:B:N or lin:A:B:N"),
         ("log:1:inf:5", "endpoints must be finite"),
         ("log:1:2:0", "grid needs at least one point"),
+        ("log:1:10:1.5", "grid point count must be an integer, got '1.5'"),
     ],
 )
 def test_malformed_grid_names_the_problem(grid, message, capsys):
@@ -703,3 +708,37 @@ def test_statistics_outputs_match_recorded_digests(tmp_path):
             assert run(command, *argv, "--output", target) == 0, name
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
     assert digests == _STATS_DIGESTS
+
+
+@pytest.mark.parametrize("rows", [1, 7, _text.ROWS])
+def test_plots_keep_their_bytes_across_chunk_joints(tmp_path, monkeypatch, rows):
+    # a joint every 1 or 7 ticks and points, or none below 4,096 per row
+    monkeypatch.setattr(_text, "ROWS", rows)
+    events, eighths = tmp_path / "events.txt", tmp_path / "eighths.txt"
+    _big_id_event_file(events)
+    _eighth_step_event_file(eighths)
+    for path, dt, name in ((events, 3, "barcode"), (eighths, 2, "barcode_eighths")):
+        svg, csv = tmp_path / f"{name}.svg", tmp_path / f"{name}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("barcode", "--input", path, "--dt", dt, "--top", "12", "--csv", csv, "--output", svg) == 0
+            teg = build_teg(load_events(path), dt)
+        assert svg.read_text() == barcode_svg(barcode_rows(teg, top=12))
+        if name == "barcode":
+            assert hashlib.sha256(svg.read_bytes()).hexdigest() == _STATS_DIGESTS["barcode"]
+            assert hashlib.sha256(csv.read_bytes()).hexdigest() == _STATS_DIGESTS["barcode_csv"]
+    for path, dt, name in ((events, 3, "iets_svg"), (eighths, 2, "iets_eighths_svg")):
+        svg = tmp_path / f"{name}.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("iets", "--input", path, "--dt", dt, "--svg", svg, "--output", tmp_path / "iets.csv") == 0
+            teg = build_teg(load_events(path), dt)
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == _STATS_DIGESTS[name]
+        curves = [("all", iet_ccdf(teg))] + [(m.value, iet_ccdf(teg, m)) for m, n in motif_counts(teg).items() if n]
+        log_x = all(c.support[0] > 0 for _, c in curves)
+        assert svg.read_text() == ccdf_svg(curves, log_x=log_x)
+    # a plot that cannot be drawn is refused before its file is opened
+    comment, svg = tmp_path / "comment.txt", tmp_path / "empty.svg"
+    comment.write_text("# source target time\n")
+    assert run("barcode", "--input", comment, "--dt", "1", "--output", svg) == 2
+    assert not svg.exists() and not (tmp_path / "empty.svg.manifest.json").exists()

@@ -33,7 +33,7 @@ from tegraph import (
 )
 from tegraph.cli import main
 from tegraph import components as components_module
-from tegraph import svgrender
+from tegraph import _text, svgrender
 from tegraph.svgrender import barcode_svg
 from tegraph.components import DiscreteDistribution, _labels
 from tegraph.teg import Teg
@@ -365,6 +365,14 @@ def test_barcode_svg_bytes_match_per_tick_reference(name, rows):
     )
 
 
+@pytest.mark.parametrize(
+    "rows,message", [([], "no rows to draw"), ([()], "no times to draw"), ([(), ()], "no times to draw")]
+)
+def test_barcode_svg_names_what_it_cannot_draw(rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        barcode_svg(rows)
+
+
 def _fmt_reference(x):
     return f"{x:.2f}".rstrip("0").rstrip(".")
 
@@ -385,7 +393,7 @@ def test_fmt_column_matches_fmt():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = svgrender._fmt_column(xs)
+        rows = _text._coordinate_bytes(xs)
     texts = [row.tobytes().replace(b"\0", b"").decode() for row in rows]
     assert texts == [_fmt_reference(x) for x in xs.tolist()]
 

@@ -188,6 +188,23 @@ def test_invalid_parameters_rejected(factory):
         factory()
 
 
+@pytest.mark.parametrize(
+    "law,name,noun",
+    [
+        (PowerLawIets, "power_law", "exponent"),
+        (ExponentialIets, "exponential", "rate"),
+        (DeterministicIets, "deterministic", "gap"),
+    ],
+)
+def test_iet_laws_name_their_parameter_and_parse_their_own_text(law, name, noun):
+    for bad in (0.0, -1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^{noun} must be positive, got {bad}$"):
+            law(bad)
+    assert str(law(0.1 + 0.2)) == f"{name}:0.30000000000000004"
+    for value in (0.2, 1.0, 3.0, 1e-300, 0.1 + 0.2):
+        assert parse_iet_sampler(str(law(value))) == law(value)
+
+
 def test_ensemble_seeds_are_consecutive():
     assert ensemble_seeds(100, 5) == [100, 101, 102, 103, 104]
     assert ensemble_seeds(0, 0) == []
