@@ -18,16 +18,16 @@ import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import cache, partial, reduce
+from functools import cache, partial
 from itertools import chain
 from math import inf
-from operator import add
 
 import numpy as np
 
 from . import __version__, _text
 from .components import (
     ComponentSet,
+    DiscreteDistribution,
     aggregate_component,
     aggregate_network,
     barcode_rows,
@@ -284,15 +284,17 @@ _MOTIF_ROW = "%s,%d" + ",%.17g" * len(MOTIFS) + "\n"
 
 def _cmd_motifs(args):
     net = _read_events(args)
-    teg = build_teg(net, args.dt)
-    edge_count = teg.edge_count
+    if args.per_component:  # one incidence sort: the event graph's codes count the network's row too
+        cs = ComponentSet(build_teg(net, args.dt))
+        counts = list(motif_counts(cs.teg).values())
+        components = _text.rows("component:" + _MOTIF_ROW, *cs.ranks_with_edges(), *cs.motif_masses().T)
+        del cs  # the ensemble reads only the network: free the event graph first
+    else:  # as an ensemble member counts its shuffle, without the event graph
+        counts, components = _motif_code_counts(net.sources, net.targets, net.times, args.dt).tolist(), []
+    edge_count = sum(counts)
     header = "scope,edges," + ",".join(_NAMES) + "\n"
-    blocks = [[header, _MOTIF_ROW % ("all", edge_count, *motif_distribution(teg).masses)]]
-    if args.per_component:
-        cs = ComponentSet(teg)
-        blocks.append(_text.rows("component:" + _MOTIF_ROW, *cs.ranks_with_edges(), *cs.motif_masses().T))
-        del cs
-    del teg  # the ensemble reads only the network: free the event graph first
+    blocks = [[header, _MOTIF_ROW % ("all", edge_count, *DiscreteDistribution.from_counts(MOTIFS, counts).masses)]]
+    blocks.append(components)
     if args.ensemble:
         # members share the read-only network and build none of their own, so
         # they have nothing to warn of; numpy releases the GIL in their sorts
@@ -303,8 +305,8 @@ def _cmd_motifs(args):
         with ThreadPoolExecutor(max_workers=args.workers, initializer=make_scratch) as pool:
             member = partial(_shuffle_frequencies, net, args.dt)
             freqs = list(pool.map(member, ensemble_seeds(args.seed, args.ensemble)))
-        # added in order: sum() compensates float rounding from Python 3.12 on
-        mean = [reduce(add, col) / len(freqs) for col in zip(*freqs)]
+        # each column added in order by an accumulate, as a loop adds it
+        mean = np.add.accumulate(freqs)[-1] / len(freqs)
         blocks.append([_MOTIF_ROW % (f"shuffle_mean:{args.ensemble}", edge_count, *mean)])
     _write(args.output, *blocks)
     return 0

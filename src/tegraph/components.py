@@ -12,9 +12,7 @@ plotting, and the time-aggregated static graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import inf, log2
-from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,12 +143,8 @@ class ComponentSet:
         return counts.reshape(-1, len(MOTIFS)) / np.diff(bounds)[:, None]
 
     def motif_entropies(self) -> np.ndarray:
-        """``shannon_entropy`` of each rank's motif masses, bit for bit: the
-        terms are added in order, and a zero mass adds 0.0, which changes no sum."""
-        p = self.motif_masses()
-        logs = np.zeros_like(p)
-        logs[p > 0] = np.fromiter(map(log2, memoryview(p[p > 0])), np.float64)
-        return -(p * logs).cumsum(axis=1)[:, -1]
+        """``shannon_entropy`` of each rank's motif masses."""
+        return _entropies(self.motif_masses())
 
     def iet_cres(self) -> np.ndarray:
         """``cumulative_residual_entropy`` of each rank's inter-event times, bit for bit."""
@@ -201,15 +195,14 @@ def sweep_largest_component(
         raise ValueError("network is empty")
     full = build_teg(net, inf)
     order = np.argsort(full.iets)
-    # edges[:stops[k]] of the sorted list are those with a gap below delta_ts[k]
+    # order[:stops[k]] are the edges with a gap below delta_ts[k]
     stops = np.searchsorted(full.iets[order], delta_ts).tolist()
-    edges = np.stack((full.heads[order], full.tails[order]), axis=1)
     parent, size, slot = np.arange(m, dtype=np.int64), np.ones(m, np.int64), np.empty(m, np.int64)
     largest, k, out = 1, 0, []
     for dt, stop in zip(delta_ts, stops):
         if stop > k:
-            new, k = edges[k:stop], stop
-            ends = new
+            window, k = order[k:stop], stop
+            ends = new = np.stack((full.heads[window], full.tails[window]), axis=1)
             while ((up := parent[ends]) != ends).any():
                 ends = up
             parent[new] = ends  # shortcut the endpoints for later windows
@@ -270,8 +263,7 @@ def motif_distribution(teg: Teg) -> DiscreteDistribution:
     The support is always the six classes in canonical order; a graph
     without edges is an error (the distribution is undefined).
     """
-    counts = motif_counts(teg)
-    return DiscreteDistribution.from_counts(MOTIFS, [counts[m] for m in MOTIFS])
+    return DiscreteDistribution.from_counts(MOTIFS, motif_counts(teg).values())
 
 
 def component_size_distribution(teg: Teg | ComponentSet) -> DiscreteDistribution:
@@ -347,11 +339,19 @@ def iet_ccdf(teg: Teg, motif: Motif | None = None) -> EmpiricalCcdf:
     return EmpiricalCcdf.from_samples(taus)
 
 
+def _entropies(masses: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of ``masses``, bit for bit a loop's from 0: the terms
+    ``p * math.log2(p)`` of the positive masses, after a zero, added in order along the rows."""
+    p = masses[masses > 0]
+    terms = np.zeros((len(masses), masses.shape[1] + 1))  # a term 0.0 changes no sum
+    terms[:, 1:][masses > 0] = p * np.fromiter(map(log2, memoryview(p)), np.float64, len(p))
+    return -np.add.accumulate(terms, axis=1)[:, -1]
+
+
 def shannon_entropy(dist: DiscreteDistribution | Iterable[float]) -> float:
-    """Entropy in bits; zero masses contribute nothing. The terms are added
-    in order, as ``sum()`` compensates float rounding from Python 3.12 on."""
+    """Entropy in bits; zero masses contribute nothing. The one-row case of ``ComponentSet.motif_entropies``."""
     masses = dist.masses if isinstance(dist, DiscreteDistribution) else tuple(dist)
-    return -reduce(add, (p * log2(p) for p in masses if p > 0), 0)
+    return float(_entropies(np.array([masses], np.float64))[0])
 
 
 def _ccdfs(data: np.ndarray, bounds: np.ndarray):

@@ -419,11 +419,9 @@ def reconstruct(
     placed = np.argsort(start, kind="stable")  # by start time, then number: first vertex
     rank = _inverse(placed)
     if layout == "end_to_end":
-        widths = (p.reduce(np.maximum, times) - start).tolist()
-        offsets, offset = np.empty(len(placed)), 0.0
-        for c in placed.tolist():
-            offsets[c] = offset
-            offset = widths[c] + offset + spacing
+        steps = np.full((len(placed), 2), spacing, np.float64)  # each placed component's width, then the spacing
+        steps[:, 0] = (p.reduce(np.maximum, times) - start)[placed]
+        offsets = np.append(0.0, np.add.accumulate(steps.ravel())[1:-1:2])[rank]
         times = times - start[p.label] + offsets[p.label]
     order = np.lexsort((times, rank[p.label]))
     sources, targets, node_ids = _first_seen(p.sources[order], p.targets[order])

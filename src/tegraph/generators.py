@@ -131,11 +131,10 @@ def generate_random(cfg: GeneratorConfig) -> TemporalNetwork:
     m = cfg.event_count
     n = cfg.node_count
     times = np.cumsum(cfg.iets.sample(rng, m))
-    # a gap far below the clock's float resolution would stall the clock
-    if m > 1 and np.any(np.diff(times) <= 0):
-        for k in range(1, m):
-            if times[k] <= times[k - 1]:
-                times[k] = np.nextafter(times[k - 1], np.inf)
+    # a stalled clock (a gap below its float resolution) takes the next float; finite non-negative doubles
+    # order as their bits, so the bits are a running maximum of bits[k] - k, plus k (NaN past an inf)
+    bits = times.view(np.int64)  # repaired in place
+    np.add(np.maximum.accumulate(bits - np.arange(m), out=bits), np.arange(m), out=bits)
     u = rng.integers(0, n, m)
     v = rng.integers(0, n - 1, m)
     return TemporalNetwork(u, v + (v >= u), times)

@@ -405,6 +405,57 @@ def test_ensemble_warns_only_of_the_parsed_ties(tmp_path, recwarn):
     assert warnings.filters == filters
 
 
+def test_motifs_builds_no_event_graph_without_per_component(tmp_path, monkeypatch):
+    # the network's row is counted as each ensemble member counts its shuffle
+    events = _generate(tmp_path, nodes=8, events=300, iets="exponential:1", seed=5)
+    argv = ("motifs", "--input", events, "--dt", "2", "--ensemble", "2", "--seed", "3")
+    built, counted = tmp_path / "built.csv", tmp_path / "counted.csv"
+    assert run(*argv, "--per-component", "--output", built) == 0
+
+    def refuse(*args):
+        raise AssertionError("motifs built an event graph")
+
+    monkeypatch.setattr(cli, "build_teg", refuse)
+    assert run(*argv, "--output", counted) == 0
+    rows = built.read_text().splitlines()
+    assert counted.read_text().splitlines() == [r for r in rows if not r.startswith("component:")]
+
+
+def test_motifs_per_component_sorts_the_incidences_once(tmp_path, monkeypatch):
+    # the event graph it builds for the components counts the network's row too
+    events = _generate(tmp_path, nodes=8, events=300, iets="exponential:1", seed=5)
+    built, counted = tmp_path / "built.csv", tmp_path / "counted.csv"
+    assert run("motifs", "--input", events, "--dt", "2", "--output", counted) == 0
+
+    def refuse(*args):
+        raise AssertionError("motifs counted the network without its event graph")
+
+    monkeypatch.setattr(cli, "_motif_code_counts", refuse)
+    assert run("motifs", "--input", events, "--dt", "2", "--per-component", "--output", built) == 0
+    assert built.read_text().splitlines()[:2] == counted.read_text().splitlines()
+
+
+def test_ensemble_mean_adds_the_members_in_order(tmp_path, monkeypatch):
+    # members' masses of wide range, so that another order of the additions,
+    # or a compensated sum, changes the last bits of some mean
+    rng = np.random.default_rng(12)
+    masses = (rng.random((9, len(MOTIFS))) * 10.0 ** rng.integers(-12, 13, (9, len(MOTIFS)))).tolist()
+    monkeypatch.setattr(cli, "_shuffle_frequencies", lambda net, dt, seed: masses[seed - 40])
+    events = _generate(tmp_path, nodes=8, events=300, iets="exponential:1", seed=5)
+    out = tmp_path / "motifs.csv"
+    assert run("motifs", "--input", events, "--dt", "inf", "--ensemble", 9, "--seed", 40, "--output", out) == 0
+    expected = []
+    for column in zip(*masses):
+        total = column[0]
+        for mass in column[1:]:
+            total = total + mass
+        expected.append(total / len(masses))
+    assert expected != [math.fsum(column) / len(masses) for column in zip(*masses)]
+    row = out.read_text().splitlines()[-1].split(",")
+    assert row[0] == "shuffle_mean:9"
+    assert [float(value).hex() for value in row[2:]] == [mean.hex() for mean in expected]
+
+
 def test_iets_csv_and_svg(tmp_path):
     events = _generate(tmp_path, nodes=6, events=60, iets="exponential:1", seed=8)
     out = tmp_path / "iets.csv"

@@ -5,6 +5,8 @@ import hashlib
 import math
 import warnings
 import weakref
+from functools import reduce
+from operator import add
 
 import networkx as nx
 import numpy as np
@@ -248,6 +250,32 @@ def test_shannon_entropy_anchors():
     assert shannon_entropy([1.0, 0.0, 0.0]) == 0.0
     dist = DiscreteDistribution(("a", "b"), (0.25, 0.75))
     assert 0.0 < shannon_entropy(dist) < 1.0
+
+
+def _loop_entropy(masses):
+    return -reduce(add, (p * math.log2(p) for p in masses if p > 0), 0)
+
+
+def test_shannon_entropy_adds_its_terms_in_order():
+    rng = np.random.default_rng(8)
+    rows = [[1.0], [1.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5], [1 / 6] * 6, [0.1] * 10]
+    rows.append([0.997209935789211, 0.8203077943609558, 0.4344264414439891])  # np.log2 can differ here
+    for size in (2, 6, 40):
+        for _ in range(20):
+            masses = rng.dirichlet(np.ones(size)) * (rng.random(size) < 0.7)
+            rows.append(masses.tolist())
+    for masses in rows:
+        assert shannon_entropy(masses).hex() == _loop_entropy(masses).hex()
+    assert math.copysign(1.0, shannon_entropy([1.0])) == -1.0  # -(0.0), as the loop gives
+
+
+def test_shannon_entropy_is_a_row_of_the_component_entropies():
+    net = generate_random(GeneratorConfig(40, 3000, PowerLawIets(0.2), 6))
+    cs = ComponentSet(build_teg(net, 1.0))
+    masses, entropies = cs.motif_masses(), cs.motif_entropies()
+    assert (masses == 0).any() and len(masses) > 50
+    for row, entropy in zip(masses, entropies.tolist()):
+        assert shannon_entropy(row).hex() == entropy.hex() == _loop_entropy(row.tolist()).hex()
 
 
 def test_cumulative_residual_entropy_anchors():

@@ -610,6 +610,26 @@ def test_reconstruct_raises_the_full_report(fixture):
     assert info.value.report == check_consistency(fixture)
 
 
+@pytest.mark.filterwarnings("ignore:.*equal-timestamp")  # laid end to end, some events tie
+@pytest.mark.parametrize("spacing", [0.1, 1 / 3, 0.0, 0, 1])
+def test_end_to_end_layout_matches_a_loop(spacing):
+    # a loop over the components in their placed order lays them out
+    net = generate_random(GeneratorConfig(100, 2000, ExponentialIets(1.0), 5))
+    g = strip_events(build_teg(net, 30.0))
+    p = duality._Pass(g)
+    times, start = duality._absolute_times(g, p, 1e-12)
+    widths = p.reduce(np.maximum, times) - start
+    placed = np.argsort(start, kind="stable").tolist()
+    assert len(placed) > 200
+    offsets, offset = [0.0] * len(placed), 0.0
+    for c in placed:
+        offsets[c] = offset
+        offset = float(widths[c]) + offset + spacing
+    expected = np.sort(times - start[p.label] + np.array(offsets)[p.label])
+    laid = reconstruct(g, layout="end_to_end", spacing=spacing)
+    assert laid.times.tobytes() == expected.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:.*equal-timestamp")  # components overlaid at t = 0
 @pytest.mark.parametrize("keep_anchors", (True, False))
 def test_reconstruct_makes_one_pass(monkeypatch, keep_anchors):

@@ -208,3 +208,38 @@ def test_iet_laws_name_their_parameter_and_parse_their_own_text(law, name, noun)
 def test_ensemble_seeds_are_consecutive():
     assert ensemble_seeds(100, 5) == [100, 101, 102, 103, 104]
     assert ensemble_seeds(0, 0) == []
+
+
+def _loop_clock(cfg):
+    """The clock of ``generate_random`` repaired by a loop over the events:
+    a time at or below its predecessor's moves to the float after it."""
+    rng = np.random.default_rng(cfg.seed)
+    times = np.cumsum(cfg.iets.sample(rng, cfg.event_count)).tolist()
+    for k in range(1, len(times)):
+        if times[k] <= times[k - 1]:
+            times[k] = math.nextafter(times[k - 1], math.inf)
+    return np.array(times, np.float64)
+
+
+@pytest.mark.parametrize("exponent", [0.2, 0.05])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stalled_clock_repair_matches_a_loop(exponent, seed):
+    cfg = GeneratorConfig(50, 20_000, PowerLawIets(exponent), seed)
+    raw = np.cumsum(cfg.iets.sample(np.random.default_rng(seed), cfg.event_count))
+    assert np.count_nonzero(np.diff(raw) <= 0) > 10  # the clock stalls
+    assert generate_random(cfg).times.tobytes() == _loop_clock(cfg).tobytes()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_clock_of_few_events_matches_a_loop(m):
+    for seed in range(5):
+        cfg = GeneratorConfig(3, m, PowerLawIets(0.05), seed)
+        assert generate_random(cfg).times.tobytes() == _loop_clock(cfg).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_an_overflowing_clock_reports_its_first_infinite_time(m):
+    # past an overflow to inf the repaired bits are NaN patterns; the network names the first inf
+    with pytest.raises(ValueError, match=r"^event 1: event time must be non-negative and finite, got inf$"):
+        generate_random(GeneratorConfig(4, m, DeterministicIets(1e308), 0))
