@@ -233,10 +233,10 @@ class DiscreteDistribution:
     def __post_init__(self):
         if len(self.support) != len(self.masses):
             raise ValueError("support and masses must align")
-        if any(p < 0 for p in self.masses):
-            raise ValueError("negative probability mass")
+        if not all(p >= 0 for p in self.masses):
+            raise ValueError("negative or NaN probability mass")
         total = sum(self.masses)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"masses sum to {total!r}, not 1")
 
     def as_dict(self) -> dict:
@@ -371,8 +371,9 @@ def _cres(support: np.ndarray, tails: np.ndarray, bounds: np.ndarray) -> np.ndar
     """``cumulative_residual_entropy`` of the CCDF of each segment
     ``support[bounds[k]:bounds[k + 1]]``, ``tails[...]``. A segment's terms
     are added in order from the first, as a loop adds them (``np.add.reduceat``
-    adds pairwise): the segments of each length are the rows of one matrix,
-    summed in place by a ``cumsum`` along the rows."""
+    adds pairwise): the segments of each length, one run of a sort of the
+    lengths, are the rows of one matrix, summed in place by a ``cumsum``
+    along the rows."""
     inside = tails > 0
     inside[bounds[1:][np.diff(bounds) > 0] - 1] = False  # a segment's last step has no width
     p = np.where(inside, tails, 1.0)
@@ -382,9 +383,10 @@ def _cres(support: np.ndarray, tails: np.ndarray, bounds: np.ndarray) -> np.ndar
     terms *= np.fromiter(map(log2, memoryview(p)), np.float64, len(p))
     terms[~inside] = 0.0  # a zero term changes a sum at most from -0.0 to 0.0
     lengths, sums = np.diff(bounds), np.zeros(len(bounds) - 1)
-    distinct = np.sort(lengths[lengths > 0])
-    for length in distinct[_starts(distinct)].tolist():
-        rows = np.flatnonzero(lengths == length)
+    grouped, by_length = _stable_sort(lengths)
+    runs = np.flatnonzero(_starts(grouped) & (grouped > 0))  # empty segments sort first and sum to 0
+    for rows in np.split(by_length, runs)[1:]:
+        length = int(lengths[rows[0]])
         block = np.lib.stride_tricks.sliding_window_view(terms, length)[bounds[rows]]
         sums[rows] = np.cumsum(block, axis=1, out=block)[:, -1]
     return -sums + 0.0  # -(a + b) is -a + -b bit for bit; a loop from 0.0 never ends at -0.0

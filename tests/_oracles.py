@@ -165,3 +165,26 @@ def per_rank_loop(teg, assignment):
             entropy = -reduce(add, (p * log2(p) for p in masses if p > 0), 0)
             rows.append((rank, len(ks), *masses, entropy, step_cre([iets[k] for k in ks])))
     return rows, [len(found) for found in nodes]
+
+
+def label_groups(g):
+    """The C2 and C3 violations of labelled graph ``g`` as (condition,
+    vertex, edge keys, detail) tuples, by a loop over the vertices of each
+    side: a vertex's out-edges by tail (C2), then its in-edges by head (C3).
+    A vertex with more than two edges on a side gives one violation, then
+    each group of two or more of its edges that share a label gives one, the
+    groups in order of their first edge."""
+    edges = sorted(zip(g.heads.tolist(), g.tails.tolist(), g.codes.tolist()))
+    found = []
+    for cond, side, attr, end in (("C2", "out", "xi_out", 0), ("C3", "in", "xi_in", 1)):
+        for v in range(g.vertex_count):
+            mine = sorted((edge for edge in edges if edge[end] == v), key=lambda edge: edge[1 - end])
+            keys, labels = [edge[:2] for edge in mine], [getattr(MOTIFS[edge[2]], attr) for edge in mine]
+            if len(mine) > 2:
+                found.append((cond, v, keys, f"vertex {v} has {len(mine)} {side}-edges; events have two nodes"))
+            for label in sorted(set(labels), key=labels.index):
+                group = [key for key, other in zip(keys, labels) if other == label]
+                if len(group) > 1:
+                    count = "two" if len(group) == 2 else len(group)
+                    found.append((cond, v, group, f"vertex {v} has {count} {side}-edges with label {label}"))
+    return found

@@ -511,6 +511,30 @@ def test_cumulative_residual_entropy_matches_step_loop_bit_for_bit():
     assert cumulative_residual_entropy(unsorted) == _reference_cre(unsorted)
 
 
+def test_segment_cres_equal_one_cre_per_segment_bit_for_bit():
+    # segments of every length from 0 to 60, many of length 2 and some
+    # empty ones, in random order: each length's segments are one matrix
+    rng = np.random.default_rng(5)
+    lengths = np.concatenate([np.arange(61), np.full(500, 2), np.zeros(40, np.int64)])
+    rng.shuffle(lengths)
+    ccdfs = [EmpiricalCcdf((), (), 0)] * len(lengths)
+    for k, length in enumerate(lengths.tolist()):
+        if length:
+            values = np.cumsum(rng.pareto(0.5, length) + 1e-3)
+            ccdfs[k] = EmpiricalCcdf.from_samples(np.repeat(values, rng.integers(1, 4, length)))
+    assert [len(ccdf.support) for ccdf in ccdfs] == lengths.tolist()
+    bounds = np.append(0, np.cumsum(lengths))
+    support, tails = (np.concatenate([getattr(ccdf, name) for ccdf in ccdfs]) for name in ("support", "tails"))
+    got = components_module._cres(support, tails, bounds)
+    assert got.tobytes() == np.array([cumulative_residual_entropy(ccdf) for ccdf in ccdfs]).tobytes()
+
+
+def test_discrete_distribution_refuses_nan():
+    for masses in [(math.nan,), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="NaN"):
+            DiscreteDistribution(tuple("ab")[: len(masses)], masses)
+
+
 def test_entropies_take_math_log2_where_np_log2_differs():
     # among the shares k/n with n < 200, np.log2 is one ulp off math.log2 at
     # 28/31 and 65/74, among others (numpy 2.4, x86-64), and so are the CRE

@@ -303,6 +303,31 @@ def test_label_multiplicity_report_is_exact():
     )
 
 
+def test_a_same_label_group_is_one_violation():
+    # vertex 0: four out-edges, three with origin label A
+    g = _graph(5, [(0, 1, 1.0, AC), (0, 2, 2.0, BC), (0, 3, 3.0, AC), (0, 4, 4.0, CA)])
+    c2 = [v for v in check_consistency(g).violations if v.condition == "C2"]
+    assert [str(v) for v in c2] == [
+        "C2 at (0,1), (0,2), (0,3), (0,4): vertex 0 has 4 out-edges; events have two nodes",
+        "C2 at (0,1), (0,3), (0,4): vertex 0 has 3 out-edges with label A",
+    ]
+
+
+@pytest.mark.parametrize("side", ["out", "in"])
+def test_a_star_gets_two_violations(side):
+    # one vertex with d edges of one label: its degree and its one label
+    # group, not d(d - 1) / 2 pairs
+    d = 10_000
+    leaves = np.arange(1, d + 1)
+    if side == "out":
+        g = EdgeLabelledTeg(d + 1, np.zeros(d, np.int64), leaves, leaves.astype(float), np.full(d, 2))
+    else:
+        g = EdgeLabelledTeg(d + 1, leaves - 1, np.full(d, d), (d + 1 - leaves).astype(float), np.full(d, 2))
+    violations = check_consistency(g).violations
+    assert len(violations) <= g.edge_count
+    assert [(v.condition, len(v.edges)) for v in violations] == [("C2" if side == "out" else "C3", d)] * 2
+
+
 def test_relabelled_chain_is_a_different_valid_network():
     # a lone prescription can never contradict itself, so swapping the
     # second hop's label just describes another genuine event sequence

@@ -20,7 +20,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from _oracles import brute_force_teg, per_rank_loop, time_shuffle_sorted, union_find_labels  # noqa: E402
+from _oracles import (  # noqa: E402
+    brute_force_teg, label_groups, per_rank_loop, time_shuffle_sorted, union_find_labels)
 from tegraph import (  # noqa: E402
     MOTIFS, EdgeLabelledTeg, TemporalNetwork, build_teg, check_consistency, load_edge_labelled, reconstruct,
     save_edge_labelled, strip_events, sweep_largest_component, time_shuffle, weakly_connected_components)
@@ -136,6 +137,26 @@ def test_labelled_graphs_read_back_bit_for_bit(g, chunk):
     for name in EdgeLabelledTeg.__slots__[1:]:
         got, expected = getattr(loaded, name), getattr(g, name)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+
+
+@st.composite
+def crowded_graphs(draw):
+    """At most seven vertices, so up to six edges on each side of a vertex,
+    any subset of the keys and any codes: groups of up to six edges that
+    share a label."""
+    n = draw(st.integers(1, 7))
+    keys = sorted(draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda k: k[0] < k[1]))))
+    codes = draw(st.lists(st.integers(0, len(MOTIFS) - 1), min_size=len(keys), max_size=len(keys)))
+    taus = draw(st.lists(_taus, min_size=len(keys), max_size=len(keys)))
+    return EdgeLabelledTeg(n, [i for i, _ in keys], [j for _, j in keys], taus, codes)
+
+
+@_SETTINGS
+@given(crowded_graphs())
+def test_label_violations_equal_a_loop_over_each_side(g):
+    report = check_consistency(g)
+    got = [(v.condition, *v.vertices, list(v.edges), v.detail) for v in report.violations if v.condition in ("C2", "C3")]
+    assert got == label_groups(g)
 
 
 @st.composite
