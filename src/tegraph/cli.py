@@ -146,16 +146,6 @@ def _count_arg(low: int):
     return parse
 
 
-def _add_event_input(p: _Parser) -> None:
-    p.add_argument("--input", required=True, help="event file (source target time per line)")
-    p.add_argument("--delimiter", default=None, help="column separator (default: whitespace)")
-    fields = "source,target,time"
-    p.add_argument("--fields", default=fields, help="column order as a comma list of " + fields)
-    policies = ("stable_order", "reject")
-    p.add_argument("--tie-policy", choices=policies, default="stable_order", help="equal-timestamp handling")
-    p.add_argument("--skip-self-loops", action="store_true", help="drop self-loop lines instead of failing")
-
-
 def _read_events(args):
     return load_events(
         args.input,
@@ -386,82 +376,76 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     duration = _arg(parse_duration)
 
-    def command(name, func, about, events=True) -> _Parser:
-        """The subcommand ``name`` that runs ``func``; it reads an event file where ``events``."""
+    def command(name, func, about, reads="events", dt=False, output=True) -> _Parser:
+        """The subcommand ``name`` that runs ``func``. It reads an event file, a labelled
+        graph or nothing, by ``reads``; it takes a required ``--dt`` where ``dt``, and
+        ``--output`` where ``output``."""
         p = sub.add_parser(name, help=about)
         p.set_defaults(func=func)
-        if events:
-            _add_event_input(p)
+        if reads == "events":
+            p.add_argument("--input", required=True, help="event file (source target time per line)")
+            p.add_argument("--delimiter", default=None, help="column separator (default: whitespace)")
+            fields = "source,target,time"
+            p.add_argument("--fields", default=fields, help="column order as a comma list of " + fields)
+            policies = ("stable_order", "reject")
+            p.add_argument("--tie-policy", choices=policies, default="stable_order", help="equal-timestamp handling")
+            p.add_argument("--skip-self-loops", action="store_true", help="drop self-loop lines instead of failing")
+        elif reads == "graph":
+            p.add_argument("--input", required=True, help="edge-labelled graph JSON")
+            p.add_argument("--rel-tol", type=float, default=1e-12)
+        if dt:
+            p.add_argument("--dt", required=True, type=duration, help="waiting window (e.g. 3600, 1h, inf)")
+        if output:
+            p.add_argument("--output", required=True)
         return p
 
-    p = command("generate", _cmd_generate, "random temporal network", events=False)
+    p = command("generate", _cmd_generate, "random temporal network", reads=None)
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--iets", required=True, help="power_law:A | exponential:RATE | deterministic:GAP")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True)
 
     p = command("shuffle", _cmd_shuffle, "time-shuffle null model")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True)
 
-    p = command("build", _cmd_build, "event graph from events")
-    p.add_argument("--dt", required=True, type=duration, help="waiting window (e.g. 3600, 1h, inf)")
+    p = command("build", _cmd_build, "event graph from events", dt=True)
     about = "graph: reconstructable edge-labelled JSON; edges: flat edge list"
     p.add_argument("--format", choices=("graph", "edges"), default="graph", help=about)
     p.add_argument("--no-anchors", action="store_true", help="omit absolute-time anchors from graph output")
-    p.add_argument("--output", required=True)
 
-    p = command("validate", _cmd_validate, "check an edge-labelled graph", events=False)
-    p.add_argument("--input", required=True, help="edge-labelled graph JSON")
-    p.add_argument("--rel-tol", type=float, default=1e-12)
+    command("validate", _cmd_validate, "check an edge-labelled graph", reads="graph", output=False)
 
-    p = command("reconstruct", _cmd_reconstruct, "events back from an edge-labelled graph", events=False)
-    p.add_argument("--input", required=True, help="edge-labelled graph JSON")
-    p.add_argument("--rel-tol", type=float, default=1e-12)
+    p = command("reconstruct", _cmd_reconstruct, "events back from an edge-labelled graph", reads="graph")
     about = "overlay: anchors or t=0 per component; end-to-end: lay components out in sequence"
     p.add_argument("--layout", choices=("overlay", "end-to-end"), default="overlay", help=about)
     p.add_argument("--spacing", type=float, default=1.0, help="gap between end-to-end components")
-    p.add_argument("--output", required=True)
 
-    p = command("components", _cmd_components, "weakly connected components")
-    p.add_argument("--dt", required=True, type=duration)
+    p = command("components", _cmd_components, "weakly connected components", dt=True)
     p.add_argument("--top", type=_count_arg(1), default=None, help="report only the K largest")
-    p.add_argument("--output", required=True)
 
     p = command("sweep", _cmd_sweep, "largest component fraction over windows")
     p.add_argument("--dt-grid", required=True, type=_arg(parse_grid), help="log:A:B:N | lin:A:B:N | comma list")
-    p.add_argument("--output", required=True)
 
-    p = command("motifs", _cmd_motifs, "motif distribution (optionally vs shuffles)")
-    p.add_argument("--dt", required=True, type=duration)
+    p = command("motifs", _cmd_motifs, "motif distribution (optionally vs shuffles)", dt=True)
     p.add_argument("--per-component", action="store_true")
     p.add_argument("--ensemble", type=_count_arg(0), default=0, help="time-shuffle ensemble size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_count_arg(1), default=1, help="parallel shuffle threads")
-    p.add_argument("--output", required=True)
 
-    p = command("iets", _cmd_iets, "inter-event-time CCDFs")
-    p.add_argument("--dt", required=True, type=duration)
+    p = command("iets", _cmd_iets, "inter-event-time CCDFs", dt=True)
     p.add_argument("--motif", choices=_NAMES.tolist(), default=None)
     p.add_argument("--svg", default=None, help="also render curves to SVG")
-    p.add_argument("--output", required=True)
 
-    p = command("entropy", _cmd_entropy, "motif entropy and inter-event-time CRE")
-    p.add_argument("--dt", required=True, type=duration)
+    p = command("entropy", _cmd_entropy, "motif entropy and inter-event-time CRE", dt=True)
     p.add_argument("--per-component", action="store_true")
-    p.add_argument("--output", required=True)
 
-    p = command("barcode", _cmd_barcode, "component barcode SVG")
-    p.add_argument("--dt", required=True, type=duration)
+    p = command("barcode", _cmd_barcode, "component barcode SVG", dt=True)
     p.add_argument("--top", type=_count_arg(1), default=None)
     p.add_argument("--csv", default=None, help="also dump rows as CSV")
-    p.add_argument("--output", required=True)
 
     p = command("aggregate", _cmd_aggregate, "time-aggregated static graph")
     p.add_argument("--dt", default=None, type=duration, help="with --component: restrict to one component")
     p.add_argument("--component", type=_count_arg(0), default=None)
-    p.add_argument("--output", required=True)
 
     return parser
 

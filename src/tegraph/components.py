@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .events import _MAX_IDS, TemporalNetwork, _inverse, _readonly, _stable_sort, _starts
+from .events import _MAX_IDS, TemporalNetwork, _grouped, _inverse, _readonly, _stable_sort, _starts
 from .motifs import _CODES, MOTIFS, Motif
 from .teg import Teg, build_teg, check_window
 
@@ -43,18 +43,17 @@ def _component_columns(teg: Teg):
     """``assignment``, ``sizes``, ``starts``, ``ends``, members and bounds of
     the components of ``teg``: the columns of its ``ComponentSet``."""
     m, times = teg.vertex_count, teg.network.times
-    label = _labels(m, teg.heads, teg.tails)
-    firsts = np.flatnonzero(label == np.arange(m))
-    sizes = np.bincount(label, minlength=m)[firsts]
+    members, firsts, label = _grouped(_labels(m, teg.heads, teg.tails))
+    sizes = np.diff(firsts, append=m)
     # largest first: the first events ascend, and so do their times, so the
     # stable sort breaks size ties by start and then by first event
     order = _stable_sort(m - sizes)[1]
-    assignment = _inverse(order)[firsts.searchsorted(label)]
-    # every rank's events, ascending, one run per rank
-    _, members = _stable_sort(assignment)
-    bounds = np.concatenate(([0], np.cumsum(sizes[order])))
-    columns = assignment, sizes[order], times[firsts[order]], times[members[bounds[1:] - 1]], members, bounds
-    return tuple(map(_readonly, columns))
+    sizes = sizes[order]
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    # every rank's events, ascending, one block per rank
+    members = members[np.repeat(firsts[order] - bounds[:-1], sizes) + np.arange(m)]
+    starts, ends = times[members[bounds[:-1]]], times[members[bounds[1:] - 1]]
+    return tuple(map(_readonly, (_inverse(order)[label], sizes, starts, ends, members, bounds)))
 
 
 @dataclass(frozen=True)

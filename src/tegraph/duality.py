@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _text
 from .components import _labels
-from .events import TemporalNetwork, _column, _first_seen, _inverse, _readonly, _stable_sort, _starts
+from .events import TemporalNetwork, _column, _first_seen, _grouped, _inverse, _readonly, _stable_sort, _starts
 from .motifs import _CODES, _NAMES, _SLOTS, _XI_IN, _XI_OUT, MOTIFS, Motif
 from .teg import EdgeLabelledTeg, Teg, _incidence_edges
 
@@ -199,17 +199,15 @@ class _Pass:
         self.in_heads, self.in_codes = g.heads[by_tail], g.codes[by_tail]
         self.out_ptr = np.searchsorted(g.heads, np.arange(n + 1))
         self.in_ptr = np.searchsorted(self.in_tails, np.arange(n + 1))
-        grouped, self.order = _stable_sort(_labels(n, g.heads, g.tails))  # by root, the smallest vertex
-        first = _starts(grouped)
-        self.starts, self.label = np.flatnonzero(first), np.empty(n, np.int64)
-        self.label[self.order] = np.cumsum(first) - 1
+        self.order, self.starts, self.label = _grouped(_labels(n, g.heads, g.tails))  # by root, the smallest vertex
         ptr = self.out_ptr + self.in_ptr  # each vertex's out-edges, then its in-edges
         edges = np.arange(g.edge_count)
         ends, steps = np.empty(2 * len(edges), np.int64), np.empty(2 * len(edges))
         at_out, at_in = edges + self.in_ptr[g.heads], edges + self.out_ptr[self.in_tails + 1]
         ends[at_out], ends[at_in], steps[at_out], steps[at_in] = g.tails, self.in_heads, g.taus, -g.taus[by_tail]
-        del edges, at_out, at_in, by_tail, grouped, first  # dead during the search
-        self.pot = _potentials(self.order[self.starts], ptr, ends, steps)
+        del edges, at_out, at_in, by_tail  # dead during the search
+        with np.errstate(over="ignore"):  # tau sums past the float range; C1 reports them
+            self.pot = _potentials(self.order[self.starts], ptr, ends, steps)
         del ptr, ends, steps  # and during node resolution
         self.low, self.high = self.reduce(np.minimum, self.pot), self.reduce(np.maximum, self.pot)
         self.sources, self.targets, self.collapsed = _resolve_nodes(n, g.heads, g.tails, g.codes)
@@ -306,16 +304,20 @@ def _report(p: _Pass, rel_tol: float) -> ConsistencyReport:
     dirty = p.collapsed.copy()
     dirty[[v for violation in violations for key in violation.edges for v in key]] = True
 
-    # C1: every edge re-checked against the breadth-first relative times,
-    # within a tolerance from its component's span, by (component, head, tail).
-    gaps, comp = p.pot[tails] - p.pot[heads], p.label[heads]
-    tol = rel_tol * np.maximum(1.0, p.high - p.low)
-    off = np.abs(gaps - g.taus) > tol[comp]
-    bad = np.flatnonzero(off)
-    bad = bad[_stable_sort(comp[bad])[1]]
-    for v, w, gap, tau in zip(*(column[bad].tolist() for column in (heads, tails, gaps, g.taus))):
-        detail = f"path sums disagree: relative times give {gap!r}, tau is {tau!r}"
-        violations.append(Violation("C1", (v, w), ((v, w),), detail))
+    # C1: every edge re-checked against the breadth-first relative times, within a
+    # tolerance from its component's span, by (component, head, tail); a NaN gap is off.
+    # A span past the float range is one violation, at its first non-finite gap or else its first edge.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps, comp, span = p.pot[tails] - p.pot[heads], p.label[heads], p.high - p.low
+        off = ~(np.abs(gaps - g.taus) <= rel_tol * np.maximum(1.0, span)[comp])
+    spilt = ~np.isfinite(span)
+    dirty |= spilt[p.label]  # and C4 skips an overflowing component
+    bad = np.flatnonzero(off | spilt[comp])
+    bad = bad[_stable_sort(2 * comp[bad] + np.isfinite(gaps[bad]))[1]]  # gaps of a finite span are finite
+    bad = bad[~spilt[comp[bad]] | _starts(comp[bad])]
+    for v, w, gap, tau, over in zip(*(column[bad].tolist() for column in (heads, tails, gaps, g.taus, spilt[comp]))):
+        why = "tau sums overflow the float range" if over else "path sums disagree"
+        violations.append(Violation("C1", (v, w), ((v, w),), f"{why}: relative times give {gap!r}, tau is {tau!r}"))
 
     # C4: the collapsed vertices, then the rebuild certificate.
     for v in np.flatnonzero(p.collapsed).tolist():
@@ -327,27 +329,28 @@ def _report(p: _Pass, rel_tol: float) -> ConsistencyReport:
 
 
 def check_consistency(g: EdgeLabelledTeg, rel_tol: float = 1e-12) -> ConsistencyReport:
-    """Test conditions C1-C4 and report every violation found.
+    """Test conditions C1-C4 and report every violation found; anchors are
+    not checked here (``reconstruct`` refuses contradicting ones).
 
     C1 compares tau sums with a tolerance relative to the component's time
     span (exact inputs are checked exactly: integer or dyadic taus leave no
-    rounding residue); ``rel_tol`` must be non-negative. C2/C3 compare
-    labels: a vertex with more than two edges on one side is a violation,
-    and so is each group of two or more of those edges that share a label,
-    listing the group's edges, so the report grows with the edge count,
-    not with the pairs.
+    rounding residue); ``rel_tol`` must be non-negative. A component whose tau
+    sums pass the float range is one C1 violation. C2/C3 compare labels: a
+    vertex with more than two edges on one side is a violation, and so is
+    each group of two or more of those edges that share a label, listing the
+    group's edges, so the report grows with the edge count, not the pairs.
 
-    C4 takes node identities as slot classes: the source and
-    target slots of every vertex, joined wherever a label prescribes a node,
-    and a vertex whose two slots share a class is a violation. It then
-    rebuilds the event graph of the resolved events with the vertex index as
-    time and no waiting window, giving no edge between two vertices of
-    equal relative time (a zero gap gives none) unless the input holds that
-    edge with a tau C1 accepts, and reports every edge key
-    where the rebuild and the input differ: a label the rebuild gives
-    differently, an input edge it does not give, or an edge it gives that
-    the input lacks. Keys with a collapsed endpoint, or one that a C2/C3
-    violation names, are skipped; their fault is already reported.
+    C4 takes node identities as slot classes: the source and target slots of
+    every vertex, joined wherever a label prescribes a node, and a vertex
+    whose two slots share a class is a violation. It then rebuilds the event
+    graph of the resolved events with the vertex index as time and no waiting
+    window, giving no edge between two vertices of equal relative time (a
+    zero gap gives none) unless the input holds that edge with a tau C1
+    accepts, and reports every edge key where the rebuild and the input
+    differ: a label the rebuild gives differently, an input edge it does not
+    give, or an edge it gives that the input lacks. Keys with a collapsed
+    endpoint, one that a C2/C3 violation names, or one in an overflowing
+    component are skipped; their fault is already reported.
     """
     _check_rel_tol(rel_tol)
     return _report(_Pass(g), rel_tol)

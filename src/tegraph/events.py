@@ -171,6 +171,18 @@ def _stable_sort(keys: np.ndarray):
     return ordered, order
 
 
+def _grouped(keys: np.ndarray):
+    """The order that sorts ``keys`` stably (``_stable_sort``), where each run of
+    equal keys starts in it, and each key's run number: ``keys[order[starts]]``
+    are the distinct keys ascending, and the run numbers ``np.unique``'s inverse."""
+    grouped, order = _stable_sort(keys)
+    new = _starts(grouped)
+    del grouped
+    runs = np.empty(len(keys), np.int64)
+    runs[order] = np.cumsum(new) - 1
+    return order, np.flatnonzero(new), runs
+
+
 def _inverse(permutation: np.ndarray) -> np.ndarray:
     """The inverse of a permutation of ``0 .. n - 1``, by one scatter."""
     inverse = np.empty_like(permutation)
@@ -181,14 +193,10 @@ def _inverse(permutation: np.ndarray) -> np.ndarray:
 def _first_seen(sources: np.ndarray, targets: np.ndarray):
     """Node columns renumbered 0, 1, ... by first appearance, scanning the
     events in order, source before target; and the new node ids."""
-    ends = np.stack((sources, targets), 1).ravel()
-    grouped, order = _stable_sort(ends)
-    new = _starts(grouped)
-    seen = np.zeros(len(ends), bool)
-    seen[order[new]] = True  # a stable sort lists each node's first appearance first
-    # a node's new id counts the first appearances before its own
-    ends[order] = (np.cumsum(seen) - 1)[order[new]][np.cumsum(new) - 1]
-    return ends[0::2], ends[1::2], np.arange(np.count_nonzero(new))
+    order, starts, runs = _grouped(np.stack((sources, targets), 1).ravel())
+    # a node's new id ranks its first appearance among the others'
+    ends = _grouped(order[starts])[2][runs]
+    return ends[0::2], ends[1::2], np.arange(len(starts))
 
 
 class TemporalNetwork:
@@ -239,8 +247,10 @@ class TemporalNetwork:
             except ValueError as exc:
                 raise ValueError(f"event {k}: {exc}") from None
         if node_ids is None:
-            node_ids, ends = np.unique(np.stack((sources, targets), 1).ravel(), return_inverse=True)
-            sources, targets = ends[0::2], ends[1::2]
+            ends = np.stack((sources, targets), 1).ravel()
+            order, starts, runs = _grouped(ends)
+            node_ids, sources, targets = ends[order[starts]], runs[0::2], runs[1::2]
+            del ends, order
         if np.all(times[1:] >= times[:-1]):  # the given order is the stable one
             order = np.arange(len(times))
         else:  # a stable sort of each time's rank among the distinct times

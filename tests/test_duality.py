@@ -404,6 +404,35 @@ def test_perturbing_any_diamond_tau_breaks_c1():
         assert "C1" in check_consistency(broken).conditions
 
 
+@pytest.mark.parametrize(
+    "big,lines",
+    [
+        # tau sums past the float range: inf and NaN gaps, and a span of inf
+        (1e308, ["C1 at (1,2): tau sums overflow the float range: relative times give inf, tau is 1e+308"]),
+        (1.0, ["C1 at (3,4): path sums disagree: relative times give 4.0, tau is 1.0"]),
+    ],
+)
+def test_overflowing_tau_sums_are_one_c1_violation(big, lines):
+    g = _graph(5, [(0, 1, big, AB), (1, 2, big, AB), (2, 3, 1.0, BC), (2, 4, 5.0, AC), (3, 4, 1.0, CB)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [str(v) for v in check_consistency(g).violations] == lines
+        with pytest.raises(InconsistentGraphError):
+            reconstruct(g)
+
+
+def test_a_span_past_the_float_range_is_c1_with_finite_gaps():
+    # every gap is finite, but the relative times span more than the float
+    # range, so no reconstruction has finite times: C1 at the first edge
+    g = _graph(4, [(0, 1, 1.7e308, AC), (0, 3, 1e308, BC), (2, 3, 1.7e308, CB)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_consistency(g)
+    assert [str(v) for v in report.violations] == [
+        "C1 at (0,1): tau sums overflow the float range: relative times give 1.7e+308, tau is 1.7e+308"
+    ]
+
+
 def test_duplicating_xi_out_breaks_c2():
     g = strip_events(build_teg(from_rows(
         [(0, 1, 0.0), (0, 2, 1.0), (1, 2, 2.0)]

@@ -33,7 +33,8 @@ from tegraph import (
 )
 from _oracles import first_seen, format_time, from_rows, stable_fill, time_shuffle_sorted
 from tegraph import _text
-from tegraph.events import _first_seen, _parsed_lines, _stable_sort, load_events, save_events, write_events
+from tegraph.events import (
+    _first_seen, _grouped, _parsed_lines, _stable_sort, load_events, save_events, write_events)
 
 
 @pytest.mark.parametrize(
@@ -771,6 +772,21 @@ def test_first_seen_matches_unique(name, keys):
     ends = np.append(keys, keys[: len(keys) % 2])  # (source, target) pairs
     for got, expected in zip(_first_seen(ends[0::2], ends[1::2]), first_seen(ends[0::2], ends[1::2])):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+_GROUP_CASES = _sort_cases() + [("past_int64", np.array([2**64, 3, 2**63, 2**64, 3, 2**70], object))]
+
+
+@pytest.mark.parametrize("name,keys", _GROUP_CASES, ids=[c[0] for c in _GROUP_CASES])
+def test_grouped_matches_unique(name, keys):
+    order, starts, runs = _grouped(keys)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    ordered = keys[np.argsort(keys, kind="stable")].tolist()
+    assert order.dtype == starts.dtype == runs.dtype == np.int64
+    assert order.tobytes() == np.argsort(keys, kind="stable").tobytes()
+    assert starts.tolist() == [k for k in range(len(keys)) if k == 0 or ordered[k] != ordered[k - 1]]
+    assert keys[order[starts]].tolist() == distinct.tolist()
+    assert runs.tobytes() == inverse.astype(np.int64).tobytes()
 
 
 def _fill_cases():
